@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import KIND_CATEGORICAL, KIND_NUMERIC, RawTable
+from .data import KIND_CATEGORICAL, KIND_NUMERIC, RawTable, first_occurrence_codes
 from .errors import ValidationError
 
 _Z95 = 1.959963984540054
@@ -74,26 +74,14 @@ def _build_views(real: RawTable, syn: RawTable, columns=None) -> tuple:
         both = np.concatenate([r_num[:, j], s_num[:, j]])
         ranges[j] = float(both.max() - both.min())
 
-    def cat_block(table, vocab_maps):
-        if not cat_names:
-            return np.zeros((table.n_rows, 0), dtype=np.int64)
-        cols = []
-        for name in cat_names:
-            lut = vocab_maps[name]
-            cols.append(np.asarray([lut[v] for v in table.column(name)],
-                                   dtype=np.int64))
-        return np.column_stack(cols)
+    r_cat = np.zeros((real.n_rows, len(cat_names)), dtype=np.int64)
+    s_cat = np.zeros((syn.n_rows, len(cat_names)), dtype=np.int64)
+    for j, name in enumerate(cat_names):
+        _, (r_cat[:, j], s_cat[:, j]) = first_occurrence_codes(real.column(name),
+                                                               syn.column(name))
 
-    vocab_maps = {}
-    for name in cat_names:
-        vocab: dict = {}
-        for v in list(real.column(name)) + list(syn.column(name)):
-            if v not in vocab:
-                vocab[v] = len(vocab)
-        vocab_maps[name] = vocab
-
-    real_view = _View(r_num, cat_block(real, vocab_maps), num_names, cat_names, ranges)
-    syn_view = _View(s_num, cat_block(syn, vocab_maps), num_names, cat_names, ranges)
+    real_view = _View(r_num, r_cat, num_names, cat_names, ranges)
+    syn_view = _View(s_num, s_cat, num_names, cat_names, ranges)
     return real_view, syn_view
 
 
@@ -118,10 +106,6 @@ def gower_distances(queries: _View, reference: _View, rows: np.ndarray) -> np.nd
 
 # ---------------------------------------------------------------------------
 # Singling-out
-
-
-def _column_values(table: RawTable, name: str) -> np.ndarray:
-    return table.column(name)
 
 
 def _numeric_ecdf(sample: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -151,9 +135,9 @@ def _anchors_from_table(source: RawTable, marginal: RawTable) -> _AnchorSet:
     sides = np.ones((n, len(schema.names)), dtype=np.int64)
     values = []
     for d, name in enumerate(schema.names):
-        vals = _column_values(source, name)
+        vals = source.column(name)
         values.append(vals)
-        marg = _column_values(marginal, name)
+        marg = marginal.column(name)
         if schema.kinds[name] == KIND_NUMERIC:
             cdf = _numeric_ecdf(np.asarray(marg, dtype=np.float64),
                                 np.asarray(vals, dtype=np.float64))
@@ -161,11 +145,9 @@ def _anchors_from_table(source: RawTable, marginal: RawTable) -> _AnchorSet:
             rarity[:, d] = np.minimum(tail, 1.0)
             sides[:, d] = np.where(cdf >= 0.5, 1, -1)
         else:
-            freq: dict = {}
-            for v in marg:
-                freq[v] = freq.get(v, 0) + 1
-            m = len(marg)
-            rarity[:, d] = [max(freq.get(v, 0), 0.5) / m for v in vals]
+            vocab, (marg_codes, val_codes) = first_occurrence_codes(marg, vals)
+            freq = np.bincount(marg_codes, minlength=vocab.size)
+            rarity[:, d] = np.maximum(freq[val_codes], 0.5) / len(marg)
     return _AnchorSet(values, rarity, sides, schema.names, schema.kinds)
 
 
@@ -190,6 +172,12 @@ def _run_predicate_attack(anchors: _AnchorSet, real: RawTable, n_attacks: int,
     real_numeric = {name: np.asarray(real.column(name), dtype=np.float64)
                     for name in anchors.names
                     if anchors.kinds[name] == KIND_NUMERIC}
+    # Categorical predicates compare integer codes over a joint vocabulary.
+    real_codes, anchor_codes = {}, {}
+    for d, name in enumerate(anchors.names):
+        if anchors.kinds[name] == KIND_CATEGORICAL:
+            _, (real_codes[name], anchor_codes[name]) = first_occurrence_codes(
+                real.column(name), anchors.values[d])
     successes = 0
     log_w_all = -np.log(anchors.rarity)
     for _ in range(n_attacks):
@@ -203,26 +191,23 @@ def _run_predicate_attack(anchors: _AnchorSet, real: RawTable, n_attacks: int,
         mask = np.ones(real.n_rows, dtype=bool)
         for d in attrs:
             name = anchors.names[d]
-            v = anchors.values[d][a]
             if anchors.kinds[name] == KIND_NUMERIC:
                 col = real_numeric[name]
+                v = float(anchors.values[d][a])
                 if anchors.sides[a, d] > 0:
-                    mask &= col >= float(v)
+                    mask &= col >= v
                 else:
-                    mask &= col <= float(v)
+                    mask &= col <= v
             else:
-                mask &= np.asarray([x == v for x in real.column(name)])
+                mask &= real_codes[name] == anchor_codes[name][a]
         if int(mask.sum()) == 1:
             successes += 1
     return successes
 
 
 def _all_rows_identical(table: RawTable) -> bool:
-    for name in table.schema.names:
-        col = table.column(name)
-        if len(set(col.tolist())) > 1:
-            return False
-    return True
+    return all(first_occurrence_codes(table.column(name))[0].size <= 1
+               for name in table.schema.names)
 
 
 def singling_out_risk(real: RawTable, syn: RawTable, n_attacks: int, rng) -> dict:
@@ -311,23 +296,20 @@ def inference_risk(real: RawTable, syn: RawTable, n_attacks: int, rng) -> dict:
         real_view, syn_view = _build_views(real, syn, aux)
         dists = gower_distances(real_view, syn_view, rows)
         nn = np.argmin(dists, axis=1)
-        true_vals = real.column(name)[rows]
-        pred_vals = syn.column(name)[nn]
         if schema.kinds[name] == KIND_NUMERIC:
-            both = np.concatenate([np.asarray(real.column(name), dtype=np.float64),
-                                   np.asarray(syn.column(name), dtype=np.float64)])
+            real_col = np.asarray(real.column(name), dtype=np.float64)
+            syn_col = np.asarray(syn.column(name), dtype=np.float64)
+            both = np.concatenate([real_col, syn_col])
             tol = 0.05 * float(both.max() - both.min())
-            hits = np.abs(pred_vals.astype(np.float64)
-                          - true_vals.astype(np.float64)) <= tol
-            median = float(np.median(np.asarray(real.column(name), dtype=np.float64)))
-            base_hits = np.abs(median - true_vals.astype(np.float64)) <= tol
+            hits = np.abs(syn_col[nn] - real_col[rows]) <= tol
+            base_hits = np.abs(float(np.median(real_col)) - real_col[rows]) <= tol
         else:
-            hits = np.asarray([p == t for p, t in zip(pred_vals, true_vals)])
-            counts: dict = {}
-            for v in real.column(name):
-                counts[v] = counts.get(v, 0) + 1
-            majority = max(counts, key=lambda v: counts[v])
-            base_hits = np.asarray([t == majority for t in true_vals])
+            _, (real_codes, syn_codes) = first_occurrence_codes(real.column(name),
+                                                                syn.column(name))
+            hits = syn_codes[nn] == real_codes[rows]
+            # argmax keeps the first-occurring value among tied majorities
+            majority = np.argmax(np.bincount(real_codes))
+            base_hits = real_codes[rows] == majority
         raw = float(np.mean(hits))
         baseline = float(np.mean(base_hits))
         per_column[name] = adjusted_risk(raw, baseline)

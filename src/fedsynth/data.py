@@ -9,6 +9,7 @@ a single JSON file so that decoding is reproducible.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -273,6 +274,24 @@ def fit_quantile_map(values, n_quantiles: int = DEFAULT_N_QUANTILES) -> Quantile
 # Categorical codec
 
 
+def first_occurrence_codes(*columns) -> tuple:
+    """Jointly integer-code categorical columns.
+
+    Returns ``(vocab, codes)``: ``vocab`` is an object array of the distinct
+    values of all columns, in order of first occurrence when the columns are
+    read one after another; ``codes`` holds one int64 array per column with
+    ``vocab[codes[i]]`` equal to column ``i``. Every categorical column is
+    coded here, so the vocabulary order is decided in one place.
+    """
+    flat = list(itertools.chain.from_iterable(columns))
+    lookup = {v: i for i, v in enumerate(dict.fromkeys(flat))}
+    vocab = np.fromiter(lookup, dtype=object, count=len(lookup))
+    codes = np.fromiter(map(lookup.__getitem__, flat), dtype=np.int64,
+                        count=len(flat))
+    bounds = np.cumsum([len(col) for col in columns])[:-1]
+    return vocab, np.split(codes, bounds)
+
+
 @dataclass(frozen=True)
 class CategoryCodec:
     """Vocabulary plus the seeded initial 2-d embedding rows for one column.
@@ -301,15 +320,12 @@ class CategoryCodec:
         return len(self.vocabulary)
 
     def indices_of(self, values, column: str = "?") -> np.ndarray:
-        lookup = {v: i for i, v in enumerate(self.vocabulary)}
-        out = np.empty(len(values), dtype=np.int64)
-        for i, v in enumerate(values):
-            try:
-                out[i] = lookup[v]
-            except KeyError:
-                raise ValidationError(
-                    f"unseen category {v!r} in column {column!r}") from None
-        return out
+        vocab, (_, codes) = first_occurrence_codes(self.vocabulary, values)
+        unseen = np.flatnonzero(codes >= self.size)
+        if unseen.size:
+            raise ValidationError(f"unseen category {vocab[codes[unseen[0]]]!r} "
+                                  f"in column {column!r}")
+        return codes
 
     def decode_vectors(self, slices: np.ndarray, table: np.ndarray | None = None) -> np.ndarray:
         table = self.init_table if table is None else table
@@ -328,11 +344,7 @@ def fit_category_codec(values, rng_seed) -> CategoryCodec:
     """
     if len(values) == 0:
         raise ValidationError("cannot fit a codec on an empty column")
-    seen: dict = {}
-    for v in values:
-        if v not in seen:
-            seen[v] = len(seen)
-    vocab = tuple(seen)
+    vocab = tuple(first_occurrence_codes(values)[0])
     rng = np.random.default_rng(rng_seed)
     table = rng.normal(0.0, EMBED_INIT_STD, size=(len(vocab), EMBED_DIM))
     return CategoryCodec(vocab, table)
@@ -513,23 +525,18 @@ def partition_noniid(table: RawTable, partition_column: str, n_clients: int,
     if table.schema.kinds.get(partition_column) != KIND_CATEGORICAL:
         raise ValidationError(
             f"partition column {partition_column!r} must be a categorical column")
-    values = table.column(partition_column)
-
-    order: dict = {}
-    for v in values:
-        if v not in order:
-            order[v] = len(order)
-    groups = {v: np.flatnonzero(np.asarray([x == v for x in values]))
-              for v in order}
-    # Largest group first; ties broken by first occurrence for determinism.
-    ranked = sorted(order, key=lambda v: (-groups[v].size, order[v]))
+    _, (codes,) = first_occurrence_codes(table.column(partition_column))
+    sizes = np.bincount(codes)
+    # A stable sort keeps each group's row indices ascending.
+    groups = np.split(np.argsort(codes, kind="stable"), np.cumsum(sizes)[:-1])
 
     buckets: list = [[] for _ in range(n_clients)]
     counts = np.zeros(n_clients, dtype=np.int64)
-    for v in ranked:
+    # Largest group first; ties broken by first occurrence for determinism.
+    for g in np.argsort(-sizes, kind="stable"):
         target = int(np.argmin(counts))
-        buckets[target].append(groups[v])
-        counts[target] += groups[v].size
+        buckets[target].append(groups[g])
+        counts[target] += sizes[g]
 
     rng = np.random.default_rng(rng_seed)
     while np.any(counts == 0):

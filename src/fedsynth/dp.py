@@ -43,7 +43,6 @@ class DpConfig:
     delta: float | None = None
     clip_norm: float = DEFAULT_CLIP_NORM
     noise_multiplier: float | None = None
-    literal_noise_placement: bool = False
 
     def __post_init__(self):
         if not self.epsilon > 0.0:
@@ -54,10 +53,6 @@ class DpConfig:
             raise ValidationError("clip norm must be positive")
         if self.noise_multiplier is not None and self.noise_multiplier < 0.0:
             raise ValidationError("noise multiplier must be >= 0")
-        if self.literal_noise_placement and self.accounting_active:
-            raise ValidationError(
-                "literal averaged-gradient noise placement has no accounting "
-                "guarantee; it cannot be combined with a finite epsilon target")
 
     @property
     def mechanism_active(self) -> bool:
@@ -88,14 +83,11 @@ def clip(grad: GradientVector, clip_norm: float) -> GradientVector:
     return GradientVector(values, norm=clip_norm)
 
 
-def privatize(per_sample: list, clip_norm: float, sigma: float, rng,
-              literal_noise_placement: bool = False) -> GradientVector:
+def privatize(per_sample: list, clip_norm: float, sigma: float, rng) -> GradientVector:
     """Clipped, noised batch gradient.
 
-    Standard mechanism: (1/B) [sum_i clip(g_i, C) + N(0, (sigma*C)^2 I)].
-    The literal variant instead noises the already-averaged clipped gradient
-    with N(0, sigma^2 I); it exists for comparison only and is not covered by
-    the accountant. With sigma = 0 no draw is made, so the RNG is untouched.
+    Mechanism: (1/B) [sum_i clip(g_i, C) + N(0, (sigma*C)^2 I)]. With
+    sigma = 0 no draw is made, so the RNG is untouched.
     """
     if not per_sample:
         raise ValidationError("privatize needs a non-empty batch")
@@ -104,33 +96,21 @@ def privatize(per_sample: list, clip_norm: float, sigma: float, rng,
     total = np.zeros_like(per_sample[0].values)
     for g in per_sample:
         total += clip(g, clip_norm).values
-    batch = len(per_sample)
-    if literal_noise_placement:
-        out = total / batch
-        if sigma > 0.0:
-            out = out + sigma * rng.standard_normal(out.shape)
-        return GradientVector(out)
     if sigma > 0.0:
         total = total + (sigma * clip_norm) * rng.standard_normal(total.shape)
-    return GradientVector(total / batch)
+    return GradientVector(total / len(per_sample))
 
 
 # ---------------------------------------------------------------------------
 # Renyi-DP accounting for the subsampled Gaussian mechanism
 
 
-def _log_binom_term(alpha: int, k: int, q: float, sigma: float) -> float:
-    log_comb = gammaln(alpha + 1) - gammaln(k + 1) - gammaln(alpha - k + 1)
-    out = log_comb + k * (k - 1) / (2.0 * sigma * sigma)
-    if k < alpha:
-        out += (alpha - k) * math.log1p(-q)
-    if k > 0:
-        out += k * math.log(q)
-    return out
-
-
 def _rdp_integer_order(q: float, sigma: float, alpha: int) -> float:
-    terms = [_log_binom_term(alpha, k, q, sigma) for k in range(alpha + 1)]
+    """log sum_k C(alpha, k) (1-q)^(alpha-k) q^k e^(k(k-1)/(2 sigma^2)), over alpha-1."""
+    k = np.arange(alpha + 1)
+    terms = (gammaln(alpha + 1) - gammaln(k + 1) - gammaln(alpha - k + 1)
+             + k * (k - 1) / (2.0 * sigma * sigma)
+             + (alpha - k) * math.log1p(-q) + k * math.log(q))
     return float(logsumexp(terms)) / (alpha - 1)
 
 
@@ -184,22 +164,24 @@ class RdpAccountant:
     def steps(self) -> int:
         return sum(self.groups.values())
 
+    def _per_step(self, key: tuple) -> np.ndarray:
+        """Per-order RDP of one (q, sigma) step, computed once per key."""
+        if key not in self._per_step_cache:
+            self._per_step_cache[key] = np.array(
+                [rdp_subsampled_gaussian(key[0], key[1], a) for a in self.orders])
+        return self._per_step_cache[key]
+
     def account_step(self, q: float, sigma: float, count: int = 1) -> None:
         if count < 1:
             raise ValidationError("step count must be >= 1")
         key = (float(q), float(sigma))
-        if key not in self._per_step_cache:
-            self._per_step_cache[key] = np.array(
-                [rdp_subsampled_gaussian(q, sigma, a) for a in self.orders])
+        self._per_step(key)  # rejects a bad (q, sigma) here, not at a later query
         self.groups[key] = self.groups.get(key, 0) + int(count)
 
     def rdp_totals(self) -> np.ndarray:
         total = np.zeros_like(self.orders)
         for key, count in self.groups.items():
-            if key not in self._per_step_cache:
-                self._per_step_cache[key] = np.array(
-                    [rdp_subsampled_gaussian(key[0], key[1], a) for a in self.orders])
-            total += count * self._per_step_cache[key]
+            total += count * self._per_step(key)
         return total
 
     def to_epsilon(self, delta: float) -> tuple:
@@ -217,11 +199,7 @@ class RdpAccountant:
         """Budget if ``extra_steps`` more (q, sigma) steps were taken now."""
         if extra_steps < 1:
             raise ValidationError("extra_steps must be >= 1")
-        key = (float(q), float(sigma))
-        if key not in self._per_step_cache:
-            self._per_step_cache[key] = np.array(
-                [rdp_subsampled_gaussian(q, sigma, a) for a in self.orders])
-        totals = self.rdp_totals() + extra_steps * self._per_step_cache[key]
+        totals = self.rdp_totals() + extra_steps * self._per_step((float(q), float(sigma)))
         eps = totals + math.log(1.0 / delta) / (self.orders - 1.0)
         return float(np.min(eps))
 

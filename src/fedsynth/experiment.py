@@ -125,11 +125,8 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         d = dict(d)
-        sub = {}
-        sub["seeds"] = Seeds(**d.pop("seeds", {}))
-        sub["model"] = ModelConfig(**d.pop("model", {}))
-        sub["diffusion"] = DiffusionConfig(**d.pop("diffusion", {}))
-        sub["federation"] = FedConfig(**d.pop("federation", {}))
+        subs = {name: d.pop(name, {}) for name in ("seeds", "model", "diffusion",
+                                                   "federation")}
         dp_dict = dict(d.pop("dp", {}))
         if isinstance(dp_dict.get("epsilon"), str):
             if dp_dict["epsilon"].lower() not in ("inf", "infinity"):
@@ -137,13 +134,17 @@ class ExperimentConfig:
             dp_dict["epsilon"] = math.inf
         if dp_dict.get("epsilon") is None:
             dp_dict["epsilon"] = math.inf
-        sub["dp"] = DpConfig(**dp_dict)
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(d) - known
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+        # An unknown or mistyped key inside a sub-config surfaces as TypeError.
         try:
-            return cls(**d, **sub)
+            return cls(**d, seeds=Seeds(**subs["seeds"]),
+                       model=ModelConfig(**subs["model"]),
+                       diffusion=DiffusionConfig(**subs["diffusion"]),
+                       federation=FedConfig(**subs["federation"]),
+                       dp=DpConfig(**dp_dict))
         except TypeError as exc:
             raise ValidationError(f"malformed config: {exc}") from exc
 
@@ -181,13 +182,24 @@ class ExperimentConfig:
         if dotted:
             raw = out.to_dict()
             for key, value in dotted.items():
-                node = raw
-                parts = key.split(".")
-                for part in parts[:-1]:
-                    node = node[part]
-                node[parts[-1]] = value
+                raw = _set_dotted(raw, key, value)
             out = ExperimentConfig.from_dict(raw)
         return out
+
+
+def _set_dotted(raw: dict, key: str, value) -> dict:
+    """Copy of the config dict ``raw`` with ``value`` at the dotted path ``key``.
+
+    Only the dicts along the path are copied; missing ones are created.
+    """
+    *parents, leaf = key.split(".")
+    out = dict(raw)
+    node = out
+    for part in parents:
+        node[part] = dict(node.get(part, {}))
+        node = node[part]
+    node[leaf] = value
+    return out
 
 
 def _parse_override_value(text: str):
@@ -203,15 +215,7 @@ def _apply_override(raw: dict, item: str) -> dict:
     if "=" not in item:
         raise ValidationError(f"override {item!r} must look like key=value")
     key, value = item.split("=", 1)
-    path = key.strip().split(".")
-    out = dict(raw)
-    node = out
-    for part in path[:-1]:
-        child = dict(node.get(part, {}))
-        node[part] = child
-        node = child
-    node[path[-1]] = _parse_override_value(value.strip())
-    return out
+    return _set_dotted(raw, key.strip(), _parse_override_value(value.strip()))
 
 
 def desk_preset(**kwargs) -> ExperimentConfig:
@@ -499,46 +503,47 @@ def _cell_config(config: ExperimentConfig, assignment: dict) -> ExperimentConfig
     for key, value in assignment.items():
         key = _AXIS_ALIASES.get(key, key)
         if key == "seed":
-            raw["seeds"] = {"model": value, "data": value + 1, "attack": value + 2}
-            continue
-        if isinstance(value, float) and math.isinf(value):
-            value = "inf"
-        raw = _apply_override(raw, f"{key}={_to_literal(value)}")
+            key, value = "seeds", {"model": value, "data": value + 1,
+                                   "attack": value + 2}
+        raw = _set_dotted(raw, key, value)
     return ExperimentConfig.from_dict(raw)
 
 
-def _to_literal(value) -> str:
-    import json
-
-    return json.dumps(value)
+def _axis_label(value):
+    """Sweep axis value as written to names and rows (infinity as "inf")."""
+    return "inf" if isinstance(value, float) and math.isinf(value) else value
 
 
 def _cell_name(assignment: dict) -> str:
-    parts = []
-    for key in sorted(assignment):
-        val = assignment[key]
-        if isinstance(val, float) and math.isinf(val):
-            val = "inf"
-        parts.append(f"{key.replace('.', '-')}={val}")
-    return "__".join(parts)
+    return "__".join(f"{key.replace('.', '-')}={_axis_label(assignment[key])}"
+                     for key in sorted(assignment))
+
+
+def _sweep_row(assignment: dict, cell_dir: str,
+               error: FedsynthError | None = None) -> dict:
+    """Result row of one sweep cell, read from the cell's report and manifest."""
+    row = {"cell": _cell_name(assignment),
+           "assignment": {k: _axis_label(v) for k, v in assignment.items()}}
+    if error is not None:
+        row.update(status="failed", error=f"{type(error).__name__}: {error}")
+        return row
+    report_path = os.path.join(cell_dir, REPORT_FILE)
+    report = MetricsReport.from_dict(read_json(report_path))
+    manifest = read_json(os.path.join(cell_dir, MANIFEST_FILE))
+    row.update(status="ok", report=report_path, omega=report.omega,
+               phi=report.phi, pi=report.privacy_risk,
+               epsilons=manifest["epsilons"])
+    return row
 
 
 def _run_cell(config_dict: dict, assignment: dict, cell_dir: str) -> dict:
     config = ExperimentConfig.from_dict(config_dict)
     cell_cfg = _cell_config(config, assignment).replace(output_dir=cell_dir)
-    row = {"cell": _cell_name(assignment), "assignment": {
-        k: ("inf" if isinstance(v, float) and math.isinf(v) else v)
-        for k, v in assignment.items()}}
-    report_path = os.path.join(cell_dir, REPORT_FILE)
     try:
-        report = run_pipeline(cell_cfg)
-        manifest = read_json(os.path.join(cell_dir, MANIFEST_FILE))
-        row.update(status="ok", report=report_path,
-                   omega=report.omega, phi=report.phi, pi=report.privacy_risk,
-                   epsilons=manifest["epsilons"])
+        run_pipeline(cell_cfg)
     except FedsynthError as exc:
-        row.update(status="failed", error=f"{type(exc).__name__}: {exc}")
-    return row
+        return _sweep_row(assignment, cell_dir, exc)
+    return _sweep_row(assignment, cell_dir)
 
 
 def cmd_sweep(config: ExperimentConfig) -> list:
@@ -569,20 +574,10 @@ def cmd_sweep(config: ExperimentConfig) -> list:
     rows = []
     for assignment in assignments:
         cell_dir = os.path.join(sweep_dir, _cell_name(assignment))
-        report_path = os.path.join(cell_dir, REPORT_FILE)
-        if os.path.exists(report_path):
-            report = MetricsReport.from_dict(read_json(report_path))
-            manifest = read_json(os.path.join(cell_dir, MANIFEST_FILE))
-            rows.append({"cell": _cell_name(assignment),
-                         "assignment": {k: ("inf" if isinstance(v, float)
-                                            and math.isinf(v) else v)
-                                        for k, v in assignment.items()},
-                         "status": "ok", "report": report_path,
-                         "omega": report.omega, "phi": report.phi,
-                         "pi": report.privacy_risk,
-                         "epsilons": manifest["epsilons"]})
-            continue
-        pending.append((assignment, cell_dir))
+        if os.path.exists(os.path.join(cell_dir, REPORT_FILE)):
+            rows.append(_sweep_row(assignment, cell_dir))
+        else:
+            pending.append((assignment, cell_dir))
 
     if config.sweep_workers > 1 and len(pending) > 1:
         with concurrent.futures.ProcessPoolExecutor(config.sweep_workers) as pool:

@@ -44,7 +44,6 @@ class FedConfig:
     server_beta1: float = 0.9
     server_beta2: float = 0.999
     server_eps: float = 1e-8
-    literal_weighting: bool = False
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -140,13 +139,11 @@ class TrainResult:
 # Aggregation
 
 
-def fedavg_aggregate(updates: list, total_weight: float | None = None) -> np.ndarray:
+def fedavg_aggregate(updates: list) -> np.ndarray:
     """Sample-count-weighted mean of client parameter vectors.
 
-    ``updates`` is a list of (flat params, sample count). By default weights
-    normalize over the participating clients; passing ``total_weight`` (e.g.
-    the full federation size) reproduces the literal global normalization,
-    which shrinks the result toward zero under partial participation.
+    ``updates`` is a list of (flat params, sample count); weights normalize
+    over the participating clients.
     """
     if not updates:
         raise ValidationError("nothing to aggregate")
@@ -158,10 +155,9 @@ def fedavg_aggregate(updates: list, total_weight: float | None = None) -> np.nda
             raise ValidationError("client parameter vectors differ in length")
         total += float(weight) * vec
         weight_sum += float(weight)
-    denom = weight_sum if total_weight is None else float(total_weight)
-    if denom <= 0.0:
+    if weight_sum <= 0.0:
         raise ValidationError("aggregation weights must sum to a positive value")
-    return total / denom
+    return total / weight_sum
 
 
 @dataclass
@@ -174,8 +170,7 @@ class ServerOptState:
 
 
 def server_opt_aggregate(global_flat: np.ndarray, updates: list,
-                         state: ServerOptState, cfg: FedConfig,
-                         total_weight: float | None = None) -> np.ndarray:
+                         state: ServerOptState, cfg: FedConfig) -> np.ndarray:
     """One adaptive server step on the pseudo-gradient.
 
     Delta = current global minus the FedAvg of client params. The first
@@ -187,7 +182,7 @@ def server_opt_aggregate(global_flat: np.ndarray, updates: list,
         raise ValidationError(f"server optimizer got strategy {cfg.strategy!r}")
     if state.m.shape != global_flat.shape or state.v.shape != global_flat.shape:
         raise ValidationError("server optimizer state shape mismatch")
-    target = fedavg_aggregate(updates, total_weight)
+    target = fedavg_aggregate(updates)
     delta = global_flat - target
     d2 = delta * delta
     state.updates += 1
@@ -253,8 +248,7 @@ def client_local_update(global_flat: np.ndarray, manifest: dict,
                 f"client {client.client_id}, local step {step}: {exc}") from exc
         pre_norms.extend(g.norm for g in grads)
         if mechanism:
-            grad = privatize(grads, dp_cfg.clip_norm, client.sigma, rng,
-                             dp_cfg.literal_noise_placement)
+            grad = privatize(grads, dp_cfg.clip_norm, client.sigma, rng)
             post_norms.extend(min(g.norm, dp_cfg.clip_norm) for g in grads)
         else:
             grad = GradientVector(
@@ -324,17 +318,14 @@ def run_round(state: FederatedState, datasets: list, schedule: NoiseSchedule,
         audit.append({"round": r + 1, "client": cid,
                       "epsilon": client.current_epsilon(), **stats})
 
-    total = None
-    if fed_cfg.literal_weighting:
-        total = float(sum(c.n_samples for c in state.clients))
     if fed_cfg.strategy in ("fedadam", "fedyogi"):
         opt_state = ServerOptState(state.server_m, state.server_v, state.server_updates)
         state.global_flat = server_opt_aggregate(state.global_flat, updates,
-                                                 opt_state, fed_cfg, total)
+                                                 opt_state, fed_cfg)
         state.server_m, state.server_v = opt_state.m, opt_state.v
         state.server_updates = opt_state.updates
     else:
-        state.global_flat = fedavg_aggregate(updates, total)
+        state.global_flat = fedavg_aggregate(updates)
     state.round += 1
     return audit
 

@@ -16,7 +16,8 @@ import numpy as np
 
 from .attacks import inference_risk, linkability_risk, privacy_score, singling_out_risk
 from .classifiers import accuracy, builtin_classifiers
-from .data import KIND_CATEGORICAL, KIND_NUMERIC, RawTable, fit_quantile_map
+from .data import (KIND_CATEGORICAL, KIND_NUMERIC, RawTable, first_occurrence_codes,
+                   fit_quantile_map)
 from .errors import ValidationError
 from .store import canonical_json
 
@@ -54,25 +55,13 @@ def wasserstein_similarity(real_col, syn_col) -> float:
     return float(np.clip(1.0 - _empirical_w1(a, b), 0.0, 1.0))
 
 
-def _frequencies(values, vocab: list) -> np.ndarray:
-    counts = np.zeros(len(vocab))
-    lut = {v: i for i, v in enumerate(vocab)}
-    for v in values:
-        counts[lut[v]] += 1
-    return counts / counts.sum()
-
-
 def js_similarity(real_col, syn_col) -> float:
     """1 - Jensen-Shannon divergence (log base 2) of category frequencies."""
     if len(real_col) == 0 or len(syn_col) == 0:
         raise ValidationError("js_similarity needs non-empty columns")
-    vocab: dict = {}
-    for v in list(real_col) + list(syn_col):
-        if v not in vocab:
-            vocab[v] = len(vocab)
-    vocab_list = list(vocab)
-    p = _frequencies(real_col, vocab_list)
-    q = _frequencies(syn_col, vocab_list)
+    vocab, (real_codes, syn_codes) = first_occurrence_codes(real_col, syn_col)
+    p = np.bincount(real_codes, minlength=vocab.size) / real_codes.size
+    q = np.bincount(syn_codes, minlength=vocab.size) / syn_codes.size
     m = (p + q) / 2.0
 
     def kl(x, y):
@@ -121,15 +110,10 @@ def theil_u(a_values, b_values) -> float:
     """
     if len(a_values) != len(b_values) or len(a_values) == 0:
         raise ValidationError("Theil U needs two equal-length non-empty columns")
-    a_lut: dict = {}
-    b_lut: dict = {}
-    for v in a_values:
-        a_lut.setdefault(v, len(a_lut))
-    for v in b_values:
-        b_lut.setdefault(v, len(b_lut))
-    joint = np.zeros((len(a_lut), len(b_lut)))
-    for va, vb in zip(a_values, b_values):
-        joint[a_lut[va], b_lut[vb]] += 1
+    a_vocab, (a,) = first_occurrence_codes(a_values)
+    b_vocab, (b,) = first_occurrence_codes(b_values)
+    joint = np.bincount(a * b_vocab.size + b, minlength=a_vocab.size * b_vocab.size)
+    joint = joint.reshape(a_vocab.size, b_vocab.size).astype(np.float64)
     h_a = _entropy(joint.sum(axis=1))
     if h_a == 0.0:
         return 1.0
@@ -197,13 +181,11 @@ def _encode_features(schema, train: RawTable, test: RawTable) -> tuple:
             blocks_train.append(qm.transform(train.column(name))[:, None])
             blocks_test.append(qm.transform(test.column(name))[:, None])
         else:
-            vocab: dict = {}
-            for v in list(train.column(name)) + list(test.column(name)):
-                vocab.setdefault(v, len(vocab))
-            for blocks, table in ((blocks_train, train), (blocks_test, test)):
-                onehot = np.zeros((table.n_rows, len(vocab)))
-                for r, v in enumerate(table.column(name)):
-                    onehot[r, vocab[v]] = 1.0
+            vocab, (train_codes, test_codes) = first_occurrence_codes(
+                train.column(name), test.column(name))
+            for blocks, codes in ((blocks_train, train_codes), (blocks_test, test_codes)):
+                onehot = np.zeros((codes.size, vocab.size))
+                onehot[np.arange(codes.size), codes] = 1.0
                 blocks.append(onehot)
     return np.hstack(blocks_train), np.hstack(blocks_test)
 
@@ -218,14 +200,9 @@ def utility_score(syn_train: RawTable, real_test: RawTable, seed: int = 0) -> di
     if real_test.schema.columns != schema.columns:
         raise ValidationError("tables must share a schema")
 
-    labels: dict = {}
-    for v in list(syn_train.column(schema.target_column)) + \
-            list(real_test.column(schema.target_column)):
-        labels.setdefault(v, len(labels))
-    y_train = np.asarray([labels[v] for v in syn_train.column(schema.target_column)],
-                         dtype=np.int64)
-    y_test = np.asarray([labels[v] for v in real_test.column(schema.target_column)],
-                        dtype=np.int64)
+    labels, (y_train, y_test) = first_occurrence_codes(
+        syn_train.column(schema.target_column),
+        real_test.column(schema.target_column))
     x_train, x_test = _encode_features(schema, syn_train, real_test)
 
     accuracies: dict = {}
@@ -234,10 +211,10 @@ def utility_score(syn_train: RawTable, real_test: RawTable, seed: int = 0) -> di
         skipped = [name for name, _ in builtin_classifiers(seed)]
     else:
         for name, model in builtin_classifiers(seed):
-            model.fit(x_train, y_train, len(labels))
+            model.fit(x_train, y_train, labels.size)
             accuracies[name] = accuracy(y_test, model.predict(x_test))
     phi = float(np.mean(list(accuracies.values()))) if accuracies else None
-    counts = np.bincount(y_test, minlength=len(labels))
+    counts = np.bincount(y_test, minlength=labels.size)
     return {"phi": phi, "accuracies": accuracies, "skipped": skipped,
             "majority_rate": float(counts.max() / counts.sum()),
             "n_train": syn_train.n_rows, "n_test": real_test.n_rows}

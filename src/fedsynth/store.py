@@ -38,15 +38,6 @@ def json_digest(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
-def file_digest(path) -> str:
-    """Hex SHA-256 of a file's raw bytes."""
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def save_arrays(path, arrays: dict, meta: dict | None = None) -> None:
     """Write named arrays (plus optional JSON metadata) to a stable zip.
 

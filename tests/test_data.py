@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from fedsynth.data import (EMBED_DIM, CategoryCodec, ClientPartition,
                            EncodingPipeline, QuantileMap, RawTable,
-                           TabularSchema, fit_category_codec,
-                           fit_quantile_map, load_csv, load_partitions,
-                           partition_iid, partition_noniid, save_partitions,
-                           write_csv)
+                           TabularSchema, first_occurrence_codes,
+                           fit_category_codec, fit_quantile_map, load_csv,
+                           load_partitions, partition_iid, partition_noniid,
+                           save_partitions, write_csv)
 from fedsynth.errors import CsvFormatError, SchemaError, ValidationError
 from fedsynth.fixtures import MIXTURE_SCHEMA, gaussian_mixture_table
 
@@ -167,6 +167,29 @@ def test_quantile_map_outputs_unit_interval(raw):
 
 # ---------------------------------------------------------------------------
 # Category codec
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.text(alphabet="abc", max_size=2), max_size=30),
+                min_size=1, max_size=3))
+def test_first_occurrence_codes_matches_dict_oracle(columns):
+    oracle: dict = {}
+    for col in columns:
+        for v in col:
+            if v not in oracle:
+                oracle[v] = len(oracle)
+    vocab, codes = first_occurrence_codes(*columns)
+    assert vocab.dtype == object
+    assert list(vocab) == list(oracle)
+    assert len(codes) == len(columns)
+    for col, col_codes in zip(columns, codes):
+        assert col_codes.dtype == np.int64
+        assert col_codes.tolist() == [oracle[v] for v in col]
+        assert vocab[col_codes].tolist() == col
+    # joint coding: equal values share one code across columns
+    if len(columns) >= 2 and columns[0] and columns[1]:
+        assert ((codes[0][:, None] == codes[1][None, :]).tolist()
+                == [[x == y for y in columns[1]] for x in columns[0]])
 
 
 def test_codec_vocabulary_first_occurrence_order():

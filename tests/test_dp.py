@@ -56,12 +56,6 @@ def test_dpconfig_rejects_bad_values():
         DpConfig(noise_multiplier=-0.1)
 
 
-def test_dpconfig_literal_placement_cannot_be_accounted():
-    DpConfig(noise_multiplier=1.0, literal_noise_placement=True)  # fine
-    with pytest.raises(ValidationError):
-        DpConfig(epsilon=1.0, literal_noise_placement=True)
-
-
 # ---------------------------------------------------------------------------
 # Clipping
 
@@ -130,15 +124,6 @@ def test_privatize_noise_scale_standard_placement():
     assert out.values.std() == pytest.approx(sigma * c / b, rel=0.02)
 
 
-def test_privatize_noise_scale_literal_placement():
-    """Literal variant noises the mean directly with std sigma."""
-    n, sigma = 200_000, 0.7
-    batch = _grads([np.zeros(n)] * 4)
-    out = privatize(batch, 1.0, sigma, rng=np.random.default_rng(1),
-                    literal_noise_placement=True)
-    assert out.values.std() == pytest.approx(sigma, rel=0.02)
-
-
 def test_privatize_rejects_empty_or_negative_sigma():
     with pytest.raises(ValidationError):
         privatize([], 1.0, 1.0, rng=None)
@@ -174,14 +159,18 @@ def test_rdp_subsampled_alpha2_matches_mpmath():
 def test_rdp_integer_order_matches_mpmath_binomial_sum():
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 60
-    q, sigma, alpha = mp.mpf("0.02"), mp.mpf("1.3"), 8
-    total = mp.mpf(0)
-    for k in range(alpha + 1):
-        total += (mp.binomial(alpha, k) * (1 - q) ** (alpha - k) * q**k
-                  * mp.e ** (k * (k - 1) / (2 * sigma**2)))
-    exact = mp.log(total) / (alpha - 1)
-    got = rdp_subsampled_gaussian(0.02, 1.3, 8.0)
-    assert got == pytest.approx(float(exact), rel=1e-12)
+    cases = [("0.02", "1.3", 8), ("0.001", "0.8", 2), ("0.01", "1.0", 3),
+             ("0.1", "2.0", 16), ("0.5", "5.0", 33), ("0.004", "1.1", 64),
+             ("0.024", "4.0", 64), ("0.001", "10.0", 512), ("0.05", "30.0", 512)]
+    for q, sigma, alpha in cases:
+        q_mp, sigma_mp = mp.mpf(q), mp.mpf(sigma)
+        total = mp.mpf(0)
+        for k in range(alpha + 1):
+            total += (mp.binomial(alpha, k) * (1 - q_mp) ** (alpha - k) * q_mp**k
+                      * mp.e ** (k * (k - 1) / (2 * sigma_mp**2)))
+        exact = mp.log(total) / (alpha - 1)
+        got = rdp_subsampled_gaussian(float(q), float(sigma), float(alpha))
+        assert got == pytest.approx(float(exact), rel=1e-12), (q, sigma, alpha)
 
 
 def test_rdp_monotone_in_q():

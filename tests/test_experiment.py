@@ -62,6 +62,8 @@ def test_config_finite_epsilon_roundtrip(workspace):
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValidationError, match="unknown"):
         ExperimentConfig.from_dict({"datsaet": "x.csv"})
+    with pytest.raises(ValidationError, match="literal_weighting"):
+        ExperimentConfig.from_dict({"federation": {"literal_weighting": True}})
 
 
 def test_config_from_file_with_overrides(workspace, tmp_path):

@@ -64,12 +64,6 @@ def test_fedavg_coordinatewise_bounds():
     assert np.all(out <= stack.max(axis=0) + 1e-12)
 
 
-def test_fedavg_literal_total_weight_shrinks():
-    v = np.array([2.0, 2.0])
-    out = fedavg_aggregate([(v, 5)], total_weight=10.0)
-    np.testing.assert_allclose(out, v / 2.0, rtol=1e-16)
-
-
 def test_fedavg_rejects_empty_and_mismatch():
     with pytest.raises(ValidationError):
         fedavg_aggregate([])
