@@ -315,6 +315,13 @@ class CategoryCodec:
                 f"embedding table shape {table.shape} != ({len(self.vocabulary)}, {EMBED_DIM})")
         object.__setattr__(self, "init_table", table)
 
+    @classmethod
+    def seeded(cls, vocabulary: tuple, rng_seed) -> "CategoryCodec":
+        """Codec whose table rows are drawn i.i.d. from N(0, 1/2) with ``rng_seed``."""
+        rng = np.random.default_rng(rng_seed)
+        return cls(vocabulary, rng.normal(0.0, EMBED_INIT_STD,
+                                          size=(len(vocabulary), EMBED_DIM)))
+
     @property
     def size(self) -> int:
         return len(self.vocabulary)
@@ -344,10 +351,7 @@ def fit_category_codec(values, rng_seed) -> CategoryCodec:
     """
     if len(values) == 0:
         raise ValidationError("cannot fit a codec on an empty column")
-    vocab = tuple(first_occurrence_codes(values)[0])
-    rng = np.random.default_rng(rng_seed)
-    table = rng.normal(0.0, EMBED_INIT_STD, size=(len(vocab), EMBED_DIM))
-    return CategoryCodec(vocab, table)
+    return CategoryCodec.seeded(tuple(first_occurrence_codes(values)[0]), rng_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -458,12 +462,9 @@ class EncodingPipeline:
         qmaps = {name: QuantileMap(np.asarray(vals, dtype=np.float64))
                  for name, vals in d["quantiles"].items()}
         embed_seed = int(d["embed_seed"])
-        codecs = {}
-        for pos, name in enumerate(schema.categorical_names):
-            vocab = tuple(d["vocabularies"][name])
-            rng = np.random.default_rng([embed_seed, pos])
-            table = rng.normal(0.0, EMBED_INIT_STD, size=(len(vocab), EMBED_DIM))
-            codecs[name] = CategoryCodec(vocab, table)
+        codecs = {name: CategoryCodec.seeded(tuple(d["vocabularies"][name]),
+                                             [embed_seed, pos])
+                  for pos, name in enumerate(schema.categorical_names)}
         return cls(schema, qmaps, codecs, int(d["n_quantiles"]), embed_seed)
 
     def save(self, path) -> None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import itertools
+import json
 import math
 import os
 import platform
@@ -29,12 +30,11 @@ from . import federation as fed
 from .data import (ClientPartition, EncodingPipeline, RawTable, TabularSchema,
                    load_csv, load_partitions, partition_iid, partition_noniid,
                    save_partitions, write_csv)
-from .dp import DpConfig
+from .dp import DpConfig, RdpAccountant
 from .errors import CheckpointError, FedsynthError, ValidationError
 from .federation import FedConfig, FederatedState, make_client_datasets
 from .metrics import MetricsReport, evaluate_tables
 from .nn import AdamState, DenoiserParams, forward, init_denoiser
-from .dp import RdpAccountant
 from .store import (canonical_json, json_digest, load_arrays, read_json,
                     save_arrays, write_json)
 
@@ -203,8 +203,6 @@ def _set_dotted(raw: dict, key: str, value) -> dict:
 
 
 def _parse_override_value(text: str):
-    import json
-
     try:
         return json.loads(text)
     except ValueError:
@@ -444,8 +442,6 @@ def cmd_generate(config: ExperimentConfig, checkpoint_path: str | None = None,
     rng = np.random.default_rng([seed, 0])  # block 0; blocks would be [seed, b]
     encoded = diff.generate(lambda x, t: forward(params, x, t),
                             n_rows, params.d_enc, config.diffusion.schedule(), rng)
-    n_num = len(pipeline.schema.numeric_names)
-    encoded[:, :n_num] = np.clip(encoded[:, :n_num], -1.0, 1.0)
     table = pipeline.decode(encoded, embeddings=params.embeddings)
     out_path = out_path or paths["synthetic"]
     write_csv(out_path, table)
@@ -536,9 +532,11 @@ def _sweep_row(assignment: dict, cell_dir: str,
     return row
 
 
-def _run_cell(config_dict: dict, assignment: dict, cell_dir: str) -> dict:
+def _run_cell(config_dict: dict, assignment: dict, output_dir: str) -> dict:
+    """Run one cell into ``output_dir`` (as configured, resolved here once)."""
     config = ExperimentConfig.from_dict(config_dict)
-    cell_cfg = _cell_config(config, assignment).replace(output_dir=cell_dir)
+    cell_cfg = _cell_config(config, assignment).replace(output_dir=output_dir)
+    cell_dir = cell_cfg.resolved_output_dir()
     try:
         run_pipeline(cell_cfg)
     except FedsynthError as exc:
@@ -566,18 +564,19 @@ def cmd_sweep(config: ExperimentConfig) -> list:
                    for combo in itertools.product(*[v for _, v in axes])]
 
     out_dir = config.resolved_output_dir()
-    sweep_dir = os.path.join(out_dir, "sweep")
-    os.makedirs(sweep_dir, exist_ok=True)
+    os.makedirs(os.path.join(out_dir, "sweep"), exist_ok=True)
     base_dict = config.to_dict()
 
     pending = []
     rows = []
     for assignment in assignments:
-        cell_dir = os.path.join(sweep_dir, _cell_name(assignment))
+        # FEDSYNTH_OUTPUT_ROOT applies once, when the cell's config resolves it
+        output_dir = os.path.join(config.output_dir, "sweep", _cell_name(assignment))
+        cell_dir = config.replace(output_dir=output_dir).resolved_output_dir()
         if os.path.exists(os.path.join(cell_dir, REPORT_FILE)):
             rows.append(_sweep_row(assignment, cell_dir))
         else:
-            pending.append((assignment, cell_dir))
+            pending.append((assignment, output_dir))
 
     if config.sweep_workers > 1 and len(pending) > 1:
         with concurrent.futures.ProcessPoolExecutor(config.sweep_workers) as pool:

@@ -200,10 +200,8 @@ def server_opt_aggregate(global_flat: np.ndarray, updates: list,
 
 
 def _assemble_x0(params: DenoiserParams, data: ClientDataset, i: int) -> np.ndarray:
-    parts = [data.numeric[i]]
-    for j in range(data.cat_rows.shape[1]):
-        parts.append(params.embeddings[j][data.cat_rows[i, j]])
-    return np.concatenate(parts)
+    rows = data.cat_rows[i]
+    return np.concatenate([data.numeric[i]] + [e[r] for e, r in zip(params.embeddings, rows)])
 
 
 def client_local_update(global_flat: np.ndarray, manifest: dict,
@@ -216,8 +214,8 @@ def client_local_update(global_flat: np.ndarray, manifest: dict,
     order per step — batch draw, then per-sample (t, noise), then DP noise —
     so one seeded generator fully determines the client's round.
     """
-    params = DenoiserParams.from_flat(global_flat, manifest)
-    flat = global_flat.copy()
+    params = DenoiserParams.from_flat(global_flat.copy(), manifest)
+    flat = params.flatten()
     anchor = global_flat
     n = data.n_samples
     mechanism = dp_cfg.mechanism_active
@@ -256,11 +254,10 @@ def client_local_update(global_flat: np.ndarray, manifest: dict,
             post_norms.extend(g.norm for g in grads)
         if fed_cfg.strategy == "fedprox" and fed_cfg.prox_mu != 0.0:
             grad = GradientVector(grad.values + fed_cfg.prox_mu * (flat - anchor))
-        flat = adam_step(flat, client.adam, grad)
+        adam_step(flat, client.adam, grad)
         if not np.all(np.isfinite(flat)):
             raise DivergenceError(
                 f"client {client.client_id} diverged at local step {step}")
-        params = DenoiserParams.from_flat(flat, manifest)
         losses.append(loss)
     stats = {
         "loss": float(np.mean(losses)) if losses else None,
@@ -335,7 +332,7 @@ def init_state(init_params: DenoiserParams, datasets: list, fed_cfg: FedConfig,
     """Fresh training state: zero moments, calibrated per-client noise."""
     if not datasets:
         raise ValidationError("train needs at least one client shard")
-    flat = init_params.flatten()
+    flat = init_params.flatten().copy()
     clients = []
     for cid, data in enumerate(datasets):
         sigma = dp_cfg.noise_multiplier

@@ -3,12 +3,13 @@
 The model is a plain MLP: input = [x_t, sinusoidal time embedding], three
 ReLU hidden layers, linear output predicting the forward noise. Per-sample
 gradients (required for DP clipping) are computed by running backward once
-per sample; categorical embedding tables are part of the parameter vector and
-receive gradient through the x_t that was built from them.
+per sample; categorical embedding tables are part of the one parameter buffer
+and receive gradient through the x_t that was built from them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +43,10 @@ def time_embed(t, dim: int = DEFAULT_TIME_DIM) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GradientVector:
-    """Flat gradient aligned with DenoiserParams.flatten(); L2 norm cached."""
+    """Flat gradient aligned with DenoiserParams.flatten(); L2 norm cached.
+
+    From ``per_sample_grads``, ``values`` is one row view of the batch's (B, P) array.
+    """
 
     values: np.ndarray
     norm: float = field(default=None)
@@ -57,15 +61,33 @@ class GradientVector:
         return self.values.size
 
 
+def _layout(flat: np.ndarray, manifest: dict) -> tuple:
+    """(weights, biases, embeddings) as reshaped views of the last axis of ``flat``.
+
+    The order W1, b1, ..., WL, bL, then each embedding table, is the contract
+    for gradients, aggregation, and checkpoints.
+    """
+    shapes = [s for w in manifest["weights"] for s in (tuple(w), (w[1],))]
+    shapes += [tuple(e) for e in manifest["embeddings"]]
+    ends = np.cumsum([math.prod(s) for s in shapes])
+    if flat.shape[-1] != ends[-1]:
+        raise ValidationError(
+            f"flat vector length {flat.shape[-1]} does not match manifest ({ends[-1]})")
+    blocks = [flat[..., end - math.prod(s): end].reshape(flat.shape[:-1] + s)
+              for s, end in zip(shapes, ends)]
+    n = 2 * len(manifest["weights"])
+    return blocks[0:n:2], blocks[1:n:2], blocks[n:]
+
+
 @dataclass
 class DenoiserParams:
-    """All trainable state: layer weights/biases plus embedding tables.
+    """All trainable state as views into one float64 buffer ``flat``.
 
-    Weight matrices are (fan_in, fan_out); the flattening order is
-    W1, b1, ..., WL, bL, then each embedding table, and is the contract for
-    gradients, aggregation, and checkpoints.
+    ``weights`` ((fan_in, fan_out) each), ``biases`` and ``embeddings`` tables
+    are views laid out by ``_layout``; writing through one changes ``flatten()``.
     """
 
+    flat: np.ndarray
     weights: list
     biases: list
     embeddings: list
@@ -81,16 +103,10 @@ class DenoiserParams:
 
     @property
     def size(self) -> int:
-        n = sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
-        return n + sum(e.size for e in self.embeddings)
+        return self.flat.size
 
     def flatten(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b.ravel())
-        parts.extend(e.ravel() for e in self.embeddings)
-        return np.concatenate(parts) if parts else np.zeros(0)
+        return self.flat
 
     def manifest(self) -> dict:
         return {
@@ -101,29 +117,10 @@ class DenoiserParams:
 
     @classmethod
     def from_flat(cls, flat: np.ndarray, manifest: dict) -> "DenoiserParams":
+        """Views into ``flat`` (no copy for a float64 array) shaped by ``manifest``."""
         flat = np.asarray(flat, dtype=np.float64)
-        weights, biases, embeddings = [], [], []
-        pos = 0
-
-        def take(shape):
-            nonlocal pos
-            n = int(np.prod(shape))
-            chunk = flat[pos: pos + n].reshape(shape).copy()
-            pos += n
-            return chunk
-
-        for shape in manifest["weights"]:
-            weights.append(take(shape))
-            biases.append(take((shape[1],)))
-        for shape in manifest["embeddings"]:
-            embeddings.append(take(shape))
-        if pos != flat.size:
-            raise ValidationError(
-                f"flat vector length {flat.size} does not match manifest ({pos})")
-        return cls(weights, biases, embeddings, int(manifest["time_dim"]))
-
-    def replace_flat(self, flat: np.ndarray) -> "DenoiserParams":
-        return DenoiserParams.from_flat(flat, self.manifest())
+        weights, biases, embeddings = _layout(flat, manifest)
+        return cls(flat, weights, biases, embeddings, int(manifest["time_dim"]))
 
 
 def init_denoiser(d_enc: int, hidden_width: int = DEFAULT_HIDDEN,
@@ -131,18 +128,22 @@ def init_denoiser(d_enc: int, hidden_width: int = DEFAULT_HIDDEN,
                   embeddings: list | None = None, rng=None) -> DenoiserParams:
     """Kaiming-uniform weights (bound sqrt(6/fan_in)), zero biases.
 
-    ``embeddings`` holds the initial per-column tables (copied); they train
-    jointly with the network from here on.
+    ``embeddings`` holds the initial per-column tables (copied into the
+    buffer); they train jointly with the network from here on.
     """
     rng = np.random.default_rng(rng)
     sizes = [d_enc + time_dim] + [hidden_width] * n_hidden + [d_enc]
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        bound = np.sqrt(6.0 / fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    emb = [np.asarray(e, dtype=np.float64).copy() for e in (embeddings or [])]
-    return DenoiserParams(weights, biases, emb, time_dim)
+    dims = list(zip(sizes[:-1], sizes[1:]))
+    tables = [np.asarray(e, dtype=np.float64) for e in (embeddings or [])]
+    n_params = sum((i + 1) * o for i, o in dims) + sum(e.size for e in tables)
+    params = DenoiserParams.from_flat(np.zeros(n_params), {
+        "weights": dims, "embeddings": [e.shape for e in tables], "time_dim": time_dim})
+    for w in params.weights:
+        bound = np.sqrt(6.0 / w.shape[0])
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    for dst, src in zip(params.embeddings, tables):
+        dst[...] = src
+    return params
 
 
 def forward(params: DenoiserParams, x, t) -> np.ndarray:
@@ -186,7 +187,10 @@ class TrainingSample:
     emb_coeff: float = 0.0
 
 
-def _sample_gradient(params: DenoiserParams, sample: TrainingSample):
+def _sample_gradient(params: DenoiserParams, sample: TrainingSample, grads: tuple,
+                     i: int) -> float:
+    """Loss of one sample; its gradient goes into row ``i`` of the zeroed ``grads`` views."""
+    grad_w, grad_b, grad_emb = grads
     te = time_embed(sample.t, params.time_dim)
     h = np.concatenate([np.asarray(sample.x_in, dtype=np.float64), te])
     acts = [h]
@@ -202,47 +206,41 @@ def _sample_gradient(params: DenoiserParams, sample: TrainingSample):
     loss = float(diff @ diff) / out.size
 
     delta = (2.0 / out.size) * diff
-    grad_w = [None] * len(params.weights)
-    grad_b = [None] * len(params.weights)
     for li in range(last, -1, -1):
-        grad_w[li] = np.outer(acts[li], delta)
-        grad_b[li] = delta
+        np.outer(acts[li], delta, out=grad_w[li][i])
+        grad_b[li][i] = delta
         delta = params.weights[li] @ delta
         if li > 0:
             delta = delta * (zs[li - 1] > 0)
     dx_in = delta[: params.d_enc]
 
-    grad_emb = [np.zeros_like(e) for e in params.embeddings]
     if sample.emb_rows is not None and len(params.embeddings) > 0:
         n_num = params.n_numeric
         for j, row in enumerate(np.asarray(sample.emb_rows, dtype=np.int64)):
             sl = dx_in[n_num + 2 * j: n_num + 2 * (j + 1)]
-            grad_emb[j][row] += sample.emb_coeff * sl
-
-    parts = []
-    for gw, gb in zip(grad_w, grad_b):
-        parts.append(gw.ravel())
-        parts.append(gb.ravel())
-    parts.extend(g.ravel() for g in grad_emb)
-    return loss, np.concatenate(parts)
+            grad_emb[j][i, row] += sample.emb_coeff * sl
+    return loss
 
 
 def per_sample_grads(params: DenoiserParams, batch: list):
     """Gradient of each sample's own loss w.r.t. all parameters.
 
     The per-sample loss is mean-squared error over the d_enc output
-    coordinates; returns one GradientVector per sample plus the mean loss.
+    coordinates; returns one GradientVector per sample (row i of one (B, P)
+    array) plus the mean loss.
     """
     if not batch:
         raise ValidationError("per_sample_grads needs a non-empty batch")
+    rows = np.zeros((len(batch), params.size))
+    layout = _layout(rows, params.manifest())
     grads = []
     losses = np.empty(len(batch))
     for i, sample in enumerate(batch):
-        loss, flat = _sample_gradient(params, sample)
-        if not np.isfinite(loss) or not np.all(np.isfinite(flat)):
+        loss = _sample_gradient(params, sample, layout, i)
+        if not np.isfinite(loss) or not np.all(np.isfinite(rows[i])):
             raise DivergenceError(f"non-finite loss/gradient at batch sample {i}")
         losses[i] = loss
-        grads.append(GradientVector(flat))
+        grads.append(GradientVector(rows[i]))
     return grads, float(losses.mean())
 
 
@@ -274,15 +272,18 @@ class AdamState:
 
 
 def adam_step(flat_params: np.ndarray, state: AdamState, grad: GradientVector) -> np.ndarray:
-    """One bias-corrected Adam update; mutates ``state``, returns new params."""
+    """One bias-corrected Adam update, in place on ``flat_params`` and ``state``."""
     g = grad.values if isinstance(grad, GradientVector) else np.asarray(grad)
     if not np.all(np.isfinite(g)):
         raise DivergenceError("non-finite gradient passed to the optimizer")
     if g.shape != flat_params.shape:
         raise ValidationError(f"gradient shape {g.shape} != params {flat_params.shape}")
     state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
+    state.m *= state.beta1
+    state.m += (1.0 - state.beta1) * g
+    state.v *= state.beta2
+    state.v += (1.0 - state.beta2) * g * g
     m_hat = state.m / (1.0 - state.beta1 ** state.t)
     v_hat = state.v / (1.0 - state.beta2 ** state.t)
-    return flat_params - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    flat_params -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    return flat_params

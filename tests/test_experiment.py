@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from fedsynth import cli
+from fedsynth import cli, experiment
 from fedsynth.data import load_csv, write_csv
 from fedsynth.errors import CheckpointError, ValidationError
 from fedsynth.experiment import (OUTPUT_ROOT_ENV, ExperimentConfig, Seeds,
@@ -270,6 +270,23 @@ def test_sweep_grid_and_resume(workspace):
     rows2 = cmd_sweep(cfg)
     assert rows2 == rows
     assert open(results_path, "rb").read() == first
+
+
+def test_sweep_under_relative_output_root_resumes(workspace, monkeypatch):
+    monkeypatch.chdir(workspace["tmp"])
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, "rel")
+    cfg = _fast_config(workspace, n_rows=30, n_attacks=8).replace(
+        output_dir="out", sweep={"seed": [0]})
+    rows = cmd_sweep(cfg)
+    assert [r["status"] for r in rows] == ["ok"]
+    cell_dir = os.path.join("rel", "out", "sweep", "seed=0")
+    assert rows[0]["report"] == os.path.join(cell_dir, "report.json")
+
+    def rerun(_config):
+        raise AssertionError("a cell with a report must not run again")
+
+    monkeypatch.setattr(experiment, "run_pipeline", rerun)
+    assert cmd_sweep(cfg) == rows
 
 
 def test_sweep_cell_failure_is_recorded(workspace):

@@ -168,10 +168,13 @@ def test_local_update_noise_free_mechanism_reproducible_by_hand():
                         learning_rate=1e-2)
     dp_cfg = DpConfig(noise_multiplier=0.0, clip_norm=1e12)
     state = init_state(params, datasets, fed_cfg, dp_cfg)
+    before = state.global_flat.copy()
     rng = np.random.default_rng([123, 1, 0])
     flat, stats = client_local_update(state.global_flat, state.manifest,
                                       state.clients[0], data, schedule,
                                       fed_cfg, dp_cfg, rng)
+    # Adam updates the client's own buffer; the global vector is untouched
+    assert state.global_flat.tobytes() == before.tobytes()
 
     # manual replay
     rng2 = np.random.default_rng([123, 1, 0])
@@ -201,10 +204,12 @@ def test_local_update_uniform_batches_without_mechanism():
     fed_cfg = FedConfig(n_clients=1, rounds=1, local_steps=2, batch_size=4)
     dp_cfg = DpConfig()  # off: uniform without-replacement batches
     state = init_state(params, datasets, fed_cfg, dp_cfg)
+    before = state.global_flat.copy()
     rng = np.random.default_rng([9, 1, 0])
     flat, stats = client_local_update(state.global_flat, state.manifest,
                                       state.clients[0], datasets[0], schedule,
                                       fed_cfg, dp_cfg, rng)
+    assert state.global_flat.tobytes() == before.tobytes()
     assert stats["sigma"] is None
     assert stats["loss"] is not None
     assert np.all(np.isfinite(flat))

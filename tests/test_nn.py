@@ -55,6 +55,15 @@ def test_flatten_from_flat_roundtrip():
         np.testing.assert_array_equal(w1, w2)
     for e1, e2 in zip(params.embeddings, back.embeddings):
         np.testing.assert_array_equal(e1, e2)
+    # the layers are views of the one buffer: a write shows up in flatten()
+    back.weights[0][0, 0] = 123.0
+    assert back.flatten()[0] == 123.0 and flat[0] == 123.0
+    back.embeddings[-1][-1, -1] = -7.0
+    assert flat[-1] == -7.0
+    with pytest.raises(ValidationError):
+        DenoiserParams.from_flat(flat[:-1], params.manifest())
+    with pytest.raises(ValidationError):
+        DenoiserParams.from_flat(np.append(flat, 0.0), params.manifest())
 
 
 def test_init_denoiser_shapes_and_bias_zero():
