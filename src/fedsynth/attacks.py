@@ -10,11 +10,11 @@ nothing scores near 0 and a copy of the real data scores near 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import KIND_CATEGORICAL, KIND_NUMERIC, RawTable, first_occurrence_codes
+from .data import KIND_CATEGORICAL, RawTable, first_occurrence_codes
 from .errors import ValidationError
 
 _Z95 = 1.959963984540054
@@ -44,45 +44,47 @@ def adjusted_risk(raw: float, baseline: float) -> float:
 
 @dataclass
 class _View:
-    """Numeric matrix + integer-coded categorical matrix for fast distances."""
+    """One table as an (N, D) float64 matrix in schema order.
 
-    num: np.ndarray        # (N, n_num) float
-    cat: np.ndarray        # (N, n_cat) int codes over the union vocabulary
-    num_names: tuple
-    cat_names: tuple
-    ranges: np.ndarray     # per numeric column, joint (real union syn) range
+    Numeric columns hold their values; categorical columns hold codes over
+    the joint real-then-synthetic first-occurrence vocabulary, so equal codes
+    mean equal values in either table. Distances read the columns ``cols``.
+    """
+
+    data: np.ndarray       # (N, D) float
+    is_cat: np.ndarray     # (D,) bool
+    ranges: np.ndarray     # (D,) joint (real union syn) range per column
+    names: tuple           # the D schema names
+    cols: np.ndarray       # column indices, in the caller's order
+
+    def select(self, columns) -> "_View":
+        index = {name: j for j, name in enumerate(self.names)}
+        return replace(self, cols=np.array([index[c] for c in columns], dtype=np.int64))
 
 
 def _build_views(real: RawTable, syn: RawTable, columns=None) -> tuple:
+    """(real, synthetic) views coded together; ``columns`` picks the columns
+    distances read (default: all, in schema order)."""
     schema = real.schema
     if syn.schema.columns != schema.columns:
         raise ValidationError("real and synthetic tables must share a schema")
-    names = list(schema.names if columns is None else columns)
-    kinds = schema.kinds
-    num_names = tuple(n for n in names if kinds[n] == KIND_NUMERIC)
-    cat_names = tuple(n for n in names if kinds[n] == KIND_CATEGORICAL)
-
-    def numeric_block(table):
-        if not num_names:
-            return np.zeros((table.n_rows, 0))
-        return np.column_stack([np.asarray(table.column(n), dtype=np.float64)
-                                for n in num_names])
-
-    r_num, s_num = numeric_block(real), numeric_block(syn)
-    ranges = np.zeros(len(num_names))
-    for j in range(len(num_names)):
-        both = np.concatenate([r_num[:, j], s_num[:, j]])
-        ranges[j] = float(both.max() - both.min())
-
-    r_cat = np.zeros((real.n_rows, len(cat_names)), dtype=np.int64)
-    s_cat = np.zeros((syn.n_rows, len(cat_names)), dtype=np.int64)
-    for j, name in enumerate(cat_names):
-        _, (r_cat[:, j], s_cat[:, j]) = first_occurrence_codes(real.column(name),
-                                                               syn.column(name))
-
-    real_view = _View(r_num, r_cat, num_names, cat_names, ranges)
-    syn_view = _View(s_num, s_cat, num_names, cat_names, ranges)
-    return real_view, syn_view
+    names = schema.names
+    is_cat = np.array([schema.kinds[n] == KIND_CATEGORICAL for n in names])
+    # Column-major, so each column that distances and predicates scan is contiguous.
+    r = np.empty((real.n_rows, len(names)), order="F")
+    s = np.empty((syn.n_rows, len(names)), order="F")
+    for j, name in enumerate(names):
+        if is_cat[j]:
+            _, (r[:, j], s[:, j]) = first_occurrence_codes(real.column(name),
+                                                           syn.column(name))
+        else:
+            r[:, j], s[:, j] = real.column(name), syn.column(name)
+    both = np.concatenate([r, s])
+    ranges = both.max(axis=0) - both.min(axis=0)
+    cols = np.arange(len(names))
+    views = (_View(r, is_cat, ranges, names, cols),
+             _View(s, is_cat, ranges, names, cols))
+    return views if columns is None else tuple(v.select(columns) for v in views)
 
 
 def gower_distances(queries: _View, reference: _View, rows: np.ndarray) -> np.ndarray:
@@ -91,95 +93,61 @@ def gower_distances(queries: _View, reference: _View, rows: np.ndarray) -> np.nd
     Numeric columns contribute |a-b|/range (0 when the joint range is 0);
     categoricals contribute a 0/1 mismatch indicator.
     """
-    n_cols = queries.num.shape[1] + queries.cat.shape[1]
-    if n_cols == 0:
+    cols = queries.cols
+    if cols.size == 0:
         raise ValidationError("Gower distance needs at least one column")
-    total = np.zeros((rows.size, reference.num.shape[0]))
-    for j in range(queries.num.shape[1]):
-        diff = np.abs(queries.num[rows, j][:, None] - reference.num[None, :, j])
+    q, ref = queries.data[rows], reference.data
+    total = np.zeros((rows.size, ref.shape[0]))
+    for j in cols[~queries.is_cat[cols]]:
         if queries.ranges[j] > 0:
-            total += diff / queries.ranges[j]
-    for j in range(queries.cat.shape[1]):
-        total += queries.cat[rows, j][:, None] != reference.cat[None, :, j]
-    return total / n_cols
+            # In place: one (rows, N) temporary per column instead of three.
+            diff = np.subtract.outer(q[:, j], ref[:, j])
+            np.abs(diff, out=diff)
+            diff /= queries.ranges[j]
+            total += diff
+    for j in cols[queries.is_cat[cols]]:
+        total += np.not_equal.outer(q[:, j], ref[:, j])
+    return total / cols.size
 
 
 # ---------------------------------------------------------------------------
 # Singling-out
 
 
-def _numeric_ecdf(sample: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Mid-rank empirical CDF of ``values`` within ``sample``."""
-    order = np.sort(sample)
-    left = np.searchsorted(order, values, side="left")
-    right = np.searchsorted(order, values, side="right")
-    return (left + right) / (2.0 * order.size)
+def _rarity(anchors: np.ndarray, marginal: np.ndarray, is_cat: np.ndarray) -> tuple:
+    """Rarity of each anchor cell within ``marginal``'s column, in (0, 1],
+    and its predicate side: +1 -> "x >= v", -1 -> "x <= v", 0 -> "x == v".
 
-
-@dataclass
-class _AnchorSet:
-    """Candidate predicate anchors: values and per-attribute rarity."""
-
-    values: list           # per column: array of anchor values
-    rarity: np.ndarray     # (n_anchors, D) in (0, 1]
-    sides: np.ndarray      # (n_anchors, D) +1 -> "x >= v", -1 -> "x <= v" (numeric)
-    names: tuple
-    kinds: dict
-
-
-def _anchors_from_table(source: RawTable, marginal: RawTable) -> _AnchorSet:
-    """Rarity of each source cell judged against ``marginal``'s columns."""
-    schema = source.schema
-    n = source.n_rows
-    rarity = np.ones((n, len(schema.names)))
-    sides = np.ones((n, len(schema.names)), dtype=np.int64)
-    values = []
-    for d, name in enumerate(schema.names):
-        vals = source.column(name)
-        values.append(vals)
-        marg = marginal.column(name)
-        if schema.kinds[name] == KIND_NUMERIC:
-            cdf = _numeric_ecdf(np.asarray(marg, dtype=np.float64),
-                                np.asarray(vals, dtype=np.float64))
-            tail = np.minimum(cdf, 1.0 - cdf) + 1.0 / (2.0 * len(marg))
+    Numeric rarity is the mid-rank ECDF tail; categorical rarity the value's
+    frequency.
+    """
+    n = marginal.shape[0]
+    rarity = np.empty(anchors.shape)
+    sides = np.zeros(anchors.shape, dtype=np.int64)
+    for d in range(anchors.shape[1]):
+        order = np.sort(marginal[:, d])
+        left = np.searchsorted(order, anchors[:, d], side="left")
+        right = np.searchsorted(order, anchors[:, d], side="right")
+        if is_cat[d]:
+            rarity[:, d] = np.maximum(right - left, 0.5) / n
+        else:
+            cdf = (left + right) / (2.0 * n)
+            tail = np.minimum(cdf, 1.0 - cdf) + 1.0 / (2.0 * n)
             rarity[:, d] = np.minimum(tail, 1.0)
             sides[:, d] = np.where(cdf >= 0.5, 1, -1)
-        else:
-            vocab, (marg_codes, val_codes) = first_occurrence_codes(marg, vals)
-            freq = np.bincount(marg_codes, minlength=vocab.size)
-            rarity[:, d] = np.maximum(freq[val_codes], 0.5) / len(marg)
-    return _AnchorSet(values, rarity, sides, schema.names, schema.kinds)
+    return rarity, sides
 
 
-def _mix_and_match_anchors(real: RawTable, n_anchors: int, rng) -> RawTable:
-    """Pseudo-records drawn per-column independently from the real marginals."""
-    columns = {}
-    for name in real.schema.names:
-        col = real.column(name)
-        columns[name] = col[rng.integers(0, len(col), size=n_anchors)]
-    return RawTable(real.schema, columns)
-
-
-def _run_predicate_attack(anchors: _AnchorSet, real: RawTable, n_attacks: int,
-                          rng) -> int:
+def _run_predicate_attack(anchors: np.ndarray, marginal: np.ndarray,
+                          real: _View, n_attacks: int, rng) -> int:
     """Outlier-pooled random conjunctions; count exactly-one-match successes."""
-    n_anchors = anchors.rarity.shape[0]
-    d_total = len(anchors.names)
-    outlier_score = np.sum(np.log(anchors.rarity), axis=1)
+    rarity, sides = _rarity(anchors, marginal, real.is_cat)
+    n_anchors, d_total = anchors.shape
+    outlier_score = np.sum(np.log(rarity), axis=1)
     pool_size = max(min(20, n_anchors), n_anchors // 10)
     pool = np.argsort(outlier_score, kind="stable")[:pool_size]
-
-    real_numeric = {name: np.asarray(real.column(name), dtype=np.float64)
-                    for name in anchors.names
-                    if anchors.kinds[name] == KIND_NUMERIC}
-    # Categorical predicates compare integer codes over a joint vocabulary.
-    real_codes, anchor_codes = {}, {}
-    for d, name in enumerate(anchors.names):
-        if anchors.kinds[name] == KIND_CATEGORICAL:
-            _, (real_codes[name], anchor_codes[name]) = first_occurrence_codes(
-                real.column(name), anchors.values[d])
     successes = 0
-    log_w_all = -np.log(anchors.rarity)
+    log_w_all = -np.log(rarity)
     for _ in range(n_attacks):
         a = int(pool[rng.integers(0, pool.size)])
         k = int(rng.integers(2, 5)) if d_total >= 2 else 1
@@ -188,26 +156,18 @@ def _run_predicate_attack(anchors: _AnchorSet, real: RawTable, n_attacks: int,
         # toward this record's rarest values.
         keys = np.log(log_w_all[a] + 1e-12) + rng.gumbel(size=d_total)
         attrs = np.argsort(keys, kind="stable")[-k:]
-        mask = np.ones(real.n_rows, dtype=bool)
+        mask = np.ones(real.data.shape[0], dtype=bool)
         for d in attrs:
-            name = anchors.names[d]
-            if anchors.kinds[name] == KIND_NUMERIC:
-                col = real_numeric[name]
-                v = float(anchors.values[d][a])
-                if anchors.sides[a, d] > 0:
-                    mask &= col >= v
-                else:
-                    mask &= col <= v
+            col, v = real.data[:, d], anchors[a, d]
+            if sides[a, d] > 0:
+                mask &= col >= v
+            elif sides[a, d] < 0:
+                mask &= col <= v
             else:
-                mask &= real_codes[name] == anchor_codes[name][a]
+                mask &= col == v
         if int(mask.sum()) == 1:
             successes += 1
     return successes
-
-
-def _all_rows_identical(table: RawTable) -> bool:
-    return all(first_occurrence_codes(table.column(name))[0].size <= 1
-               for name in table.schema.names)
 
 
 def singling_out_risk(real: RawTable, syn: RawTable, n_attacks: int, rng) -> dict:
@@ -221,15 +181,17 @@ def singling_out_risk(real: RawTable, syn: RawTable, n_attacks: int, rng) -> dic
     """
     if real.n_rows == 0 or syn.n_rows == 0:
         raise ValidationError("singling-out needs non-empty tables")
-    if _all_rows_identical(real):
+    real_view, syn_view = _build_views(real, syn)
+    r, s = real_view.data, syn_view.data
+    if np.all(r == r[0]):
         return {"risk": 0.0, "ci": (0.0, 0.0), "raw": 0.0, "baseline": 0.0,
                 "warning": "degenerate real table (all rows identical)"}
-    attack_anchors = _anchors_from_table(syn, syn)
-    successes = _run_predicate_attack(attack_anchors, real, n_attacks, rng)
+    successes = _run_predicate_attack(s, s, real_view, n_attacks, rng)
 
-    pseudo = _mix_and_match_anchors(real, syn.n_rows, rng)
-    base_anchors = _anchors_from_table(pseudo, real)
-    base_successes = _run_predicate_attack(base_anchors, real, n_attacks, rng)
+    # Mix-and-match pseudo-records: each column drawn independently from real.
+    pseudo = np.column_stack([r[rng.integers(0, r.shape[0], size=s.shape[0]), d]
+                              for d in range(r.shape[1])])
+    base_successes = _run_predicate_attack(pseudo, r, real_view, n_attacks, rng)
 
     raw = successes / n_attacks
     baseline = base_successes / n_attacks
@@ -263,13 +225,12 @@ def linkability_risk(real: RawTable, syn: RawTable, n_attacks: int, rng,
     if not split_a or not split_b:
         raise ValidationError("both sides of the aux split must be non-empty")
     rows = rng.integers(0, real.n_rows, size=n_attacks)
-    real_a, syn_a = _build_views(real, syn, split_a)
-    real_b, syn_b = _build_views(real, syn, split_b)
-    dist_a = gower_distances(real_a, syn_a, rows)
-    dist_b = gower_distances(real_b, syn_b, rows)
-    near_a = dist_a <= dist_a.min(axis=1, keepdims=True)
-    near_b = dist_b <= dist_b.min(axis=1, keepdims=True)
-    successes = int(np.any(near_a & near_b, axis=1).sum())
+    real_view, syn_view = _build_views(real, syn)
+    near = []
+    for split in (split_a, split_b):
+        dist = gower_distances(real_view.select(split), syn_view.select(split), rows)
+        near.append(dist <= dist.min(axis=1, keepdims=True))
+    successes = int(np.any(near[0] & near[1], axis=1).sum())
     raw = successes / n_attacks
     baseline = 1.0 / syn.n_rows  # two independent uniform picks coincide
     return {"risk": adjusted_risk(raw, baseline), "raw": raw, "baseline": baseline}
@@ -286,30 +247,26 @@ def inference_risk(real: RawTable, syn: RawTable, n_attacks: int, rng) -> dict:
     baseline guesser answers the real-marginal majority class or median.
     Returns the per-column risks and their mean.
     """
-    schema = real.schema
-    if len(schema.names) < 2:
+    names = real.schema.names
+    if len(names) < 2:
         raise ValidationError("inference needs at least two columns")
+    real_view, syn_view = _build_views(real, syn)
     per_column = {}
-    for name in schema.names:
-        aux = [c for c in schema.names if c != name]
+    for d, name in enumerate(names):
         rows = rng.integers(0, real.n_rows, size=n_attacks)
-        real_view, syn_view = _build_views(real, syn, aux)
-        dists = gower_distances(real_view, syn_view, rows)
+        aux = [c for c in names if c != name]
+        dists = gower_distances(real_view.select(aux), syn_view.select(aux), rows)
         nn = np.argmin(dists, axis=1)
-        if schema.kinds[name] == KIND_NUMERIC:
-            real_col = np.asarray(real.column(name), dtype=np.float64)
-            syn_col = np.asarray(syn.column(name), dtype=np.float64)
-            both = np.concatenate([real_col, syn_col])
-            tol = 0.05 * float(both.max() - both.min())
+        real_col, syn_col = real_view.data[:, d], syn_view.data[:, d]
+        if real_view.is_cat[d]:
+            hits = syn_col[nn] == real_col[rows]
+            # argmax keeps the first-occurring value among tied majorities
+            majority = np.argmax(np.bincount(real_col.astype(np.int64)))
+            base_hits = real_col[rows] == majority
+        else:
+            tol = 0.05 * float(real_view.ranges[d])
             hits = np.abs(syn_col[nn] - real_col[rows]) <= tol
             base_hits = np.abs(float(np.median(real_col)) - real_col[rows]) <= tol
-        else:
-            _, (real_codes, syn_codes) = first_occurrence_codes(real.column(name),
-                                                                syn.column(name))
-            hits = syn_codes[nn] == real_codes[rows]
-            # argmax keeps the first-occurring value among tied majorities
-            majority = np.argmax(np.bincount(real_codes))
-            base_hits = real_codes[rows] == majority
         raw = float(np.mean(hits))
         baseline = float(np.mean(base_hits))
         per_column[name] = adjusted_risk(raw, baseline)

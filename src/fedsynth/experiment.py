@@ -12,7 +12,6 @@ relative output directories.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import itertools
 import json
@@ -99,7 +98,6 @@ class ExperimentConfig:
     test_fraction: float = 0.2
     checkpoint_every: int = 0
     sweep: dict = field(default_factory=dict)
-    sweep_workers: int = 1
     seeds: Seeds = field(default_factory=Seeds)
     model: ModelConfig = field(default_factory=ModelConfig)
     diffusion: DiffusionConfig = field(default_factory=DiffusionConfig)
@@ -111,8 +109,8 @@ class ExperimentConfig:
             raise ValidationError("partition must be 'noniid' or 'iid'")
         if self.n_rows < 1:
             raise ValidationError("n_rows must be >= 1")
-        if self.sweep_workers < 1:
-            raise ValidationError("sweep_workers must be >= 1")
+        if self.n_attacks < 1:
+            raise ValidationError("n_attacks must be >= 1")
 
     # -- serialization -------------------------------------------------------
 
@@ -360,6 +358,20 @@ def _require(path: str, hint: str) -> None:
         raise ValidationError(f"missing {path!r}; run {hint} first")
 
 
+def _keep_audit_through(path: str, last_round: int) -> None:
+    """Drop the audit lines of rounds after ``last_round``.
+
+    Lines are appended as each round completes, so after a crash the file
+    can hold rounds the resumed checkpoint does not; those rounds rerun.
+    """
+    kept = []
+    if last_round > 0 and os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            kept = [line for line in fh if json.loads(line)["round"] <= last_round]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(kept)
+
+
 def cmd_train(config: ExperimentConfig, resume: bool = False,
               stop_after_round: int | None = None) -> dict:
     """Run federated training; write checkpoint, audit log, and manifest."""
@@ -381,6 +393,7 @@ def cmd_train(config: ExperimentConfig, resume: bool = False,
                 "checkpoint was produced by a different config; refusing to resume")
         if meta["pipeline_digest"] != pipeline.digest:
             raise CheckpointError("checkpoint does not match the fitted pipeline")
+    _keep_audit_through(paths["audit"], state.round if resume else 0)
 
     init_params = init_denoiser(
         pipeline.encoded_width, hidden_width=config.model.hidden_width,
@@ -388,7 +401,9 @@ def cmd_train(config: ExperimentConfig, resume: bool = False,
         embeddings=pipeline.initial_embeddings(),
         rng=np.random.default_rng([config.seeds.model]))
 
-    def checkpoint_cb(st, _lines):
+    def round_cb(st, lines):
+        with open(paths["audit"], "a", encoding="utf-8") as fh:
+            fh.writelines(canonical_json(line) + "\n" for line in lines)
         every = config.checkpoint_every
         if every > 0 and st.round % every == 0:
             save_checkpoint(paths["checkpoint"], st, config.digest,
@@ -398,14 +413,9 @@ def cmd_train(config: ExperimentConfig, resume: bool = False,
     result, state = fed.train(datasets, init_params, schedule,
                               config.federation, config.dp, config.seeds.model,
                               state=state, stop_after_round=stop_after_round,
-                              round_callback=checkpoint_cb)
+                              round_callback=round_cb)
     save_checkpoint(paths["checkpoint"], state, config.digest,
                     pipeline.digest, config.seeds)
-
-    mode = "a" if resume else "w"
-    with open(paths["audit"], mode, encoding="utf-8") as fh:
-        for line in result.audit:
-            fh.write(canonical_json(line) + "\n")
 
     manifest = {
         "config_digest": config.digest,
@@ -439,6 +449,8 @@ def cmd_generate(config: ExperimentConfig, checkpoint_path: str | None = None,
 
     n_rows = n_rows if n_rows is not None else config.n_rows
     seed = seed if seed is not None else config.seeds.model
+    if seed < 0:
+        raise ValidationError("seed must be non-negative")
     rng = np.random.default_rng([seed, 0])  # block 0; blocks would be [seed, b]
     encoded = diff.generate(lambda x, t: forward(params, x, t),
                             n_rows, params.d_enc, config.diffusion.schedule(), rng)
@@ -532,18 +544,6 @@ def _sweep_row(assignment: dict, cell_dir: str,
     return row
 
 
-def _run_cell(config_dict: dict, assignment: dict, output_dir: str) -> dict:
-    """Run one cell into ``output_dir`` (as configured, resolved here once)."""
-    config = ExperimentConfig.from_dict(config_dict)
-    cell_cfg = _cell_config(config, assignment).replace(output_dir=output_dir)
-    cell_dir = cell_cfg.resolved_output_dir()
-    try:
-        run_pipeline(cell_cfg)
-    except FedsynthError as exc:
-        return _sweep_row(assignment, cell_dir, exc)
-    return _sweep_row(assignment, cell_dir)
-
-
 def cmd_sweep(config: ExperimentConfig) -> list:
     """Cartesian sweep over config.sweep axes; one row per cell.
 
@@ -565,25 +565,19 @@ def cmd_sweep(config: ExperimentConfig) -> list:
 
     out_dir = config.resolved_output_dir()
     os.makedirs(os.path.join(out_dir, "sweep"), exist_ok=True)
-    base_dict = config.to_dict()
-
-    pending = []
     rows = []
     for assignment in assignments:
         # FEDSYNTH_OUTPUT_ROOT applies once, when the cell's config resolves it
         output_dir = os.path.join(config.output_dir, "sweep", _cell_name(assignment))
-        cell_dir = config.replace(output_dir=output_dir).resolved_output_dir()
-        if os.path.exists(os.path.join(cell_dir, REPORT_FILE)):
-            rows.append(_sweep_row(assignment, cell_dir))
-        else:
-            pending.append((assignment, output_dir))
-
-    if config.sweep_workers > 1 and len(pending) > 1:
-        with concurrent.futures.ProcessPoolExecutor(config.sweep_workers) as pool:
-            futures = [pool.submit(_run_cell, base_dict, a, d) for a, d in pending]
-            rows.extend(f.result() for f in futures)
-    else:
-        rows.extend(_run_cell(base_dict, a, d) for a, d in pending)
+        cell_cfg = _cell_config(config, assignment).replace(output_dir=output_dir)
+        cell_dir = cell_cfg.resolved_output_dir()
+        error = None
+        if not os.path.exists(os.path.join(cell_dir, REPORT_FILE)):
+            try:
+                run_pipeline(cell_cfg)
+            except FedsynthError as exc:
+                error = exc
+        rows.append(_sweep_row(assignment, cell_dir, error))
 
     rows.sort(key=lambda r: r["cell"])
     write_json(os.path.join(out_dir, SWEEP_RESULTS_FILE), rows)

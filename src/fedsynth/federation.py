@@ -57,6 +57,12 @@ class FedConfig:
             raise ValidationError("batch_size must be >= 1")
         if self.learning_rate <= 0 or self.server_lr <= 0:
             raise ValidationError("learning rates must be positive")
+        if self.prox_mu < 0:
+            raise ValidationError("prox_mu must be non-negative")
+        if not (0 <= self.server_beta1 < 1 and 0 <= self.server_beta2 < 1):
+            raise ValidationError("server betas must lie in [0, 1)")
+        if self.server_eps <= 0:
+            raise ValidationError("server_eps must be positive")
 
 
 @dataclass(frozen=True)

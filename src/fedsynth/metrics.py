@@ -278,6 +278,10 @@ def evaluate_tables(real: RawTable, syn: RawTable, seed: int = 0,
         raise ValidationError("real and synthetic tables must share a schema")
     if not 0.0 < test_fraction < 1.0:
         raise ValidationError("test_fraction must lie in (0, 1)")
+    if n_attacks < 1:
+        raise ValidationError("n_attacks must be >= 1")
+    if seed < 0:
+        raise ValidationError("seed must be non-negative")
 
     omega_col, per_column = column_fidelity(real, syn)
     if len(real.schema.names) >= 2:

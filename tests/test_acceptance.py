@@ -242,6 +242,7 @@ def test_criterion_4_aggregation_algebra():
 # 5. end-to-end fidelity floor, centralized and non-private
 
 
+@pytest.mark.slow
 def test_criterion_5_centralized_quality_floor(mixture_files):
     started = time.time()
     cfg = desk_preset(
@@ -266,6 +267,7 @@ def test_criterion_5_centralized_quality_floor(mixture_files):
 # 6. privacy budget trend: tighter epsilon hurts fidelity/utility, helps privacy
 
 
+@pytest.mark.slow
 def test_criterion_6_privacy_tradeoff_trend(mixture_files):
     started = time.time()
     wins = {"omega": 0, "phi": 0, "pi": 0}

@@ -6,7 +6,7 @@ from fedsynth.attacks import (adjusted_risk, default_aux_split,
                               linkability_risk, privacy_score,
                               singling_out_risk, wilson_interval,
                               _build_views)
-from fedsynth.data import RawTable
+from fedsynth.data import RawTable, TabularSchema
 from fedsynth.errors import ValidationError
 from fedsynth.fixtures import (gaussian_mixture_table, independent_table,
                                shuffle_column)
@@ -73,6 +73,29 @@ def test_gower_distance_mixed_units_insensitive():
     rows = np.arange(10)
     np.testing.assert_allclose(gower_distances(va, vb, rows),
                                gower_distances(wa, wb, rows), rtol=1e-12)
+
+
+def test_build_views_column_subset_matches_restricted_tables():
+    """Selecting columns by index gives the codes, ranges and Gower distances
+    of views built from tables that hold only those columns."""
+    real = independent_table(80, seed=1)
+    syn = independent_table(60, seed=2)
+    cols = ("amount", "offset", "grade")  # drops numeric "score", categorical "dept"
+    kinds = real.schema.kinds
+    sub_schema = TabularSchema(tuple((c, kinds[c]) for c in cols))
+
+    def restrict(table):
+        return RawTable(sub_schema, {c: table.column(c) for c in cols})
+
+    picked = _build_views(real, syn, cols)
+    alone = _build_views(restrict(real), restrict(syn))
+    for p, a in zip(picked, alone):
+        np.testing.assert_array_equal(p.data[:, p.cols], a.data[:, a.cols])
+        np.testing.assert_array_equal(p.ranges[p.cols], a.ranges[a.cols])
+        np.testing.assert_array_equal(p.is_cat[p.cols], a.is_cat[a.cols])
+    rows = np.arange(0, 80, 3)
+    np.testing.assert_array_equal(gower_distances(*picked, rows),
+                                  gower_distances(*alone, rows))
 
 
 def test_default_aux_split_alternates():

@@ -5,9 +5,9 @@ import os
 import numpy as np
 import pytest
 
-from fedsynth import cli, experiment
+from fedsynth import cli, experiment, federation
 from fedsynth.data import load_csv, write_csv
-from fedsynth.errors import CheckpointError, ValidationError
+from fedsynth.errors import CheckpointError, DivergenceError, ValidationError
 from fedsynth.experiment import (OUTPUT_ROOT_ENV, ExperimentConfig, Seeds,
                                  cmd_evaluate, cmd_generate, cmd_prepare,
                                  cmd_sweep, cmd_train, desk_preset,
@@ -64,6 +64,8 @@ def test_config_rejects_unknown_keys():
         ExperimentConfig.from_dict({"datsaet": "x.csv"})
     with pytest.raises(ValidationError, match="literal_weighting"):
         ExperimentConfig.from_dict({"federation": {"literal_weighting": True}})
+    with pytest.raises(ValidationError, match="sweep_workers"):
+        ExperimentConfig.from_dict({"sweep_workers": 2})
 
 
 def test_config_from_file_with_overrides(workspace, tmp_path):
@@ -176,6 +178,38 @@ def test_resume_is_bit_exact(workspace, monkeypatch):
         blob_a = open(os.path.join(roots["straight"], "run", fname), "rb").read()
         blob_b = open(os.path.join(roots["staged"], "run", fname), "rb").read()
         assert blob_a == blob_b, fname
+
+
+def test_resume_after_crash_keeps_audit_of_checkpointed_rounds(workspace,
+                                                              monkeypatch):
+    """A crash after a periodic checkpoint, then --resume, leaves the same
+    audit.jsonl as a run that was never interrupted."""
+    extra = {"checkpoint_every": 2, "federation.rounds": 6,
+             "federation.local_steps": 2}
+    straight = _fast_config(workspace, out="straight", **extra)
+    cmd_prepare(straight)
+    cmd_train(straight)
+
+    crashed = _fast_config(workspace, out="crashed", **extra)
+    cmd_prepare(crashed)
+    run_round = federation.run_round
+
+    def crash_before_round_4(state, *args):
+        if state.round == 3:
+            raise DivergenceError("injected crash")
+        return run_round(state, *args)
+
+    monkeypatch.setattr(federation, "run_round", crash_before_round_4)
+    with pytest.raises(DivergenceError):
+        cmd_train(crashed)
+    monkeypatch.setattr(federation, "run_round", run_round)
+    cmd_train(crashed, resume=True)
+
+    audits = [open(os.path.join(cfg.resolved_output_dir(), "audit.jsonl"),
+                   "rb").read() for cfg in (straight, crashed)]
+    assert audits[0] == audits[1]
+    rounds = [json.loads(line)["round"] for line in audits[1].splitlines()]
+    assert rounds == [1, 2, 3, 4, 5, 6]
 
 
 def test_resume_rejects_config_change(workspace):
@@ -336,6 +370,29 @@ def test_cli_full_cycle_exit_codes(workspace, capsys):
 def test_cli_validation_error_exits_1(workspace, capsys):
     assert cli.main(["prepare", "-c", "/no/such/config.json"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_bad_attack_count_or_seed_exits_1(workspace, capsys):
+    real, schema = workspace["real"], workspace["schema"]
+    evaluate = ["evaluate", "--real", real, "--syn", real, "--schema", schema]
+    for flags, message in ((["--n-attacks", "0"], "n_attacks"),
+                           (["--n-attacks", "-3"], "n_attacks"),
+                           (["--seed", "-1"], "seed")):
+        assert cli.main(evaluate + flags) == 1
+        assert message in capsys.readouterr().err
+
+    cfg = _fast_config(workspace, out="cli_bad_seed")
+    path = _write_cfg(workspace, cfg, "bad_seed.json")
+    assert cli.main(["prepare", "-c", path]) == 0
+    assert cli.main(["train", "-c", path]) == 0
+    capsys.readouterr()
+    assert cli.main(["generate", "-c", path, "--seed", "-1"]) == 1
+    assert "seed must be non-negative" in capsys.readouterr().err
+
+
+def test_config_rejects_nonpositive_n_attacks(workspace):
+    with pytest.raises(ValidationError):
+        _fast_config(workspace, n_attacks=0)
 
 
 def test_cli_budget_error_exits_3(workspace, capsys):

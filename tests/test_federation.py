@@ -153,6 +153,15 @@ def test_fedconfig_rejects_bad_values():
         FedConfig(n_clients=2, clients_per_round=3)
     with pytest.raises(ValidationError):
         FedConfig(learning_rate=0.0)
+    with pytest.raises(ValidationError):
+        FedConfig(prox_mu=-0.1)
+    for beta in (-0.1, 1.0):
+        with pytest.raises(ValidationError):
+            FedConfig(server_beta1=beta)
+        with pytest.raises(ValidationError):
+            FedConfig(server_beta2=beta)
+    with pytest.raises(ValidationError):
+        FedConfig(server_eps=0.0)
 
 
 # ---------------------------------------------------------------------------
