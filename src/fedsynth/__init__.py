@@ -24,7 +24,7 @@ from .errors import (CalibrationError, CheckpointError, CsvFormatError,
 from .experiment import (DiffusionConfig, ExperimentConfig, FedConfig,
                          ModelConfig, Seeds, cmd_evaluate, cmd_generate,
                          cmd_prepare, cmd_sweep, cmd_train, desk_preset,
-                         paper_preset, run_pipeline)
+                         run_pipeline)
 from .federation import (ClientDataset, ClientState, FederatedState,
                          TrainResult, fedavg_aggregate, make_client_datasets,
                          run_round, train)
@@ -56,7 +56,7 @@ __all__ = [
     "independent_table", "inference_risk", "init_denoiser", "js_similarity",
     "linear_schedule", "linkability_risk", "load_csv", "load_partitions",
     "make_client_datasets", "make_training_example", "p_sample_step",
-    "paper_preset", "partition_iid", "partition_noniid", "per_sample_grads",
+    "partition_iid", "partition_noniid", "per_sample_grads",
     "privacy_score", "privatize", "q_sample", "rdp_subsampled_gaussian",
     "row_fidelity", "run_pipeline", "run_round", "save_partitions",
     "separable_table", "shuffle_column", "singling_out_risk", "theil_u",

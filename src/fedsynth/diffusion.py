@@ -24,8 +24,6 @@ class NoiseSchedule:
     """Immutable forward-process coefficients for T steps."""
 
     betas: np.ndarray
-    beta_start: float
-    beta_end: float
 
     def __post_init__(self):
         betas = np.asarray(self.betas, dtype=np.float64)
@@ -69,7 +67,7 @@ def linear_schedule(timesteps: int = DEFAULT_TIMESTEPS,
         betas = np.array([beta_start])
     else:
         betas = np.linspace(beta_start, beta_end, timesteps)
-    return NoiseSchedule(betas, beta_start, beta_end)
+    return NoiseSchedule(betas)
 
 
 def q_sample(x0, t: int, eps, schedule: NoiseSchedule) -> np.ndarray:

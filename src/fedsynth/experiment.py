@@ -224,11 +224,6 @@ def desk_preset(**kwargs) -> ExperimentConfig:
     return ExperimentConfig(**base)
 
 
-def paper_preset(**kwargs) -> ExperimentConfig:
-    """Full-scale profile (hours-long training runs)."""
-    return ExperimentConfig(**kwargs)
-
-
 # ---------------------------------------------------------------------------
 # Checkpointing
 
@@ -236,7 +231,7 @@ def paper_preset(**kwargs) -> ExperimentConfig:
 def save_checkpoint(path, state: FederatedState, config_digest: str,
                     pipeline_digest: str, seeds: Seeds) -> None:
     arrays = {"global_flat": state.global_flat,
-              "server_m": state.server_m, "server_v": state.server_v}
+              "server_m": state.server.m, "server_v": state.server.v}
     client_meta = []
     for c in state.clients:
         arrays[f"adam_m_{c.client_id}"] = c.adam.m
@@ -259,7 +254,7 @@ def save_checkpoint(path, state: FederatedState, config_digest: str,
         "format": CHECKPOINT_FORMAT,
         "manifest": state.manifest,
         "round": state.round,
-        "server_updates": state.server_updates,
+        "server_updates": state.server.updates,
         "stopped_early": state.stopped_early,
         "clients": client_meta,
         "config_digest": config_digest,
@@ -288,8 +283,8 @@ def load_checkpoint(path) -> tuple:
                                        cm["delta"], int(cm["n_samples"])))
     state = FederatedState(
         arrays["global_flat"], meta["manifest"], clients,
-        arrays["server_m"], arrays["server_v"],
-        server_updates=int(meta["server_updates"]),
+        fed.ServerOptState(arrays["server_m"], arrays["server_v"],
+                           int(meta["server_updates"])),
         round=int(meta["round"]),
         stopped_early=bool(meta["stopped_early"]),
     )

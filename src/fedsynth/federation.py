@@ -115,15 +115,22 @@ class ClientState:
 
 
 @dataclass
+class ServerOptState:
+    """Adaptive server-optimizer moments (FedAdam / FedYogi)."""
+
+    m: np.ndarray
+    v: np.ndarray
+    updates: int = 0
+
+
+@dataclass
 class FederatedState:
     """Everything needed to continue training from round ``round``."""
 
     global_flat: np.ndarray
     manifest: dict
     clients: list
-    server_m: np.ndarray
-    server_v: np.ndarray
-    server_updates: int = 0
+    server: ServerOptState
     round: int = 0
     stopped_early: bool = False
 
@@ -166,15 +173,6 @@ def fedavg_aggregate(updates: list) -> np.ndarray:
     return total / weight_sum
 
 
-@dataclass
-class ServerOptState:
-    """Adaptive server-optimizer moments (FedAdam / FedYogi)."""
-
-    m: np.ndarray
-    v: np.ndarray
-    updates: int = 0
-
-
 def server_opt_aggregate(global_flat: np.ndarray, updates: list,
                          state: ServerOptState, cfg: FedConfig) -> np.ndarray:
     """One adaptive server step on the pseudo-gradient.
@@ -205,9 +203,9 @@ def server_opt_aggregate(global_flat: np.ndarray, updates: list,
 # Local training
 
 
-def _assemble_x0(params: DenoiserParams, data: ClientDataset, i: int) -> np.ndarray:
-    rows = data.cat_rows[i]
-    return np.concatenate([data.numeric[i]] + [e[r] for e, r in zip(params.embeddings, rows)])
+def _sampling_rate(fed_cfg: FedConfig, n_samples: int) -> float:
+    """Per-step Poisson sampling rate q of a shard with ``n_samples`` rows."""
+    return min(1.0, fed_cfg.batch_size / n_samples)
 
 
 def client_local_update(global_flat: np.ndarray, manifest: dict,
@@ -225,7 +223,7 @@ def client_local_update(global_flat: np.ndarray, manifest: dict,
     anchor = global_flat
     n = data.n_samples
     mechanism = dp_cfg.mechanism_active
-    q = min(1.0, fed_cfg.batch_size / n)
+    q = _sampling_rate(fed_cfg, n)
     losses: list = []
     pre_norms: list = []
     post_norms: list = []
@@ -238,11 +236,13 @@ def client_local_update(global_flat: np.ndarray, manifest: dict,
             client.accountant.account_step(q, client.sigma)
         if idx.size == 0:
             continue
+        cat_rows = data.cat_rows[idx]
+        x0 = np.hstack([data.numeric[idx]]
+                       + [e[r] for e, r in zip(params.embeddings, cat_rows.T)])
         batch = []
-        for i in idx:
-            x0 = _assemble_x0(params, data, int(i))
-            x_t, t, eps_vec = make_training_example(x0, rng, schedule)
-            emb_rows = data.cat_rows[int(i)] if data.cat_rows.shape[1] else None
+        for x0_i, rows_i in zip(x0, cat_rows):
+            x_t, t, eps_vec = make_training_example(x0_i, rng, schedule)
+            emb_rows = rows_i if cat_rows.shape[1] else None
             batch.append(TrainingSample(x_t, t, eps_vec, emb_rows=emb_rows,
                                         emb_coeff=math.sqrt(schedule.alpha_bar(t))))
         try:
@@ -280,12 +280,12 @@ def client_local_update(global_flat: np.ndarray, manifest: dict,
 # Round loop
 
 
-def _budget_allows(client: ClientState, fed_cfg: FedConfig, dp_cfg: DpConfig,
-                   q: float) -> bool:
+def _budget_allows(client: ClientState, fed_cfg: FedConfig, dp_cfg: DpConfig) -> bool:
     if client.accountant is None:
         return True
     projected = client.accountant.projected_epsilon(
-        client.delta, q, client.sigma, fed_cfg.local_steps)
+        client.delta, _sampling_rate(fed_cfg, client.n_samples), client.sigma,
+        fed_cfg.local_steps)
     return projected <= dp_cfg.epsilon
 
 
@@ -297,10 +297,8 @@ def run_round(state: FederatedState, datasets: list, schedule: NoiseSchedule,
     remaining budget is too small for another local pass (early stop).
     """
     r = state.round
-    qs = {c.client_id: min(1.0, fed_cfg.batch_size / c.n_samples)
-          for c in state.clients}
     eligible = [c.client_id for c in state.clients
-                if _budget_allows(c, fed_cfg, dp_cfg, qs[c.client_id])]
+                if _budget_allows(c, fed_cfg, dp_cfg)]
     if not eligible:
         state.stopped_early = True
         return None
@@ -322,11 +320,8 @@ def run_round(state: FederatedState, datasets: list, schedule: NoiseSchedule,
                       "epsilon": client.current_epsilon(), **stats})
 
     if fed_cfg.strategy in ("fedadam", "fedyogi"):
-        opt_state = ServerOptState(state.server_m, state.server_v, state.server_updates)
         state.global_flat = server_opt_aggregate(state.global_flat, updates,
-                                                 opt_state, fed_cfg)
-        state.server_m, state.server_v = opt_state.m, opt_state.v
-        state.server_updates = opt_state.updates
+                                                 state.server, fed_cfg)
     else:
         state.global_flat = fedavg_aggregate(updates)
     state.round += 1
@@ -346,15 +341,15 @@ def init_state(init_params: DenoiserParams, datasets: list, fed_cfg: FedConfig,
         accountant = None
         if dp_cfg.accounting_active:
             delta = dp_cfg.delta if dp_cfg.delta is not None else 1.0 / data.n_samples
-            q = min(1.0, fed_cfg.batch_size / data.n_samples)
             if sigma is None:
                 planned = fed_cfg.local_steps * fed_cfg.rounds
-                sigma = calibrate_sigma(dp_cfg.epsilon, delta, q, planned)
+                sigma = calibrate_sigma(dp_cfg.epsilon, delta,
+                                        _sampling_rate(fed_cfg, data.n_samples), planned)
             accountant = RdpAccountant()
         clients.append(ClientState(cid, AdamState.zeros(flat.size, fed_cfg.learning_rate),
                                    accountant, sigma, delta, data.n_samples))
     return FederatedState(flat, init_params.manifest(), clients,
-                          np.zeros(flat.size), np.zeros(flat.size))
+                          ServerOptState(np.zeros(flat.size), np.zeros(flat.size)))
 
 
 def train(datasets: list, init_params: DenoiserParams, schedule: NoiseSchedule,
@@ -372,10 +367,7 @@ def train(datasets: list, init_params: DenoiserParams, schedule: NoiseSchedule,
     if state is None:
         state = init_state(init_params, datasets, fed_cfg, dp_cfg)
         if dp_cfg.accounting_active:
-            qs = {c.client_id: min(1.0, fed_cfg.batch_size / c.n_samples)
-                  for c in state.clients}
-            if not any(_budget_allows(c, fed_cfg, dp_cfg, qs[c.client_id])
-                       for c in state.clients):
+            if not any(_budget_allows(c, fed_cfg, dp_cfg) for c in state.clients):
                 raise PrivacyBudgetError(
                     f"epsilon target {dp_cfg.epsilon} cannot cover even one "
                     f"round of {fed_cfg.local_steps} local steps")

@@ -2,9 +2,10 @@
 
 The model is a plain MLP: input = [x_t, sinusoidal time embedding], three
 ReLU hidden layers, linear output predicting the forward noise. Per-sample
-gradients (required for DP clipping) are computed by running backward once
-per sample; categorical embedding tables are part of the one parameter buffer
-and receive gradient through the x_t that was built from them.
+gradients (required for DP clipping) come from one forward and one backward
+pass over the whole batch, keeping each layer's (B, fan_in) input and
+(B, fan_out) delta; categorical embedding tables are part of the one
+parameter buffer and receive gradient through the x_t that was built from them.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ class DenoiserParams:
 
     @property
     def n_numeric(self) -> int:
-        return self.d_enc - 2 * len(self.embeddings)
+        return self.d_enc - sum(e.shape[1] for e in self.embeddings)
 
     @property
     def size(self) -> int:
@@ -187,39 +188,11 @@ class TrainingSample:
     emb_coeff: float = 0.0
 
 
-def _sample_gradient(params: DenoiserParams, sample: TrainingSample, grads: tuple,
-                     i: int) -> float:
-    """Loss of one sample; its gradient goes into row ``i`` of the zeroed ``grads`` views."""
-    grad_w, grad_b, grad_emb = grads
-    te = time_embed(sample.t, params.time_dim)
-    h = np.concatenate([np.asarray(sample.x_in, dtype=np.float64), te])
-    acts = [h]
-    zs = []
-    last = len(params.weights) - 1
-    for li, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = acts[-1] @ w + b
-        zs.append(z)
-        if li < last:
-            acts.append(np.maximum(z, 0.0))
-    out = zs[-1]
-    diff = out - sample.target
-    loss = float(diff @ diff) / out.size
-
-    delta = (2.0 / out.size) * diff
-    for li in range(last, -1, -1):
-        np.outer(acts[li], delta, out=grad_w[li][i])
-        grad_b[li][i] = delta
-        delta = params.weights[li] @ delta
-        if li > 0:
-            delta = delta * (zs[li - 1] > 0)
-    dx_in = delta[: params.d_enc]
-
-    if sample.emb_rows is not None and len(params.embeddings) > 0:
-        n_num = params.n_numeric
-        for j, row in enumerate(np.asarray(sample.emb_rows, dtype=np.int64)):
-            sl = dx_in[n_num + 2 * j: n_num + 2 * (j + 1)]
-            grad_emb[j][i, row] += sample.emb_coeff * sl
-    return loss
+def _stack(batch: list) -> tuple:
+    """(x_in, t, target) of a list of TrainingSample as (B, d_enc), (B,), (B, d_enc)."""
+    x_in = np.stack([np.asarray(s.x_in, dtype=np.float64) for s in batch])
+    target = np.stack([np.asarray(s.target, dtype=np.float64) for s in batch])
+    return x_in, np.array([s.t for s in batch]), target
 
 
 def per_sample_grads(params: DenoiserParams, batch: list):
@@ -227,31 +200,62 @@ def per_sample_grads(params: DenoiserParams, batch: list):
 
     The per-sample loss is mean-squared error over the d_enc output
     coordinates; returns one GradientVector per sample (row i of one (B, P)
-    array) plus the mean loss.
+    array) plus the mean loss. Either every sample carries ``emb_rows`` or
+    none does.
     """
     if not batch:
         raise ValidationError("per_sample_grads needs a non-empty batch")
+    with_rows = sum(s.emb_rows is not None for s in batch)
+    if 0 < with_rows < len(batch):
+        raise ValidationError("batch mixes samples with and without emb_rows")
+    x_in, t, target = _stack(batch)
+    acts = [np.hstack([x_in, time_embed(t, params.time_dim)])]
+    zs = []
+    last = len(params.weights) - 1
+    for li, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = acts[-1] @ w + b
+        zs.append(z)
+        if li < last:
+            acts.append(np.maximum(z, 0.0))
+    diff = zs[-1] - target
+    losses = np.einsum("ij,ij->i", diff, diff) / diff.shape[1]
+
+    # Dense layer l's per-sample weight gradient is the outer product of its
+    # input a_i and output delta_i, written straight into sample i's row.
     rows = np.zeros((len(batch), params.size))
-    layout = _layout(rows, params.manifest())
-    grads = []
-    losses = np.empty(len(batch))
-    for i, sample in enumerate(batch):
-        loss = _sample_gradient(params, sample, layout, i)
-        if not np.isfinite(loss) or not np.all(np.isfinite(rows[i])):
-            raise DivergenceError(f"non-finite loss/gradient at batch sample {i}")
-        losses[i] = loss
-        grads.append(GradientVector(rows[i]))
+    grad_w, grad_b, grad_emb = _layout(rows, params.manifest())
+    delta = (2.0 / diff.shape[1]) * diff
+    for li in range(last, -1, -1):
+        np.multiply(acts[li][:, :, None], delta[:, None, :], out=grad_w[li])
+        grad_b[li][...] = delta
+        delta = delta @ params.weights[li].T
+        if li > 0:
+            delta *= zs[li - 1] > 0
+
+    if with_rows and params.embeddings:
+        # d(x_t)/d(table row) is emb_coeff; each (sample, row) pair occurs
+        # once per table, so plain fancy assignment needs no np.add.at.
+        emb_rows = np.stack([np.asarray(s.emb_rows, dtype=np.int64) for s in batch])
+        coeff = np.array([s.emb_coeff for s in batch])[:, None]
+        samples = np.arange(len(batch))
+        start = params.n_numeric
+        for j, g in enumerate(grad_emb):
+            width = g.shape[2]
+            g[samples, emb_rows[:, j]] = coeff * delta[:, start:start + width]
+            start += width
+    grads = [GradientVector(r) for r in rows]
+    bad = ~np.isfinite(losses) | ~np.isfinite([g.norm for g in grads])
+    if bad.any():
+        raise DivergenceError(
+            f"non-finite loss/gradient at batch sample {int(np.argmax(bad))}")
     return grads, float(losses.mean())
 
 
 def batch_loss(params: DenoiserParams, batch: list) -> float:
     """Mean per-sample loss without gradients (for diagnostics and oracles)."""
-    total = 0.0
-    for sample in batch:
-        out = forward(params, sample.x_in, sample.t)
-        diff = out - sample.target
-        total += float(diff @ diff) / out.size
-    return total / len(batch)
+    x_in, t, target = _stack(batch)
+    diff = forward(params, x_in, t) - target
+    return float(np.mean(np.einsum("ij,ij->i", diff, diff) / diff.shape[1]))
 
 
 @dataclass

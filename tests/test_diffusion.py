@@ -54,9 +54,9 @@ def test_single_step_schedule():
 
 def test_schedule_rejects_bad_betas():
     with pytest.raises(ValidationError):
-        NoiseSchedule(np.array([0.0, 0.1]), 0.0, 0.1)
+        NoiseSchedule(np.array([0.0, 0.1]))
     with pytest.raises(ValidationError):
-        NoiseSchedule(np.array([1.0]), 1.0, 1.0)
+        NoiseSchedule(np.array([1.0]))
     with pytest.raises(ValidationError):
         linear_schedule(timesteps=0)
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsynth.errors import DivergenceError, ValidationError
 from fedsynth.nn import (AdamState, DenoiserParams, GradientVector, adam_step,
@@ -38,9 +40,9 @@ def test_time_embed_rejects_odd_dim():
 # Parameter pack
 
 
-def _tiny_net(rng_seed=0, d_enc=5, emb_shapes=((3,), (4,))):
+def _tiny_net(rng_seed=0, d_enc=5, emb_shapes=((3,), (4,)), emb_dim=2):
     rng = np.random.default_rng(rng_seed)
-    embeddings = [rng.normal(size=(v[0], 2)) for v in emb_shapes]
+    embeddings = [rng.normal(size=(v[0], emb_dim)) for v in emb_shapes]
     return init_denoiser(d_enc, hidden_width=7, n_hidden=2, time_dim=6,
                          embeddings=embeddings, rng=rng)
 
@@ -106,6 +108,12 @@ def test_forward_batch_matches_single():
 # Per-sample gradients vs central finite differences
 
 
+def _emb_slices(params):
+    """The slice of x_in that each embedding table fills, in column order."""
+    ends = params.n_numeric + np.cumsum([e.shape[1] for e in params.embeddings])
+    return [slice(end - e.shape[1], end) for e, end in zip(params.embeddings, ends)]
+
+
 def _loss_of_flat(flat, manifest, sample_proto):
     """Loss as a pure function of the flat parameter vector.
 
@@ -115,10 +123,8 @@ def _loss_of_flat(flat, manifest, sample_proto):
     params = DenoiserParams.from_flat(flat, manifest)
     x_in = np.array(sample_proto["x_base"])
     if sample_proto["rows"] is not None:
-        n_num = params.n_numeric
-        for j, row in enumerate(sample_proto["rows"]):
-            x_in[n_num + 2 * j: n_num + 2 * (j + 1)] += (
-                sample_proto["coeff"] * params.embeddings[j][row])
+        for j, (sl, row) in enumerate(zip(_emb_slices(params), sample_proto["rows"])):
+            x_in[sl] += sample_proto["coeff"] * params.embeddings[j][row]
     out = forward(params, x_in, sample_proto["t"])
     diff = out - sample_proto["target"]
     return float(diff @ diff) / out.size
@@ -132,16 +138,14 @@ def _make_sample(params, rng, with_embeddings=True):
     if with_embeddings and params.embeddings:
         rows = np.array([rng.integers(0, e.shape[0]) for e in params.embeddings])
         coeff = 0.73
-        n_num = params.n_numeric
-        for j, row in enumerate(rows):
-            x_base[n_num + 2 * j: n_num + 2 * (j + 1)] = 0.0
+        for sl in _emb_slices(params):
+            x_base[sl] = 0.0
     proto = {"x_base": x_base, "rows": rows, "coeff": coeff,
              "t": int(rng.integers(1, 20)), "target": rng.normal(size=d)}
     x_in = np.array(x_base)
     if rows is not None:
-        n_num = params.n_numeric
-        for j, row in enumerate(rows):
-            x_in[n_num + 2 * j: n_num + 2 * (j + 1)] += coeff * params.embeddings[j][row]
+        for j, (sl, row) in enumerate(zip(_emb_slices(params), rows)):
+            x_in[sl] += coeff * params.embeddings[j][row]
     sample = TrainingSample(x_in=x_in, t=proto["t"], target=proto["target"],
                             emb_rows=rows, emb_coeff=coeff)
     return sample, proto
@@ -165,6 +169,23 @@ def test_per_sample_gradient_matches_finite_differences(seed):
     grads, _ = per_sample_grads(params, [sample])
     g = grads[0].values
     # probe 40 random coordinates plus every embedding coordinate
+    n_net = flat.size - sum(e.size for e in params.embeddings)
+    probe = list(rng.choice(n_net, size=40, replace=False))
+    probe += list(range(n_net, flat.size))
+    for idx in probe:
+        fd = _fd_grad(flat, manifest, proto, idx)
+        assert g[idx] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+
+
+def test_per_sample_gradient_matches_finite_differences_wide_tables():
+    """Tables wider than the encoder's 2 columns: the gradient reads each
+    table's own width from its shape."""
+    rng = np.random.default_rng(11)
+    params = _tiny_net(rng_seed=11, d_enc=7, emb_dim=3)
+    assert params.n_numeric == 1
+    sample, proto = _make_sample(params, rng)
+    flat, manifest = params.flatten(), params.manifest()
+    g = per_sample_grads(params, [sample])[0][0].values
     n_net = flat.size - sum(e.size for e in params.embeddings)
     probe = list(rng.choice(n_net, size=40, replace=False))
     probe += list(range(n_net, flat.size))
@@ -213,6 +234,44 @@ def test_mean_per_sample_grad_matches_batch_fd():
 def test_per_sample_grads_rejects_empty_batch():
     with pytest.raises(ValidationError):
         per_sample_grads(_tiny_net(), [])
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_tables=st.integers(0, 2), size=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_per_sample_grads_batch_matches_single_sample_calls(n_tables, size, seed):
+    """Row i of one batched call equals a call on sample i alone, to 1e-12 of
+    the row's norm: batched and single matmuls sum in different orders, so an
+    entry left small by cancellation can differ by more than 1e-12 of itself.
+    Vocabularies of 2 rows make samples share table rows; the last sample
+    always repeats the first sample's rows."""
+    rng = np.random.default_rng(seed)
+    params = _tiny_net(rng_seed=seed, d_enc=1 + 2 * n_tables,
+                       emb_shapes=((2,),) * n_tables)
+    batch = [_make_sample(params, rng)[0] for _ in range(size)]
+    if n_tables:
+        first, last = batch[0], batch[-1]
+        batch[-1] = TrainingSample(last.x_in, last.t, last.target,
+                                   emb_rows=first.emb_rows, emb_coeff=last.emb_coeff)
+    grads, mean_loss = per_sample_grads(params, batch)
+    assert len(grads) == size
+    losses = []
+    for sample, g in zip(batch, grads):
+        single, loss = per_sample_grads(params, [sample])
+        ref = single[0].values
+        assert np.linalg.norm(g.values - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert g.norm == pytest.approx(single[0].norm, rel=1e-12)
+        losses.append(loss)
+    assert mean_loss == pytest.approx(np.mean(losses), rel=1e-12)
+
+
+def test_per_sample_grads_rejects_mixed_emb_rows():
+    params = _tiny_net()
+    rng = np.random.default_rng(12)
+    with_rows, _ = _make_sample(params, rng)
+    without = TrainingSample(with_rows.x_in, with_rows.t, with_rows.target)
+    with pytest.raises(ValidationError):
+        per_sample_grads(params, [with_rows, without])
 
 
 def test_gradient_vector_norm_cached():
