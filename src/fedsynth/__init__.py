@@ -34,7 +34,7 @@ from .fixtures import (INDEPENDENT_SCHEMA, MIXTURE_SCHEMA, SEPARABLE_SCHEMA,
 from .metrics import (MetricsReport, column_fidelity, evaluate_tables,
                       js_similarity, row_fidelity, theil_u, utility_score,
                       wasserstein_similarity)
-from .nn import (AdamState, DenoiserParams, adam_step, batch_loss, forward,
+from .nn import (AdamState, DenoiserParams, adam_step, forward,
                  init_denoiser, per_sample_grads, time_embed)
 
 __version__ = "0.1.0"
@@ -48,7 +48,7 @@ __all__ = [
     "MetricsReport", "ModelConfig", "NoiseSchedule", "PrivacyBudgetError",
     "QuantileMap", "RawTable", "RdpAccountant", "SEPARABLE_SCHEMA",
     "SchemaError", "Seeds", "TabularSchema", "TrainResult", "ValidationError",
-    "adam_step", "adjusted_risk", "batch_loss", "calibrate_sigma", "clip",
+    "adam_step", "adjusted_risk", "calibrate_sigma", "clip",
     "cmd_evaluate", "cmd_generate", "cmd_prepare", "cmd_sweep", "cmd_train",
     "column_fidelity", "desk_preset", "epsilon_after", "evaluate_tables",
     "fedavg_aggregate", "fit_category_codec", "fit_quantile_map", "forward",

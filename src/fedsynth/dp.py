@@ -3,7 +3,9 @@
 Implements per-sample L2 clipping, the subsampled Gaussian mechanism (noise
 std sigma*C on the clipped gradient sum, then averaged), Renyi-DP accounting
 with conversion to (epsilon, delta), and bisection calibration of the noise
-multiplier to a target budget.
+multiplier to a target budget. ``privatize`` clips by scaling: it takes each
+sample's norm from the layer factors of a PerSampleGrads and forms the
+clipped sum as one weighted sum, so no per-sample gradient is ever built.
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .errors import CalibrationError, ValidationError
-from .nn import GradientVector
+from .nn import GradientVector, PerSampleGrads
 
 DEFAULT_CLIP_NORM = 1.0
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2.0
 
 # Orders are dense where the conversion optimum usually lies, then sparse.
 DEFAULT_ORDERS = np.concatenate([
@@ -83,22 +86,41 @@ def clip(grad: GradientVector, clip_norm: float) -> GradientVector:
     return GradientVector(values, norm=clip_norm)
 
 
-def privatize(per_sample: list, clip_norm: float, sigma: float, rng) -> GradientVector:
+def clip_scales(per_sample: PerSampleGrads, clip_norm: float) -> np.ndarray:
+    """Per-sample factors s_i = min(1, C / ||g_i||) that put each s_i g_i in the ball.
+
+    C is contracted by (P + 8) unit roundoffs: to first order that bounds the
+    rounding of the factored norm (at most P + 2 terms) together with that of
+    a norm recomputed from the P entries of s_i g_i, so the recomputed norm
+    never exceeds C either.
+    """
+    if not clip_norm > 0.0:
+        raise ValidationError("clip norm must be positive")
+    if not np.all(np.isfinite(per_sample.norms)):
+        raise ValidationError("cannot clip a non-finite gradient")
+    bound = clip_norm * (1.0 - (per_sample.size + 8) * _UNIT_ROUNDOFF)
+    return bound / np.maximum(per_sample.norms, bound)
+
+
+def privatize(per_sample: PerSampleGrads, clip_norm: float, sigma: float,
+              rng) -> GradientVector:
     """Clipped, noised batch gradient.
 
-    Mechanism: (1/B) [sum_i clip(g_i, C) + N(0, (sigma*C)^2 I)]. With
-    sigma = 0 no draw is made, so the RNG is untouched.
+    Mechanism: (1/B) [sum_i s_i g_i + N(0, (sigma*C)^2 I)], with s_i from
+    ``clip_scales``. With sigma = 0 no draw is made, so the RNG is untouched.
     """
     if not per_sample:
         raise ValidationError("privatize needs a non-empty batch")
     if sigma < 0.0:
         raise ValidationError("sigma must be >= 0")
-    total = np.zeros_like(per_sample[0].values)
-    for g in per_sample:
-        total += clip(g, clip_norm).values
+    total = per_sample.weighted_sum(clip_scales(per_sample, clip_norm))
     if sigma > 0.0:
-        total = total + (sigma * clip_norm) * rng.standard_normal(total.shape)
-    return GradientVector(total / len(per_sample))
+        noise = np.empty_like(total)
+        rng.standard_normal(out=noise)
+        noise *= sigma * clip_norm
+        total += noise
+    total /= len(per_sample)
+    return GradientVector(total)
 
 
 # ---------------------------------------------------------------------------

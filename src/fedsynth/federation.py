@@ -225,7 +225,7 @@ def client_local_update(global_flat: np.ndarray, manifest: dict,
     mechanism = dp_cfg.mechanism_active
     q = _sampling_rate(fed_cfg, n)
     losses: list = []
-    pre_norms: list = []
+    pre_norms: list = []   # one (B,) norm array per step
     post_norms: list = []
     for step in range(fed_cfg.local_steps):
         if mechanism:
@@ -250,14 +250,13 @@ def client_local_update(global_flat: np.ndarray, manifest: dict,
         except DivergenceError as exc:
             raise DivergenceError(
                 f"client {client.client_id}, local step {step}: {exc}") from exc
-        pre_norms.extend(g.norm for g in grads)
+        pre_norms.append(grads.norms)
         if mechanism:
             grad = privatize(grads, dp_cfg.clip_norm, client.sigma, rng)
-            post_norms.extend(min(g.norm, dp_cfg.clip_norm) for g in grads)
+            post_norms.append(np.minimum(grads.norms, dp_cfg.clip_norm))
         else:
-            grad = GradientVector(
-                np.mean(np.stack([g.values for g in grads]), axis=0))
-            post_norms.extend(g.norm for g in grads)
+            grad = GradientVector(grads.weighted_sum(np.ones(len(grads))) / len(grads))
+            post_norms.append(grads.norms)
         if fed_cfg.strategy == "fedprox" and fed_cfg.prox_mu != 0.0:
             grad = GradientVector(grad.values + fed_cfg.prox_mu * (flat - anchor))
         adam_step(flat, client.adam, grad)
@@ -267,8 +266,8 @@ def client_local_update(global_flat: np.ndarray, manifest: dict,
         losses.append(loss)
     stats = {
         "loss": float(np.mean(losses)) if losses else None,
-        "grad_norm_pre": float(np.mean(pre_norms)) if pre_norms else None,
-        "grad_norm_post": float(np.mean(post_norms)) if post_norms else None,
+        "grad_norm_pre": float(np.mean(np.concatenate(pre_norms))) if pre_norms else None,
+        "grad_norm_post": float(np.mean(np.concatenate(post_norms))) if post_norms else None,
         "steps": fed_cfg.local_steps,
         "q": q,
         "sigma": client.sigma,

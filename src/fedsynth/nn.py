@@ -3,13 +3,17 @@
 The model is a plain MLP: input = [x_t, sinusoidal time embedding], three
 ReLU hidden layers, linear output predicting the forward noise. Per-sample
 gradients (required for DP clipping) come from one forward and one backward
-pass over the whole batch, keeping each layer's (B, fan_in) input and
-(B, fan_out) delta; categorical embedding tables are part of the one
+pass over the whole batch and are kept as layer factors: each layer's
+(B, fan_in) input and (B, fan_out) delta, and per embedding table a one-hot
+of the sample's vocabulary row and its slice of the x_t delta. Norms and
+weighted sums are computed from those factors, so the (B, P) matrix of
+per-sample gradients is never built. The tables are part of the one
 parameter buffer and receive gradient through the x_t that was built from them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -44,10 +48,7 @@ def time_embed(t, dim: int = DEFAULT_TIME_DIM) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GradientVector:
-    """Flat gradient aligned with DenoiserParams.flatten(); L2 norm cached.
-
-    From ``per_sample_grads``, ``values`` is one row view of the batch's (B, P) array.
-    """
+    """Flat gradient aligned with DenoiserParams.flatten(); L2 norm cached."""
 
     values: np.ndarray
     norm: float = field(default=None)
@@ -60,6 +61,63 @@ class GradientVector:
 
     def __len__(self) -> int:
         return self.values.size
+
+
+class PerSampleGrads:
+    """A batch's per-sample gradients as layer factors, never as a (B, P) matrix.
+
+    ``factors`` holds one pair (A_k, D_k) of (B, m_k) and (B, n_k) arrays per
+    parameter block, in ``_layout`` order; block k of sample i's gradient is
+    the (m_k, n_k) outer product of A_k[i] and D_k[i]. Hence
+    ||g_i||^2 = sum_k ||A_k[i]||^2 ||D_k[i]||^2, and block k of sum_i w_i g_i
+    is A_k^T (w * D_k) (Goodfellow 2015; Li et al. 2022, ghost clipping).
+    """
+
+    def __init__(self, factors: list):
+        self.factors = [(np.asarray(a, dtype=np.float64), np.asarray(d, dtype=np.float64))
+                        for a, d in factors]
+        self.norms = np.sqrt(sum(np.einsum("ij,ij->i", a, a) * np.einsum("ij,ij->i", d, d)
+                                 for a, d in self.factors))
+        self.size = sum(a.shape[1] * d.shape[1] for a, d in self.factors)
+
+    def __len__(self) -> int:
+        return len(self.norms)
+
+    def __getitem__(self, i: int) -> "SampleGradient":
+        return SampleGradient(self, i)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def weighted_sum(self, weights: np.ndarray) -> np.ndarray:
+        """sum_i weights[i] * g_i as one P-vector in ``_layout`` order."""
+        weights = np.asarray(weights, dtype=np.float64)[:, None]
+        out = np.empty(self.size)
+        end = 0
+        for a, d in self.factors:
+            start, end = end, end + a.shape[1] * d.shape[1]
+            np.matmul(a.T, weights * d, out=out[start:end].reshape(a.shape[1], d.shape[1]))
+        return out
+
+    def row(self, i: int) -> np.ndarray:
+        """Sample i's gradient as one P-vector (for oracles and tests)."""
+        return np.concatenate([np.outer(a[i], d[i]).ravel() for a, d in self.factors])
+
+
+class SampleGradient:
+    """Sample i of a PerSampleGrads: ``norm`` at once, ``values`` built on first read.
+
+    Readers of the norm alone, such as clip-fraction counters, then build no
+    P-vector.
+    """
+
+    def __init__(self, grads: PerSampleGrads, i: int):
+        self._grads, self._i = grads, i
+        self.norm = float(grads.norms[i])
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        return self._grads.row(self._i)
 
 
 def _layout(flat: np.ndarray, manifest: dict) -> tuple:
@@ -136,6 +194,9 @@ def init_denoiser(d_enc: int, hidden_width: int = DEFAULT_HIDDEN,
     sizes = [d_enc + time_dim] + [hidden_width] * n_hidden + [d_enc]
     dims = list(zip(sizes[:-1], sizes[1:]))
     tables = [np.asarray(e, dtype=np.float64) for e in (embeddings or [])]
+    if sum(e.shape[1] for e in tables) > d_enc:
+        raise ValidationError(
+            f"embedding widths {[e.shape[1] for e in tables]} exceed d_enc {d_enc}")
     n_params = sum((i + 1) * o for i, o in dims) + sum(e.size for e in tables)
     params = DenoiserParams.from_flat(np.zeros(n_params), {
         "weights": dims, "embeddings": [e.shape for e in tables], "time_dim": time_dim})
@@ -199,9 +260,8 @@ def per_sample_grads(params: DenoiserParams, batch: list):
     """Gradient of each sample's own loss w.r.t. all parameters.
 
     The per-sample loss is mean-squared error over the d_enc output
-    coordinates; returns one GradientVector per sample (row i of one (B, P)
-    array) plus the mean loss. Either every sample carries ``emb_rows`` or
-    none does.
+    coordinates; returns the batch's gradients as a PerSampleGrads plus the
+    mean loss. Either every sample carries ``emb_rows`` or none does.
     """
     if not batch:
         raise ValidationError("per_sample_grads needs a non-empty batch")
@@ -221,41 +281,37 @@ def per_sample_grads(params: DenoiserParams, batch: list):
     losses = np.einsum("ij,ij->i", diff, diff) / diff.shape[1]
 
     # Dense layer l's per-sample weight gradient is the outer product of its
-    # input a_i and output delta_i, written straight into sample i's row.
-    rows = np.zeros((len(batch), params.size))
-    grad_w, grad_b, grad_emb = _layout(rows, params.manifest())
+    # input a_i and output delta_i; its bias gradient is 1 (x) delta_i.
+    ones = np.ones((len(batch), 1))
+    factors = [None] * (2 * len(params.weights))
     delta = (2.0 / diff.shape[1]) * diff
     for li in range(last, -1, -1):
-        np.multiply(acts[li][:, :, None], delta[:, None, :], out=grad_w[li])
-        grad_b[li][...] = delta
+        factors[2 * li] = (acts[li], delta)
+        factors[2 * li + 1] = (ones, delta)
         delta = delta @ params.weights[li].T
         if li > 0:
             delta *= zs[li - 1] > 0
 
-    if with_rows and params.embeddings:
-        # d(x_t)/d(table row) is emb_coeff; each (sample, row) pair occurs
-        # once per table, so plain fancy assignment needs no np.add.at.
+    # d(x_t)/d(table row) is emb_coeff, so a table's gradient is the one-hot
+    # of the sample's vocabulary row (x) emb_coeff * its slice of d(x_t).
+    coeff = np.array([s.emb_coeff for s in batch])[:, None]
+    if with_rows:
         emb_rows = np.stack([np.asarray(s.emb_rows, dtype=np.int64) for s in batch])
-        coeff = np.array([s.emb_coeff for s in batch])[:, None]
-        samples = np.arange(len(batch))
-        start = params.n_numeric
-        for j, g in enumerate(grad_emb):
-            width = g.shape[2]
-            g[samples, emb_rows[:, j]] = coeff * delta[:, start:start + width]
-            start += width
-    grads = [GradientVector(r) for r in rows]
-    bad = ~np.isfinite(losses) | ~np.isfinite([g.norm for g in grads])
+    samples = np.arange(len(batch))
+    start = params.n_numeric
+    for j, table in enumerate(params.embeddings):
+        onehot = np.zeros((len(batch), table.shape[0]))
+        if with_rows:
+            onehot[samples, emb_rows[:, j]] = 1.0
+        end = start + table.shape[1]
+        factors.append((onehot, coeff * delta[:, start:end]))
+        start = end
+    grads = PerSampleGrads(factors)
+    bad = ~np.isfinite(losses) | ~np.isfinite(grads.norms)
     if bad.any():
         raise DivergenceError(
             f"non-finite loss/gradient at batch sample {int(np.argmax(bad))}")
     return grads, float(losses.mean())
-
-
-def batch_loss(params: DenoiserParams, batch: list) -> float:
-    """Mean per-sample loss without gradients (for diagnostics and oracles)."""
-    x_in, t, target = _stack(batch)
-    diff = forward(params, x_in, t) - target
-    return float(np.mean(np.einsum("ij,ij->i", diff, diff) / diff.shape[1]))
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsynth.dp import (DEFAULT_ORDERS, DpConfig, RdpAccountant,
-                         calibrate_sigma, clip, epsilon_after, privatize,
-                         rdp_subsampled_gaussian)
+                         calibrate_sigma, clip, clip_scales, epsilon_after,
+                         privatize, rdp_subsampled_gaussian)
 from fedsynth.errors import CalibrationError, ValidationError
-from fedsynth.nn import GradientVector
+from fedsynth.nn import (GradientVector, PerSampleGrads, TrainingSample,
+                         init_denoiser, per_sample_grads)
 
 # Frozen oracle: subsampled-Gaussian RDP at q=0.01, sigma=1, alpha=2.
 # Closed form log(1 + q^2 (e - 1)); cross-checked below with mpmath.
@@ -97,7 +99,8 @@ def test_clip_never_exceeds_bound(values, c):
 
 
 def _grads(rows):
-    return [GradientVector(np.asarray(r, dtype=np.float64)) for r in rows]
+    rows = np.asarray(rows, dtype=np.float64)
+    return PerSampleGrads([(np.ones((len(rows), 1)), rows)])
 
 
 def test_privatize_sigma_zero_is_clipped_mean():
@@ -129,6 +132,51 @@ def test_privatize_rejects_empty_or_negative_sigma():
         privatize([], 1.0, 1.0, rng=None)
     with pytest.raises(ValidationError):
         privatize(_grads([[1.0]]), 1.0, -0.5, rng=None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_tables=st.integers(0, 2), size=st.integers(1, 16),
+       log_scale=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_privatize_matches_loop_oracle_and_bounds_every_row(n_tables, size,
+                                                            log_scale, seed):
+    """sigma = 0 gives sum_i clip(g_i, C) / B, and every scaled row lies in
+    the ball. Vocabularies of 2 rows make samples share table rows."""
+    rng = np.random.default_rng(seed)
+    tables = [rng.normal(size=(2, 2)) for _ in range(n_tables)]
+    params = init_denoiser(1 + 2 * n_tables, hidden_width=5, n_hidden=2,
+                           time_dim=4, embeddings=tables, rng=rng)
+    batch = [TrainingSample(rng.normal(size=params.d_enc), int(rng.integers(1, 20)),
+                            rng.normal(size=params.d_enc),
+                            emb_rows=rng.integers(0, 2, n_tables) if n_tables else None,
+                            emb_coeff=0.6)
+             for _ in range(size)]
+    grads, _ = per_sample_grads(params, batch)
+    # gradients 10^+-3 times their natural size: some, none or all get clipped
+    grads = PerSampleGrads([(a, 10.0 ** log_scale * d) for a, d in grads.factors])
+    c = 1.0
+    oracle = sum(clip(g, c).values for g in grads) / size
+    got = privatize(grads, c, 0.0, rng=None).values
+    assert np.linalg.norm(got - oracle) <= 1e-12 * np.linalg.norm(oracle)
+    scales = clip_scales(grads, c)
+    for s_i, g in zip(scales, grads):
+        assert np.linalg.norm(s_i * g.values) <= c
+
+
+def test_privatize_peak_memory_stays_below_eight_parameter_vectors():
+    """No (B, P) matrix: at B = 64 the whole DP step peaks under 8 P-vectors."""
+    rng = np.random.default_rng(0)
+    params = init_denoiser(4, hidden_width=320, rng=rng)
+    assert params.size >= 200_000
+    batch = [TrainingSample(rng.normal(size=4), int(t), rng.normal(size=4))
+             for t in rng.integers(1, 100, size=64)]
+    tracemalloc.start()
+    try:
+        privatize(per_sample_grads(params, batch)[0], 1.0, 1.0,
+                  np.random.default_rng(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * params.size * 8
 
 
 # ---------------------------------------------------------------------------

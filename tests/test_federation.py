@@ -7,6 +7,7 @@ from fedsynth.diffusion import linear_schedule, make_training_example
 from fedsynth.dp import DpConfig, epsilon_after, privatize
 from fedsynth.errors import (DivergenceError, PrivacyBudgetError,
                              ValidationError)
+from fedsynth import federation
 from fedsynth.federation import (ClientDataset, FedConfig, ServerOptState,
                                  client_local_update, fedavg_aggregate,
                                  init_state, make_client_datasets, run_round,
@@ -206,6 +207,41 @@ def test_local_update_noise_free_mechanism_reproducible_by_hand():
         manual = adam_step(manual, adam, mean_grad)
     np.testing.assert_array_equal(flat, manual)
     assert stats["steps"] == 3 and stats["sigma"] == 0.0
+
+
+def test_local_update_feeds_the_benchmark_probes(monkeypatch):
+    """The benchmark wraps these three names in federation's namespace; its
+    clip counter takes len() of privatize's first argument and reads .norm
+    from each of its items."""
+    datasets, params, schedule = _tiny_setup(n_clients=1, n_per=30)
+    fed_cfg = FedConfig(n_clients=1, rounds=1, local_steps=2, batch_size=8)
+    dp_cfg = DpConfig(noise_multiplier=1.0)
+    state = init_state(params, datasets, fed_cfg, dp_cfg)
+    batch_sizes, examples, privatized = [], [], []
+
+    def counting_grads(p, batch):
+        batch_sizes.append(len(batch))
+        return per_sample_grads(p, batch)
+
+    def counting_example(*args, **kwargs):
+        examples.append(1)
+        return make_training_example(*args, **kwargs)
+
+    def counting_privatize(grads, *args):
+        privatized.append((len(grads), [g.norm for g in grads]))
+        return privatize(grads, *args)
+
+    monkeypatch.setattr(federation, "per_sample_grads", counting_grads)
+    monkeypatch.setattr(federation, "make_training_example", counting_example)
+    monkeypatch.setattr(federation, "privatize", counting_privatize)
+    client_local_update(state.global_flat, state.manifest, state.clients[0],
+                        datasets[0], schedule, fed_cfg, dp_cfg,
+                        np.random.default_rng([4, 1, 0]))
+    assert batch_sizes and privatized
+    assert len(examples) == sum(batch_sizes)
+    assert [n for n, _ in privatized] == batch_sizes
+    for n, norms in privatized:
+        assert len(norms) == n and all(np.isfinite(norms))
 
 
 def test_local_update_uniform_batches_without_mechanism():

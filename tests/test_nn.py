@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from fedsynth.errors import DivergenceError, ValidationError
 from fedsynth.nn import (AdamState, DenoiserParams, GradientVector, adam_step,
-                         batch_loss, forward, init_denoiser, per_sample_grads,
+                         forward, init_denoiser, per_sample_grads,
                          time_embed, TrainingSample)
 
 
@@ -83,6 +83,14 @@ def test_init_denoiser_kaiming_bound():
     for w in params.weights:
         bound = np.sqrt(6.0 / w.shape[0])
         assert np.max(np.abs(w)) <= bound
+
+
+def test_init_denoiser_rejects_tables_wider_than_d_enc():
+    tables = [np.zeros((3, 3)), np.zeros((3, 3))]
+    with pytest.raises(ValidationError):
+        init_denoiser(5, hidden_width=4, n_hidden=1, time_dim=2, embeddings=tables)
+    params = init_denoiser(6, hidden_width=4, n_hidden=1, time_dim=2, embeddings=tables)
+    assert params.n_numeric == 0
 
 
 def test_forward_zero_params_outputs_zero():
@@ -225,7 +233,9 @@ def test_mean_per_sample_grad_matches_batch_fd():
     grads, mean_loss = per_sample_grads(params, batch)
     mean_grad = np.mean([g.values for g in grads], axis=0)
     flat, manifest = params.flatten(), params.manifest()
-    assert mean_loss == pytest.approx(batch_loss(params, batch), rel=1e-12)
+    diff = (forward(params, np.stack([s.x_in for s in batch]), [s.t for s in batch])
+            - np.stack([s.target for s in batch]))
+    assert mean_loss == pytest.approx(np.mean(diff * diff), rel=1e-12)
     for idx in np.random.default_rng(7).choice(flat.size, 25, replace=False):
         fd = np.mean([_fd_grad(flat, manifest, p, idx) for p in protos])
         assert mean_grad[idx] == pytest.approx(fd, rel=1e-5, abs=1e-8)
