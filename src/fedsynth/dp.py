@@ -10,6 +10,7 @@ clipped sum as one weighted sum, so no per-sample gradient is ever built.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -17,7 +18,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .errors import CalibrationError, ValidationError
-from .nn import GradientVector, PerSampleGrads
+from .nn import GradientVector, PerSampleGrads, blocks
 
 DEFAULT_CLIP_NORM = 1.0
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2.0
@@ -115,10 +116,13 @@ def privatize(per_sample: PerSampleGrads, clip_norm: float, sigma: float,
         raise ValidationError("sigma must be >= 0")
     total = per_sample.weighted_sum(clip_scales(per_sample, clip_norm))
     if sigma > 0.0:
-        noise = np.empty_like(total)
-        rng.standard_normal(out=noise)
-        noise *= sigma * clip_norm
-        total += noise
+        # drawn block by block into one scratch: the same N(0, 1) stream as
+        # one P-sized draw, with no P-sized noise buffer
+        for s, (noise,) in blocks(total.size, 1):
+            rng.standard_normal(out=noise)
+            noise *= sigma * clip_norm
+            acc = total[s]
+            acc += noise
     total /= len(per_sample)
     return GradientVector(total)
 
@@ -136,14 +140,17 @@ def _rdp_integer_order(q: float, sigma: float, alpha: int) -> float:
     return float(logsumexp(terms)) / (alpha - 1)
 
 
-def rdp_subsampled_gaussian(q: float, sigma: float, alpha: float) -> float:
+def rdp_subsampled_gaussian(q: float, sigma: float, alpha: float,
+                            integer_rdp=None) -> float:
     """Per-step Renyi divergence bound at order ``alpha``.
 
     q = 1 gives the plain Gaussian value alpha/(2 sigma^2). For q < 1 and
     integer alpha the binomial-expansion bound is evaluated in log space;
     fractional orders interpolate the log-moment (alpha-1)*RDP linearly
     between the neighbouring integers (with a zero moment at alpha = 1),
-    which upper-bounds the true convex log-moment.
+    which upper-bounds the true convex log-moment. ``integer_rdp(k)``, when
+    given, must return that integer-order bound for this (q, sigma); a caller
+    evaluating many orders passes a memoised one so each is computed once.
     """
     if not 0.0 < q <= 1.0:
         raise ValidationError("sampling rate q must lie in (0, 1]")
@@ -153,12 +160,14 @@ def rdp_subsampled_gaussian(q: float, sigma: float, alpha: float) -> float:
         raise ValidationError("Renyi order must exceed 1")
     if q == 1.0:
         return alpha / (2.0 * sigma * sigma)
+    if integer_rdp is None:
+        integer_rdp = functools.partial(_rdp_integer_order, q, sigma)
     if float(alpha).is_integer():
-        return _rdp_integer_order(q, sigma, int(alpha))
+        return integer_rdp(int(alpha))
     lo = math.floor(alpha)
     hi = lo + 1
-    kappa_lo = 0.0 if lo == 1 else (lo - 1) * _rdp_integer_order(q, sigma, lo)
-    kappa_hi = (hi - 1) * _rdp_integer_order(q, sigma, hi)
+    kappa_lo = 0.0 if lo == 1 else (lo - 1) * integer_rdp(lo)
+    kappa_hi = (hi - 1) * integer_rdp(hi)
     frac = alpha - lo
     kappa = (1.0 - frac) * kappa_lo + frac * kappa_hi
     return kappa / (alpha - 1.0)
@@ -187,10 +196,16 @@ class RdpAccountant:
         return sum(self.groups.values())
 
     def _per_step(self, key: tuple) -> np.ndarray:
-        """Per-order RDP of one (q, sigma) step, computed once per key."""
+        """Per-order RDP of one (q, sigma) step, computed once per key.
+
+        Fractional orders share their integer neighbours, so each integer
+        order is evaluated once per key.
+        """
         if key not in self._per_step_cache:
+            integer_rdp = functools.cache(functools.partial(_rdp_integer_order, *key))
             self._per_step_cache[key] = np.array(
-                [rdp_subsampled_gaussian(key[0], key[1], a) for a in self.orders])
+                [rdp_subsampled_gaussian(key[0], key[1], a, integer_rdp)
+                 for a in self.orders])
         return self._per_step_cache[key]
 
     def account_step(self, q: float, sigma: float, count: int = 1) -> None:

@@ -22,7 +22,8 @@ import numpy as np
 from .diffusion import NoiseSchedule, make_training_example
 from .dp import DpConfig, RdpAccountant, calibrate_sigma, privatize
 from .errors import DivergenceError, PrivacyBudgetError, ValidationError
-from .nn import AdamState, DenoiserParams, GradientVector, TrainingSample, adam_step, per_sample_grads
+from .nn import (AdamState, DenoiserParams, GradientVector, TrainingSample, adam_step, blocks,
+                 per_sample_grads)
 
 STRATEGIES = ("fedavg", "fedadam", "fedprox", "fedyogi")
 DEFAULT_BATCH_SIZE = 16
@@ -156,21 +157,27 @@ def fedavg_aggregate(updates: list) -> np.ndarray:
     """Sample-count-weighted mean of client parameter vectors.
 
     ``updates`` is a list of (flat params, sample count); weights normalize
-    over the participating clients.
+    over the participating clients. Each element is summed over the clients
+    in list order from zero, then divided by the weight sum, block by block.
     """
     if not updates:
         raise ValidationError("nothing to aggregate")
     length = updates[0][0].size
     weight_sum = 0.0
-    total = np.zeros(length)
     for vec, weight in updates:
         if vec.size != length:
             raise ValidationError("client parameter vectors differ in length")
-        total += float(weight) * vec
         weight_sum += float(weight)
     if weight_sum <= 0.0:
         raise ValidationError("aggregation weights must sum to a positive value")
-    return total / weight_sum
+    total = np.zeros(length)
+    for s, (term,) in blocks(length, 1):
+        acc = total[s]
+        for vec, weight in updates:
+            np.multiply(vec[s], float(weight), out=term)
+            acc += term
+        acc /= weight_sum
+    return total
 
 
 def server_opt_aggregate(global_flat: np.ndarray, updates: list,
@@ -180,23 +187,41 @@ def server_opt_aggregate(global_flat: np.ndarray, updates: list,
     Delta = current global minus the FedAvg of client params. The first
     moment is bias-corrected; the second is not (standard federated-optimizer
     convention). FedYogi's sign-controlled second moment matches FedAdam on
-    the first update from zero moments.
+    the first update from zero moments. The moments are updated in place and
+    the new global vector is written over the FedAvg result, block by block.
     """
     if cfg.strategy not in ("fedadam", "fedyogi"):
         raise ValidationError(f"server optimizer got strategy {cfg.strategy!r}")
     if state.m.shape != global_flat.shape or state.v.shape != global_flat.shape:
         raise ValidationError("server optimizer state shape mismatch")
-    target = fedavg_aggregate(updates)
-    delta = global_flat - target
-    d2 = delta * delta
+    out = fedavg_aggregate(updates)
     state.updates += 1
-    state.m = cfg.server_beta1 * state.m + (1.0 - cfg.server_beta1) * delta
-    if cfg.strategy == "fedadam":
-        state.v = cfg.server_beta2 * state.v + (1.0 - cfg.server_beta2) * d2
-    else:
-        state.v = state.v - (1.0 - cfg.server_beta2) * d2 * np.sign(state.v - d2)
-    m_hat = state.m / (1.0 - cfg.server_beta1 ** state.updates)
-    return global_flat - cfg.server_lr * m_hat / (np.sqrt(state.v) + cfg.server_eps)
+    b1, b2 = cfg.server_beta1, cfg.server_beta2
+    bias1 = 1.0 - b1 ** state.updates
+    for s, (delta, d2) in blocks(out.size, 2):
+        m, v = state.m[s], state.v[s]
+        np.subtract(global_flat[s], out[s], out=delta)
+        np.multiply(delta, delta, out=d2)
+        m *= b1
+        delta *= 1.0 - b1
+        m += delta
+        if cfg.strategy == "fedadam":
+            v *= b2
+            d2 *= 1.0 - b2
+            v += d2
+        else:
+            np.subtract(v, d2, out=delta)
+            np.sign(delta, out=delta)
+            d2 *= 1.0 - b2
+            d2 *= delta
+            v -= d2
+        np.sqrt(v, out=d2)
+        d2 += cfg.server_eps
+        np.divide(m, bias1, out=delta)
+        delta *= cfg.server_lr
+        delta /= d2
+        np.subtract(global_flat[s], delta, out=out[s])
+    return out
 
 
 # ---------------------------------------------------------------------------

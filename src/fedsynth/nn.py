@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +24,9 @@ from .errors import DivergenceError, ValidationError
 DEFAULT_TIME_DIM = 64
 DEFAULT_HIDDEN = 1024
 DEFAULT_N_HIDDEN = 3
+# float64 elements per block of the elementwise P-sized passes (Adam, noise,
+# aggregation): a few operand blocks of 256 KiB stay in a core's L2 cache.
+BLOCK = 1 << 15
 
 
 def time_embed(t, dim: int = DEFAULT_TIME_DIM) -> np.ndarray:
@@ -46,18 +49,21 @@ def time_embed(t, dim: int = DEFAULT_TIME_DIM) -> np.ndarray:
     return out[0] if scalar else out
 
 
-@dataclass(frozen=True)
 class GradientVector:
-    """Flat gradient aligned with DenoiserParams.flatten(); L2 norm cached."""
+    """Flat gradient aligned with DenoiserParams.flatten(); L2 norm computed on first read.
 
-    values: np.ndarray
-    norm: float = field(default=None)
+    A training step never reads the norm of its batch gradient, so building
+    one costs no P-sized pass; pass ``norm`` when it is already known.
+    """
 
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", vals)
-        if self.norm is None:
-            object.__setattr__(self, "norm", float(np.linalg.norm(vals)))
+    def __init__(self, values, norm: float | None = None):
+        self.values = np.asarray(values, dtype=np.float64)
+        if norm is not None:
+            self.norm = norm
+
+    @functools.cached_property
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.values))
 
     def __len__(self) -> int:
         return self.values.size
@@ -331,19 +337,51 @@ class AdamState:
         return cls(np.zeros(n_params), np.zeros(n_params), lr=lr)
 
 
+def blocks(n: int, scratch_rows: int):
+    """Walk range(n) in BLOCK-sized steps, yielding (slice, scratch) pairs.
+
+    ``scratch`` is a (scratch_rows, block length) view of one buffer allocated
+    once per walk, so an elementwise kernel run block by block keeps its
+    operands in cache and allocates nothing P-sized. Each element sees the
+    same operations as in the whole-vector expression, so results are
+    bit-equal to it.
+    """
+    scratch = np.empty((scratch_rows, min(n, BLOCK)))
+    for start in range(0, n, BLOCK):
+        stop = min(start + BLOCK, n)
+        yield slice(start, stop), scratch[:, : stop - start]
+
+
 def adam_step(flat_params: np.ndarray, state: AdamState, grad: GradientVector) -> np.ndarray:
-    """One bias-corrected Adam update, in place on ``flat_params`` and ``state``."""
+    """One bias-corrected Adam update, in place on ``flat_params`` and ``state``.
+
+    Runs block by block through one block-sized scratch; each element gets
+    exactly the operations, in the order, of the whole-vector update
+    m = b1 m + (1-b1) g, v = b2 v + (1-b2) g g,
+    p -= lr (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps).
+    """
     g = grad.values if isinstance(grad, GradientVector) else np.asarray(grad)
     if not np.all(np.isfinite(g)):
         raise DivergenceError("non-finite gradient passed to the optimizer")
     if g.shape != flat_params.shape:
         raise ValidationError(f"gradient shape {g.shape} != params {flat_params.shape}")
     state.t += 1
-    state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * g
-    state.v *= state.beta2
-    state.v += (1.0 - state.beta2) * g * g
-    m_hat = state.m / (1.0 - state.beta1 ** state.t)
-    v_hat = state.v / (1.0 - state.beta2 ** state.t)
-    flat_params -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    c1, c2 = 1.0 - state.beta1, 1.0 - state.beta2
+    bias1, bias2 = 1.0 - state.beta1 ** state.t, 1.0 - state.beta2 ** state.t
+    for s, (step, denom) in blocks(g.size, 2):
+        m, v, gs, p = state.m[s], state.v[s], g[s], flat_params[s]
+        m *= state.beta1
+        np.multiply(gs, c1, out=step)
+        m += step
+        v *= state.beta2
+        np.multiply(gs, c2, out=step)
+        step *= gs
+        v += step
+        np.divide(v, bias2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        np.divide(m, bias1, out=step)
+        step *= state.lr
+        step /= denom
+        p -= step
     return flat_params

@@ -9,8 +9,8 @@ carries small JSON-serializable metadata alongside the arrays.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
-import io
 import json
 import os
 import zipfile
@@ -38,33 +38,63 @@ def json_digest(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
+@contextlib.contextmanager
+def _replacing(path, mode: str, **open_kwargs):
+    """Open a temp file beside ``path`` that replaces it only on success.
+
+    If the body raises, the temp file is removed and ``path`` keeps its old
+    bytes, so a failed write never leaves a partial file behind.
+    """
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def _member_info(name: str) -> zipfile.ZipInfo:
+    info = zipfile.ZipInfo(name, date_time=_EPOCH)
+    info.external_attr = 0o600 << 16
+    return info
+
+
 def save_arrays(path, arrays: dict, meta: dict | None = None) -> None:
     """Write named arrays (plus optional JSON metadata) to a stable zip.
 
     Members are stored uncompressed in sorted name order with a constant
-    timestamp, so the file bytes depend only on the content.
+    timestamp, so the file bytes depend only on the content. Each ``.npy``
+    member is streamed straight into the archive on disk, so no in-memory
+    copy of the archive or of a member is made; the bytes are those of
+    ``ZipFile.writestr`` with the member's ``np.lib.format.write_array``
+    output.
     """
-    buf = io.BytesIO()
-    with zipfile.ZipFile(buf, "w", compression=zipfile.ZIP_STORED) as zf:
+    with _replacing(path, "wb") as fh, \
+            zipfile.ZipFile(fh, "w", compression=zipfile.ZIP_STORED) as zf:
         if meta is not None:
-            info = zipfile.ZipInfo(_META_MEMBER, date_time=_EPOCH)
-            info.external_attr = 0o600 << 16
-            zf.writestr(info, canonical_json(meta).encode("utf-8"))
+            zf.writestr(_member_info(_META_MEMBER),
+                        canonical_json(meta).encode("utf-8"))
         for name in sorted(arrays):
             arr = np.asarray(arrays[name])
-            member = io.BytesIO()
-            np.lib.format.write_array(member, arr, allow_pickle=False)
-            info = zipfile.ZipInfo(name + ".npy", date_time=_EPOCH)
-            info.external_attr = 0o600 << 16
-            zf.writestr(info, member.getvalue())
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(buf.getvalue())
-    os.replace(tmp, path)
+            info = _member_info(name + ".npy")
+            # zipfile picks the zip64 layout from the size preset before a
+            # member is opened, as writestr does; leaving out the ~128-byte
+            # .npy header moves that choice only for members within a header
+            # of the ~2 GB threshold
+            info.file_size = arr.nbytes
+            with zf.open(info, "w") as member:
+                np.lib.format.write_array(member, arr, allow_pickle=False)
 
 
 def load_arrays(path) -> tuple[dict, dict]:
-    """Read back ``(arrays, meta)`` written by :func:`save_arrays`."""
+    """Read back ``(arrays, meta)`` written by :func:`save_arrays`.
+
+    Arrays are read straight from each member's stream; the member is read to
+    its end, where zipfile checks its CRC.
+    """
     arrays: dict = {}
     meta: dict = {}
     try:
@@ -75,8 +105,8 @@ def load_arrays(path) -> tuple[dict, dict]:
                         meta = json.load(member)
                     elif name.endswith(".npy"):
                         arrays[name[: -len(".npy")]] = np.lib.format.read_array(
-                            io.BytesIO(member.read()), allow_pickle=False
-                        )
+                            member, allow_pickle=False)
+                        member.read()
     except (OSError, zipfile.BadZipFile, ValueError) as exc:
         raise CheckpointError(f"cannot read array archive {path!r}: {exc}") from exc
     return arrays, meta
@@ -84,11 +114,9 @@ def load_arrays(path) -> tuple[dict, dict]:
 
 def write_json(path, obj, indent: int = 2) -> None:
     """Atomically write ``obj`` as human-readable JSON."""
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with _replacing(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=indent, sort_keys=True)
         fh.write("\n")
-    os.replace(tmp, path)
 
 
 def read_json(path):

@@ -10,7 +10,7 @@ from fedsynth.dp import (DEFAULT_ORDERS, DpConfig, RdpAccountant,
                          calibrate_sigma, clip, clip_scales, epsilon_after,
                          privatize, rdp_subsampled_gaussian)
 from fedsynth.errors import CalibrationError, ValidationError
-from fedsynth.nn import (GradientVector, PerSampleGrads, TrainingSample,
+from fedsynth.nn import (BLOCK, GradientVector, PerSampleGrads, TrainingSample,
                          init_denoiser, per_sample_grads)
 
 # Frozen oracle: subsampled-Gaussian RDP at q=0.01, sigma=1, alpha=2.
@@ -160,6 +160,18 @@ def test_privatize_matches_loop_oracle_and_bounds_every_row(n_tables, size,
     scales = clip_scales(grads, c)
     for s_i, g in zip(scales, grads):
         assert np.linalg.norm(s_i * g.values) <= c
+
+
+def test_privatize_blocked_noise_bit_equals_one_whole_draw():
+    """The noise drawn block by block is the stream of one P-sized draw."""
+    rng = np.random.default_rng(4)
+    grads = PerSampleGrads([(rng.normal(size=(3, 300)), rng.normal(size=(3, 250)))])
+    assert grads.size > 2 * BLOCK and grads.size % BLOCK
+    total = grads.weighted_sum(clip_scales(grads, 1.0))
+    noise = np.random.default_rng(9).standard_normal(grads.size)
+    expected = (total + noise * (0.7 * 1.0)) / 3
+    got = privatize(grads, 1.0, 0.7, np.random.default_rng(9)).values
+    assert np.array_equal(got, expected)
 
 
 def test_privatize_peak_memory_stays_below_eight_parameter_vectors():

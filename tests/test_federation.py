@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from fedsynth.federation import (ClientDataset, FedConfig, ServerOptState,
                                  server_opt_aggregate, train)
 from fedsynth.data import EncodingPipeline, partition_iid
 from fedsynth.fixtures import gaussian_mixture_table
-from fedsynth.nn import (AdamState, DenoiserParams, TrainingSample, adam_step,
+from fedsynth.nn import (BLOCK, AdamState, DenoiserParams, TrainingSample, adam_step,
                          init_denoiser, per_sample_grads)
 
 
@@ -132,6 +133,66 @@ def test_fedyogi_sign_rule_differs_on_second_round():
     manual_vy = 0.001 * (g - x1) ** 2 - 0.001 * d2 * np.sign(0.001 * (g - x1) ** 2 - d2)
     np.testing.assert_allclose(expected_vy, manual_vy, rtol=1e-14)
     assert not np.array_equal(st_y.v, st_a.v)
+
+
+def _fedavg_oracle(updates):
+    """The unblocked weighted mean: one new P-vector per client."""
+    weight_sum = 0.0
+    total = np.zeros(updates[0][0].size)
+    for vec, weight in updates:
+        total += float(weight) * vec
+        weight_sum += float(weight)
+    return total / weight_sum
+
+
+def _server_opt_oracle(global_flat, updates, state, cfg):
+    """The unblocked server step: new moment vectors and temporaries."""
+    delta = global_flat - _fedavg_oracle(updates)
+    d2 = delta * delta
+    state.updates += 1
+    state.m = cfg.server_beta1 * state.m + (1.0 - cfg.server_beta1) * delta
+    if cfg.strategy == "fedadam":
+        state.v = cfg.server_beta2 * state.v + (1.0 - cfg.server_beta2) * d2
+    else:
+        state.v = state.v - (1.0 - cfg.server_beta2) * d2 * np.sign(state.v - d2)
+    m_hat = state.m / (1.0 - cfg.server_beta1 ** state.updates)
+    return global_flat - cfg.server_lr * m_hat / (np.sqrt(state.v) + cfg.server_eps)
+
+
+@pytest.mark.parametrize("n", [1, 1000, 2 * BLOCK + 123])
+@pytest.mark.parametrize("strategy", ["fedadam", "fedyogi"])
+def test_blocked_aggregation_bit_equals_whole_vector_oracle(n, strategy):
+    rng = np.random.default_rng(n)
+    cfg = FedConfig(strategy=strategy, n_clients=3, server_lr=0.01)
+    state, oracle = (ServerOptState(np.zeros(n), np.zeros(n)) for _ in range(2))
+    g = rng.normal(size=n)
+    for _ in range(5):
+        ups = [(g + rng.normal(size=n) * 10.0 ** rng.uniform(-4, 1), w)
+               for w in rng.integers(1, 50, size=3)]
+        ups[0][0][rng.random(n) < 0.2] = 0.0
+        assert np.array_equal(fedavg_aggregate(ups), _fedavg_oracle(ups))
+        out = server_opt_aggregate(g, ups, state, cfg)
+        expected = _server_opt_oracle(g, ups, oracle, cfg)
+        assert np.array_equal(out, expected)
+        assert np.array_equal(state.m, oracle.m) and np.array_equal(state.v, oracle.v)
+        g = out
+
+
+def test_aggregation_allocates_less_than_two_parameter_vectors():
+    n = 2_173_956  # the paper-width denoiser's parameter count
+    rng = np.random.default_rng(0)
+    g = rng.normal(size=n)
+    ups = [(rng.normal(size=n), w) for w in (3, 1, 2)]
+    state = ServerOptState(np.zeros(n), np.zeros(n))
+    for strategy in ("fedadam", "fedyogi"):
+        tracemalloc.start()
+        try:
+            fedavg_aggregate(ups)
+            server_opt_aggregate(g, ups, state, FedConfig(strategy=strategy, n_clients=3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * g.nbytes
 
 
 def test_server_opt_rejects_wrong_strategy():

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsynth.errors import DivergenceError, ValidationError
-from fedsynth.nn import (AdamState, DenoiserParams, GradientVector, adam_step,
+from fedsynth.nn import (BLOCK, AdamState, DenoiserParams, GradientVector, adam_step,
                          forward, init_denoiser, per_sample_grads,
                          time_embed, TrainingSample)
 
@@ -321,6 +323,45 @@ def test_adam_two_steps_closed_form():
     v = b2 * v + (1 - b2) * g2**2
     x = x - 0.1 * (m / (1 - b1**2)) / (np.sqrt(v / (1 - b2**2)) + eps)
     np.testing.assert_allclose(p, x, rtol=1e-12)
+
+
+def _adam_oracle(flat_params, state, g):
+    """The unblocked whole-vector update: a P-sized temporary per operation."""
+    state.t += 1
+    state.m *= state.beta1
+    state.m += (1.0 - state.beta1) * g
+    state.v *= state.beta2
+    state.v += (1.0 - state.beta2) * g * g
+    m_hat = state.m / (1.0 - state.beta1 ** state.t)
+    v_hat = state.v / (1.0 - state.beta2 ** state.t)
+    flat_params -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+
+
+@pytest.mark.parametrize("n", [1, 1000, 2 * BLOCK + 123])
+def test_adam_blocked_bit_equals_whole_vector_update(n):
+    rng = np.random.default_rng(n)
+    p = rng.normal(size=n)
+    expected, state, oracle = p.copy(), AdamState.zeros(n, lr=0.01), AdamState.zeros(n, lr=0.01)
+    for _ in range(5):
+        g = rng.normal(size=n) * 10.0 ** rng.uniform(-6, 2, size=n)
+        g[rng.random(n) < 0.1] = 0.0
+        adam_step(p, state, GradientVector(g))
+        _adam_oracle(expected, oracle, g)
+        assert np.array_equal(p, expected)
+        assert np.array_equal(state.m, oracle.m) and np.array_equal(state.v, oracle.v)
+
+
+def test_adam_step_allocates_less_than_one_parameter_vector():
+    n = 2_173_956  # the paper-width denoiser's parameter count
+    rng = np.random.default_rng(0)
+    p, g, state = rng.normal(size=n), GradientVector(rng.normal(size=n)), AdamState.zeros(n)
+    tracemalloc.start()
+    try:
+        adam_step(p, state, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < p.nbytes
 
 
 def test_adam_rejects_nonfinite_gradient():
