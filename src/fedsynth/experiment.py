@@ -33,7 +33,7 @@ from .dp import DpConfig, RdpAccountant
 from .errors import CheckpointError, FedsynthError, ValidationError
 from .federation import FedConfig, FederatedState, make_client_datasets
 from .metrics import MetricsReport, evaluate_tables
-from .nn import AdamState, DenoiserParams, forward, init_denoiser
+from .nn import AdamState, DenoiserParams, forward, init_denoiser, layer_buffers
 from .store import (canonical_json, json_digest, load_arrays, read_json,
                     save_arrays, write_json)
 
@@ -264,10 +264,16 @@ def save_checkpoint(path, state: FederatedState, config_digest: str,
     save_arrays(path, arrays, meta)
 
 
-def load_checkpoint(path) -> tuple:
-    arrays, meta = load_arrays(path)
+def _read_checkpoint(path, names=None) -> tuple:
+    """``load_arrays`` of a training checkpoint, optionally of some arrays only."""
+    arrays, meta = load_arrays(path, names)
     if meta.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path!r} is not a training checkpoint")
+    return arrays, meta
+
+
+def load_checkpoint(path) -> tuple:
+    arrays, meta = _read_checkpoint(path)
     clients = []
     for cm in meta["clients"]:
         cid = cm["client_id"]
@@ -435,10 +441,11 @@ def cmd_generate(config: ExperimentConfig, checkpoint_path: str | None = None,
     _require(paths["pipeline"], "prepare")
     _require(checkpoint_path, "train")
     pipeline = EncodingPipeline.load(paths["pipeline"])
-    state, meta = load_checkpoint(checkpoint_path)
+    # sampling reads only the global model: no client state, no accountant
+    arrays, meta = _read_checkpoint(checkpoint_path, names=("global_flat",))
     if meta["pipeline_digest"] != pipeline.digest:
         raise CheckpointError("checkpoint does not match the fitted pipeline")
-    params = state.params
+    params = DenoiserParams.from_flat(arrays["global_flat"], meta["manifest"])
     if params.d_enc != pipeline.encoded_width:
         raise CheckpointError("checkpoint width does not match the pipeline schema")
 
@@ -446,8 +453,11 @@ def cmd_generate(config: ExperimentConfig, checkpoint_path: str | None = None,
     seed = seed if seed is not None else config.seeds.model
     if seed < 0:
         raise ValidationError("seed must be non-negative")
+    if n_rows < 1:
+        raise ValidationError("n_rows must be >= 1")
     rng = np.random.default_rng([seed, 0])  # block 0; blocks would be [seed, b]
-    encoded = diff.generate(lambda x, t: forward(params, x, t),
+    buffers = layer_buffers(params, n_rows)
+    encoded = diff.generate(lambda x, t: forward(params, x, t, buffers),
                             n_rows, params.d_enc, config.diffusion.schedule(), rng)
     table = pipeline.decode(encoded, embeddings=params.embeddings)
     out_path = out_path or paths["synthetic"]

@@ -233,6 +233,21 @@ def _sampling_rate(fed_cfg: FedConfig, n_samples: int) -> float:
     return min(1.0, fed_cfg.batch_size / n_samples)
 
 
+def _add_proximal_term(grad: np.ndarray, flat: np.ndarray, anchor: np.ndarray,
+                       mu: float) -> None:
+    """grad += mu * (flat - anchor), in place, block by block.
+
+    Each element gets the operations of the whole-vector expression, so the
+    result is bit-equal to it, without its three P-sized temporaries. The
+    scratch block dies on return, before the Adam step allocates its own.
+    """
+    for s, (term,) in blocks(grad.size, 1):
+        np.subtract(flat[s], anchor[s], out=term)
+        term *= mu
+        acc = grad[s]
+        acc += term
+
+
 def client_local_update(global_flat: np.ndarray, manifest: dict,
                         client: ClientState, data: ClientDataset,
                         schedule: NoiseSchedule, fed_cfg: FedConfig,
@@ -283,7 +298,7 @@ def client_local_update(global_flat: np.ndarray, manifest: dict,
             grad = GradientVector(grads.weighted_sum(np.ones(len(grads))) / len(grads))
             post_norms.append(grads.norms)
         if fed_cfg.strategy == "fedprox" and fed_cfg.prox_mu != 0.0:
-            grad = GradientVector(grad.values + fed_cfg.prox_mu * (flat - anchor))
+            _add_proximal_term(grad.values, flat, anchor, fed_cfg.prox_mu)
         adam_step(flat, client.adam, grad)
         if not np.all(np.isfinite(flat)):
             raise DivergenceError(

@@ -214,26 +214,41 @@ def init_denoiser(d_enc: int, hidden_width: int = DEFAULT_HIDDEN,
     return params
 
 
-def forward(params: DenoiserParams, x, t) -> np.ndarray:
-    """Predicted noise for input x_t at step t. Pure function.
+def layer_buffers(params: DenoiserParams, n_rows: int) -> list:
+    """One (n_rows, fan_out) output buffer per layer, for ``forward``."""
+    return [np.empty((n_rows, w.shape[1])) for w in params.weights]
+
+
+def forward(params: DenoiserParams, x, t, buffers: list | None = None) -> np.ndarray:
+    """Predicted noise for input x_t at step t.
 
     ``x`` may be a single row (d_enc,) or a batch (B, d_enc); ``t`` a scalar
-    or per-row array.
+    or per-row array. The first layer's input is [x_t, time_embed(t)], so it
+    is computed as x @ W1[:d_enc] + (time_embed(t) @ W1[d_enc:] + b1): one
+    time row per call for a scalar t, one per row for per-row t.
+
+    Each layer is written into ``buffers`` (from ``layer_buffers`` for B
+    rows), or into buffers allocated here when none are given. The result is
+    (a view of) the last buffer: a call with the same buffers overwrites it,
+    so copy it first if it must outlive the next call.
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     xb = np.atleast_2d(x)
-    if xb.shape[1] != params.d_enc:
-        raise ValidationError(f"input width {xb.shape[1]} != d_enc {params.d_enc}")
-    te = np.atleast_2d(time_embed(t, params.time_dim))
-    if te.shape[0] == 1 and xb.shape[0] > 1:
-        te = np.broadcast_to(te, (xb.shape[0], te.shape[1]))
-    h = np.hstack([xb, te])
-    last = len(params.weights) - 1
-    for li, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w + b
-        if li < last:
-            h = np.maximum(h, 0.0)
+    d = params.d_enc
+    if xb.shape[1] != d:
+        raise ValidationError(f"input width {xb.shape[1]} != d_enc {d}")
+    if buffers is None:
+        buffers = layer_buffers(params, xb.shape[0])
+    w1 = params.weights[0]
+    time_rows = np.atleast_2d(time_embed(t, params.time_dim)) @ w1[d:]
+    time_rows += params.biases[0]
+    h = np.matmul(xb, w1[:d], out=buffers[0])
+    h += time_rows
+    for w, b, out in zip(params.weights[1:], params.biases[1:], buffers[1:]):
+        np.maximum(h, 0.0, out=h)
+        h = np.matmul(h, w, out=out)
+        h += b
     return h[0] if single else h
 
 

@@ -21,6 +21,8 @@ from .errors import CheckpointError
 
 _EPOCH = (1980, 1, 1, 0, 0, 0)
 _META_MEMBER = "meta.json"
+# bytes per read when a member is read to its end without being decoded
+_DRAIN_CHUNK = 1 << 20
 
 
 def canonical_json(obj) -> str:
@@ -89,24 +91,26 @@ def save_arrays(path, arrays: dict, meta: dict | None = None) -> None:
                 np.lib.format.write_array(member, arr, allow_pickle=False)
 
 
-def load_arrays(path) -> tuple[dict, dict]:
+def load_arrays(path, names=None) -> tuple[dict, dict]:
     """Read back ``(arrays, meta)`` written by :func:`save_arrays`.
 
-    Arrays are read straight from each member's stream; the member is read to
-    its end, where zipfile checks its CRC.
+    Arrays are read straight from each member's stream. With ``names``, only
+    those arrays are decoded. Every member, decoded or not, is read to its
+    end, where zipfile checks its CRC, so a corrupted archive fails either way.
     """
     arrays: dict = {}
     meta: dict = {}
     try:
         with zipfile.ZipFile(path, "r") as zf:
             for name in zf.namelist():
+                key = name[: -len(".npy")] if name.endswith(".npy") else None
                 with zf.open(name) as member:
                     if name == _META_MEMBER:
                         meta = json.load(member)
-                    elif name.endswith(".npy"):
-                        arrays[name[: -len(".npy")]] = np.lib.format.read_array(
-                            member, allow_pickle=False)
-                        member.read()
+                    elif key is not None and (names is None or key in names):
+                        arrays[key] = np.lib.format.read_array(member, allow_pickle=False)
+                    while member.read(_DRAIN_CHUNK):
+                        pass
     except (OSError, zipfile.BadZipFile, ValueError) as exc:
         raise CheckpointError(f"cannot read array archive {path!r}: {exc}") from exc
     return arrays, meta

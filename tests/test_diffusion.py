@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -5,6 +7,7 @@ from scipy import stats
 from fedsynth.diffusion import (NoiseSchedule, generate, linear_schedule,
                                 make_training_example, p_sample_step, q_sample)
 from fedsynth.errors import DivergenceError, ValidationError
+from fedsynth.nn import forward, init_denoiser, layer_buffers
 
 # Cumulative signal of the default 500-step linear schedule, frozen from an
 # independent high-precision computation.
@@ -216,3 +219,24 @@ def test_generate_shapes_and_determinism():
     np.testing.assert_array_equal(a, b)
     with pytest.raises(ValidationError):
         generate(fn, 0, 3, sched, np.random.default_rng(0))
+
+
+def test_generate_with_buffered_forward_allocates_no_layer_sized_array():
+    """The reverse chain's peak does not grow with T and stays below one
+    (B, H) array: every layer is written into buffers allocated up front."""
+    n_rows, hidden = 1000, 128
+    params = init_denoiser(6, hidden_width=hidden, n_hidden=3,
+                           rng=np.random.default_rng(0))
+    buffers = layer_buffers(params, n_rows)
+    layer_bytes = n_rows * hidden * 8
+    peaks = []
+    for timesteps in (10, 200):
+        tracemalloc.start()
+        try:
+            generate(lambda x, t: forward(params, x, t, buffers), n_rows, 6,
+                     linear_schedule(timesteps), np.random.default_rng(1))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < layer_bytes
+    assert max(peaks) < layer_bytes

@@ -1,19 +1,23 @@
 import json
 import math
 import os
+import struct
+import zipfile
 
 import numpy as np
 import pytest
 
-from fedsynth import cli, experiment, federation
+from fedsynth import cli, diffusion, experiment, federation
 from fedsynth.data import load_csv, write_csv
+from fedsynth.dp import RdpAccountant
 from fedsynth.errors import CheckpointError, DivergenceError, ValidationError
 from fedsynth.experiment import (OUTPUT_ROOT_ENV, ExperimentConfig, Seeds,
                                  cmd_evaluate, cmd_generate, cmd_prepare,
                                  cmd_sweep, cmd_train, desk_preset,
                                  run_pipeline)
 from fedsynth.fixtures import gaussian_mixture_table
-from fedsynth.store import read_json
+from fedsynth.nn import init_denoiser
+from fedsynth.store import load_arrays, read_json, save_arrays
 
 
 @pytest.fixture()
@@ -264,6 +268,103 @@ def test_generate_seed_and_rows_override(workspace):
     base = cmd_generate(cfg, n_rows=7,
                         out_path=str(workspace["tmp"] / "base.csv"))
     assert open(alt, "rb").read() != open(base, "rb").read()
+
+
+@pytest.fixture()
+def dp_run(workspace):
+    """A trained run with accounting on, so its checkpoint holds accountants."""
+    cfg = _fast_config(workspace, out="dp_run",
+                       **{"dp.epsilon": 50.0, "dp.noise_multiplier": 1.0})
+    cmd_prepare(cfg)
+    cmd_train(cfg)
+    return cfg
+
+
+def _checkpoint(cfg):
+    return os.path.join(cfg.resolved_output_dir(), "checkpoint.npz")
+
+
+def _foreign_format(arrays, meta):
+    meta["format"] = "not-a-training-checkpoint"
+
+
+def _other_pipeline(arrays, meta):
+    meta["pipeline_digest"] = "0" * 64
+
+
+def _wider_model(arrays, meta):
+    d_enc = meta["manifest"]["weights"][-1][1]
+    wider = init_denoiser(d_enc + 1, hidden_width=16, n_hidden=2, time_dim=8)
+    arrays["global_flat"], meta["manifest"] = wider.flatten(), wider.manifest()
+
+
+@pytest.mark.parametrize("edit", [_foreign_format, _other_pipeline, _wider_model])
+def test_generate_rejects_checkpoint_it_cannot_sample(dp_run, edit):
+    arrays, meta = load_arrays(_checkpoint(dp_run))
+    edit(arrays, meta)
+    edited = os.path.join(dp_run.resolved_output_dir(), "edited.npz")
+    save_arrays(edited, arrays, meta)
+    with pytest.raises(CheckpointError):
+        cmd_generate(dp_run, checkpoint_path=edited)
+
+
+def test_generate_rejects_nonpositive_row_count(dp_run):
+    for n_rows in (0, -3):  # before any layer buffer is allocated
+        with pytest.raises(ValidationError):
+            cmd_generate(dp_run, n_rows=n_rows)
+
+
+def test_generate_checks_crc_of_members_it_does_not_decode(dp_run):
+    path = _checkpoint(dp_run)
+    raw = bytearray(open(path, "rb").read())
+    with zipfile.ZipFile(path) as zf:
+        info = zf.getinfo("adam_m_0.npy")
+    # local file header: 30 fixed bytes, then the name and the extra field
+    name_len, extra_len = struct.unpack("<HH", raw[info.header_offset + 26:
+                                                   info.header_offset + 30])
+    data_start = info.header_offset + 30 + name_len + extra_len
+    raw[data_start + info.file_size // 2] ^= 0x01
+    open(path, "wb").write(bytes(raw))
+    with pytest.raises(CheckpointError):
+        cmd_generate(dp_run)
+
+
+def test_generate_rebuilds_no_accountant(dp_run, monkeypatch):
+    calls = []
+    account_step = RdpAccountant.account_step
+
+    def spy(self, *args, **kwargs):
+        calls.append(args)
+        return account_step(self, *args, **kwargs)
+
+    monkeypatch.setattr(RdpAccountant, "account_step", spy)
+    cmd_generate(dp_run)
+    assert calls == []
+    experiment.load_checkpoint(_checkpoint(dp_run))  # the spy does see a rebuild
+    assert calls
+
+
+def test_generate_feeds_the_benchmark_probes(dp_run, monkeypatch):
+    """The benchmark wraps experiment.forward, reading its second argument
+    as the batch, and diffusion.p_sample_step; each runs once per step."""
+    forward_args, steps = [], []
+    forward, p_sample_step = experiment.forward, diffusion.p_sample_step
+
+    def counting_forward(*args, **kwargs):
+        forward_args.append(args[1].shape)
+        return forward(*args, **kwargs)
+
+    def counting_step(*args, **kwargs):
+        steps.append(1)
+        return p_sample_step(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "forward", counting_forward)
+    monkeypatch.setattr(diffusion, "p_sample_step", counting_step)
+    cmd_generate(dp_run)
+    d_enc = load_arrays(_checkpoint(dp_run))[1]["manifest"]["weights"][-1][1]
+    timesteps = dp_run.diffusion.timesteps
+    assert forward_args == [(dp_run.n_rows, d_enc)] * timesteps
+    assert len(steps) == timesteps
 
 
 def test_evaluate_self_report(workspace, tmp_path):

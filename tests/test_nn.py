@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fedsynth.errors import DivergenceError, ValidationError
 from fedsynth.nn import (BLOCK, AdamState, DenoiserParams, GradientVector, adam_step,
-                         forward, init_denoiser, per_sample_grads,
+                         forward, init_denoiser, layer_buffers, per_sample_grads,
                          time_embed, TrainingSample)
 
 
@@ -112,6 +112,61 @@ def test_forward_batch_matches_single():
     for i in range(4):
         np.testing.assert_allclose(batched[i], forward(params, xs[i], ts[i]),
                                    rtol=1e-14)
+
+
+def _concatenating_forward(params, x, t):
+    """Reference: the first layer reads the concatenated [x_t, time_embed(t)]."""
+    xb = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    te = np.atleast_2d(time_embed(t, params.time_dim))
+    if te.shape[0] == 1 and xb.shape[0] > 1:
+        te = np.broadcast_to(te, (xb.shape[0], te.shape[1]))
+    h = np.hstack([xb, te])
+    last = len(params.weights) - 1
+    for li, (w, b) in enumerate(zip(params.weights, params.biases)):
+        h = h @ w + b
+        if li < last:
+            h = np.maximum(h, 0.0)
+    return h[0] if np.ndim(x) == 1 else h
+
+
+def test_forward_with_buffers_equals_forward_without():
+    params = _tiny_net()
+    rng = np.random.default_rng(4)
+    xs = rng.normal(size=(6, 5))
+    buffers = layer_buffers(params, 6)
+    for t in (7, 2):  # two calls in a row into the same buffers
+        out = forward(params, xs, t, buffers)
+        assert out is buffers[-1]
+        assert np.array_equal(out, forward(params, xs, t))
+    ts = np.array([1, 5, 9, 2, 2, 40])
+    assert np.array_equal(forward(params, xs, ts, buffers), forward(params, xs, ts))
+    single = forward(params, xs[0], 3, layer_buffers(params, 1))
+    assert single.shape == (5,)
+    assert np.array_equal(single, forward(params, xs[0], 3))
+
+
+@settings(max_examples=50, deadline=None)
+@given(d_enc=st.integers(1, 6), width=st.integers(1, 9), depth=st.integers(1, 3),
+       half_time_dim=st.integers(1, 5), n_tables=st.integers(0, 2),
+       rows=st.integers(1, 5), per_row_t=st.booleans(), seed=st.integers(0, 2**16))
+def test_folded_time_embedding_matches_concatenating_forward(
+        d_enc, width, depth, half_time_dim, n_tables, rows, per_row_t, seed):
+    rng = np.random.default_rng(seed)
+    tables = [rng.normal(size=(3, 1)) for _ in range(min(n_tables, d_enc))]
+    params = init_denoiser(d_enc, hidden_width=width, n_hidden=depth,
+                           time_dim=2 * half_time_dim, embeddings=tables, rng=rng)
+    for b in params.biases:
+        b[:] = rng.normal(size=b.shape)
+    x = rng.normal(size=(rows, d_enc))
+    t = rng.integers(1, 500, size=rows) if per_row_t else int(rng.integers(1, 500))
+    expected = _concatenating_forward(params, x, t)
+    # layer 1 sums its terms in another order; the atol covers an output
+    # entry that cancels to near zero
+    tol = {"rtol": 1e-12, "atol": 1e-12 * np.abs(expected).max()}
+    np.testing.assert_allclose(forward(params, x, t), expected, **tol)
+    t0 = t[0] if per_row_t else t
+    np.testing.assert_allclose(forward(params, x[0], t0),
+                               _concatenating_forward(params, x[0], t0), **tol)
 
 
 # ---------------------------------------------------------------------------

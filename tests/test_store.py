@@ -141,6 +141,20 @@ def test_load_arrays_rejects_flipped_payload_byte(tmp_path):
         load_arrays(path)
 
 
+def test_load_arrays_decodes_only_named_members_but_checks_every_crc(tmp_path):
+    path = tmp_path / "ck.npz"
+    arrays = {"a": np.arange(5.0), "b": np.linspace(0.0, 1.0, 4096), "c": np.ones(3)}
+    save_arrays(path, arrays, {"round": 1})
+    got, meta = load_arrays(path, names=("a", "c"))
+    assert meta == {"round": 1} and sorted(got) == ["a", "c"]
+    assert np.array_equal(got["a"], arrays["a"]) and np.array_equal(got["c"], arrays["c"])
+    raw = bytearray(path.read_bytes())
+    raw[len(raw) // 2] ^= 0x01  # inside b.npy's data, which is not decoded
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError):
+        load_arrays(path, names=("a", "c"))
+
+
 def test_load_arrays_rejects_truncated_file(tmp_path):
     path = tmp_path / "ck.npz"
     save_arrays(path, {"w": np.linspace(0.0, 1.0, 4096)}, {"round": 1})
