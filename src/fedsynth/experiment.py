@@ -75,6 +75,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.hidden_width < 1 or self.n_hidden < 1:
             raise ValidationError("model width/depth must be >= 1")
+        # sine/cosine pairs: 0 would train a denoiser with no time input
+        if not isinstance(self.time_dim, int) or self.time_dim < 2 or self.time_dim % 2:
+            raise ValidationError(
+                f"model.time_dim must be a positive even integer, got {self.time_dim!r}")
 
 
 @dataclass(frozen=True)
@@ -456,8 +460,12 @@ def cmd_generate(config: ExperimentConfig, checkpoint_path: str | None = None,
     if n_rows < 1:
         raise ValidationError("n_rows must be >= 1")
     rng = np.random.default_rng([seed, 0])  # block 0; blocks would be [seed, b]
-    buffers = layer_buffers(params, n_rows)
-    encoded = diff.generate(lambda x, t: forward(params, x, t, buffers),
+    # The denoiser runs on a float32 copy (sampling is post-processing, so
+    # precision does not touch ε); the chain's update, its noise and decode
+    # stay float64, and decode reads the checkpoint's float64 tables.
+    sampler = params.astype(np.float32)
+    buffers = layer_buffers(sampler, n_rows)
+    encoded = diff.generate(lambda x, t: forward(sampler, x, t, buffers),
                             n_rows, params.d_enc, config.diffusion.schedule(), rng)
     table = pipeline.decode(encoded, embeddings=params.embeddings)
     out_path = out_path or paths["synthetic"]

@@ -300,6 +300,7 @@ def client_local_update(global_flat: np.ndarray, manifest: dict,
         if fed_cfg.strategy == "fedprox" and fed_cfg.prox_mu != 0.0:
             _add_proximal_term(grad.values, flat, anchor, fed_cfg.prox_mu)
         adam_step(flat, client.adam, grad)
+        del grad  # else it stays alive while the next step builds its own
         if not np.all(np.isfinite(flat)):
             raise DivergenceError(
                 f"client {client.client_id} diverged at local step {step}")

@@ -9,6 +9,11 @@ of the sample's vocabulary row and its slice of the x_t delta. Norms and
 weighted sums are computed from those factors, so the (B, P) matrix of
 per-sample gradients is never built. The tables are part of the one
 parameter buffer and receive gradient through the x_t that was built from them.
+
+Training is float64 throughout: ``DenoiserParams.from_flat`` always yields a
+float64 buffer. ``forward`` and ``layer_buffers`` follow the dtype of the
+params they are given, so sampling runs the denoiser on a float32 copy
+(``DenoiserParams.astype``) while the reverse chain around it stays float64.
 """
 
 from __future__ import annotations
@@ -187,6 +192,15 @@ class DenoiserParams:
         weights, biases, embeddings = _layout(flat, manifest)
         return cls(flat, weights, biases, embeddings, int(manifest["time_dim"]))
 
+    def astype(self, dtype) -> "DenoiserParams":
+        """A copy of every parameter in ``dtype``, laid out like this one.
+
+        For inference only: ``forward`` on the copy computes in ``dtype``.
+        Training reads params from ``from_flat``, which is always float64.
+        """
+        flat = self.flat.astype(dtype)
+        return type(self)(flat, *_layout(flat, self.manifest()), self.time_dim)
+
 
 def init_denoiser(d_enc: int, hidden_width: int = DEFAULT_HIDDEN,
                   n_hidden: int = DEFAULT_N_HIDDEN, time_dim: int = DEFAULT_TIME_DIM,
@@ -215,8 +229,8 @@ def init_denoiser(d_enc: int, hidden_width: int = DEFAULT_HIDDEN,
 
 
 def layer_buffers(params: DenoiserParams, n_rows: int) -> list:
-    """One (n_rows, fan_out) output buffer per layer, for ``forward``."""
-    return [np.empty((n_rows, w.shape[1])) for w in params.weights]
+    """One (n_rows, fan_out) output buffer per layer, for ``forward``, in the params' dtype."""
+    return [np.empty((n_rows, w.shape[1]), dtype=w.dtype) for w in params.weights]
 
 
 def forward(params: DenoiserParams, x, t, buffers: list | None = None) -> np.ndarray:
@@ -231,8 +245,14 @@ def forward(params: DenoiserParams, x, t, buffers: list | None = None) -> np.nda
     rows), or into buffers allocated here when none are given. The result is
     (a view of) the last buffer: a call with the same buffers overwrites it,
     so copy it first if it must outlive the next call.
+
+    The arithmetic runs in the dtype of ``params.flat``: ``x`` and the time
+    rows are cast to it, and the result has it. float64 params give float64
+    throughout; a float32 copy (``DenoiserParams.astype``) gives a float32
+    result, which callers that need float64 upcast.
     """
-    x = np.asarray(x, dtype=np.float64)
+    dtype = params.flat.dtype
+    x = np.asarray(x, dtype=dtype)
     single = x.ndim == 1
     xb = np.atleast_2d(x)
     d = params.d_enc
@@ -241,7 +261,8 @@ def forward(params: DenoiserParams, x, t, buffers: list | None = None) -> np.nda
     if buffers is None:
         buffers = layer_buffers(params, xb.shape[0])
     w1 = params.weights[0]
-    time_rows = np.atleast_2d(time_embed(t, params.time_dim)) @ w1[d:]
+    time_emb = np.atleast_2d(time_embed(t, params.time_dim)).astype(dtype, copy=False)
+    time_rows = time_emb @ w1[d:]
     time_rows += params.biases[0]
     h = np.matmul(xb, w1[:d], out=buffers[0])
     h += time_rows

@@ -70,9 +70,10 @@ def save_arrays(path, arrays: dict, meta: dict | None = None) -> None:
     Members are stored uncompressed in sorted name order with a constant
     timestamp, so the file bytes depend only on the content. Each ``.npy``
     member is streamed straight into the archive on disk, so no in-memory
-    copy of the archive or of a member is made; the bytes are those of
-    ``ZipFile.writestr`` with the member's ``np.lib.format.write_array``
-    output.
+    copy of the archive or of a member is made: NumPy's format-1.0 header
+    writer writes the header and the payload goes from the array's own
+    memory. The bytes are those of ``ZipFile.writestr`` with the member's
+    ``np.lib.format.write_array`` output.
     """
     with _replacing(path, "wb") as fh, \
             zipfile.ZipFile(fh, "w", compression=zipfile.ZIP_STORED) as zf:
@@ -87,8 +88,16 @@ def save_arrays(path, arrays: dict, meta: dict | None = None) -> None:
             # .npy header moves that choice only for members within a header
             # of the ~2 GB threshold
             info.file_size = arr.nbytes
+            if arr.dtype.hasobject:
+                raise ValueError("object arrays cannot be saved without pickling")
+            header = np.lib.format.header_data_from_array_1_0(arr)
+            # the payload is the array's memory in the order the header names,
+            # as write_array lays it out, but written from a view, not copied
+            # out chunk by chunk
+            payload = np.ascontiguousarray(arr.T if header["fortran_order"] else arr)
             with zf.open(info, "w") as member:
-                np.lib.format.write_array(member, arr, allow_pickle=False)
+                np.lib.format.write_array_header_1_0(member, header)
+                member.write(payload.reshape(-1).view(np.uint8).data)
 
 
 def load_arrays(path, names=None) -> tuple[dict, dict]:

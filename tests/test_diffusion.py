@@ -223,20 +223,22 @@ def test_generate_shapes_and_determinism():
 
 def test_generate_with_buffered_forward_allocates_no_layer_sized_array():
     """The reverse chain's peak does not grow with T and stays below one
-    (B, H) array: every layer is written into buffers allocated up front."""
+    (B, H) array of the denoiser's dtype, float64 or float32: every layer is
+    written into buffers allocated up front."""
     n_rows, hidden = 1000, 128
-    params = init_denoiser(6, hidden_width=hidden, n_hidden=3,
-                           rng=np.random.default_rng(0))
-    buffers = layer_buffers(params, n_rows)
-    layer_bytes = n_rows * hidden * 8
-    peaks = []
-    for timesteps in (10, 200):
-        tracemalloc.start()
-        try:
-            generate(lambda x, t: forward(params, x, t, buffers), n_rows, 6,
-                     linear_schedule(timesteps), np.random.default_rng(1))
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert abs(peaks[1] - peaks[0]) < layer_bytes
-    assert max(peaks) < layer_bytes
+    for dtype in (np.float64, np.float32):
+        params = init_denoiser(6, hidden_width=hidden, n_hidden=3,
+                               rng=np.random.default_rng(0)).astype(dtype)
+        buffers = layer_buffers(params, n_rows)
+        layer_bytes = n_rows * hidden * np.dtype(dtype).itemsize
+        peaks = []
+        for timesteps in (10, 200):
+            tracemalloc.start()
+            try:
+                generate(lambda x, t: forward(params, x, t, buffers), n_rows, 6,
+                         linear_schedule(timesteps), np.random.default_rng(1))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < layer_bytes, dtype
+        assert max(peaks) < layer_bytes, dtype

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fedsynth import cli, diffusion, experiment, federation
-from fedsynth.data import load_csv, write_csv
+from fedsynth.data import EncodingPipeline, load_csv, write_csv
 from fedsynth.dp import RdpAccountant
 from fedsynth.errors import CheckpointError, DivergenceError, ValidationError
 from fedsynth.experiment import (OUTPUT_ROOT_ENV, ExperimentConfig, Seeds,
@@ -16,7 +16,7 @@ from fedsynth.experiment import (OUTPUT_ROOT_ENV, ExperimentConfig, Seeds,
                                  cmd_sweep, cmd_train, desk_preset,
                                  run_pipeline)
 from fedsynth.fixtures import gaussian_mixture_table
-from fedsynth.nn import init_denoiser
+from fedsynth.nn import DenoiserParams, forward, init_denoiser
 from fedsynth.store import load_arrays, read_json, save_arrays
 
 
@@ -314,6 +314,50 @@ def test_generate_rejects_nonpositive_row_count(dp_run):
             cmd_generate(dp_run, n_rows=n_rows)
 
 
+def _global_params(cfg, path=None):
+    arrays, meta = load_arrays(path or _checkpoint(cfg))
+    return DenoiserParams.from_flat(arrays["global_flat"], meta["manifest"]), arrays, meta
+
+
+def test_generate_decodes_with_the_checkpoints_float64_tables(dp_run, monkeypatch):
+    seen = {}
+    decode = EncodingPipeline.decode
+
+    def spy(self, encoded, embeddings=None):
+        seen["encoded"], seen["tables"] = encoded, embeddings
+        return decode(self, encoded, embeddings=embeddings)
+
+    monkeypatch.setattr(EncodingPipeline, "decode", spy)
+    cmd_generate(dp_run)
+    expected = _global_params(dp_run)[0].embeddings
+    assert seen["encoded"].dtype == np.float64
+    assert len(seen["tables"]) == len(expected) > 0
+    for got, want in zip(seen["tables"], expected):
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+def test_generate_float32_overflow_exits_2_and_writes_no_csv(workspace, dp_run, capsys):
+    """Weights that overflow the float32 denoiser, though not float64, still
+    stop the chain at its non-finite check."""
+    params, arrays, meta = _global_params(dp_run)
+    for w in params.weights:  # views into arrays["global_flat"]
+        w *= 1e14
+    x_top = np.random.default_rng(0).standard_normal((dp_run.n_rows, params.d_enc))
+    t_top = dp_run.diffusion.timesteps
+    assert np.all(np.isfinite(forward(params, x_top, t_top)))
+    assert not np.all(np.isfinite(forward(params.astype(np.float32), x_top, t_top)))
+    edited = os.path.join(dp_run.resolved_output_dir(), "huge.npz")
+    save_arrays(edited, arrays, meta)
+    out = os.path.join(dp_run.resolved_output_dir(), "huge.csv")
+    with pytest.raises(DivergenceError, match="non-finite reverse sample"):
+        cmd_generate(dp_run, checkpoint_path=edited, out_path=out)
+    path = _write_cfg(workspace, dp_run, "huge.json")
+    assert cli.main(["generate", "-c", path, "--checkpoint", edited, "--out", out]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_generate_checks_crc_of_members_it_does_not_decode(dp_run):
     path = _checkpoint(dp_run)
     raw = bytearray(open(path, "rb").read())
@@ -346,12 +390,13 @@ def test_generate_rebuilds_no_accountant(dp_run, monkeypatch):
 
 def test_generate_feeds_the_benchmark_probes(dp_run, monkeypatch):
     """The benchmark wraps experiment.forward, reading its second argument
-    as the batch, and diffusion.p_sample_step; each runs once per step."""
+    as the batch (the chain's float64 x), and diffusion.p_sample_step; each
+    runs once per step."""
     forward_args, steps = [], []
     forward, p_sample_step = experiment.forward, diffusion.p_sample_step
 
     def counting_forward(*args, **kwargs):
-        forward_args.append(args[1].shape)
+        forward_args.append((args[1].shape, args[1].dtype))
         return forward(*args, **kwargs)
 
     def counting_step(*args, **kwargs):
@@ -363,7 +408,7 @@ def test_generate_feeds_the_benchmark_probes(dp_run, monkeypatch):
     cmd_generate(dp_run)
     d_enc = load_arrays(_checkpoint(dp_run))[1]["manifest"]["weights"][-1][1]
     timesteps = dp_run.diffusion.timesteps
-    assert forward_args == [(dp_run.n_rows, d_enc)] * timesteps
+    assert forward_args == [((dp_run.n_rows, d_enc), np.float64)] * timesteps
     assert len(steps) == timesteps
 
 
@@ -489,6 +534,19 @@ def test_cli_bad_attack_count_or_seed_exits_1(workspace, capsys):
     capsys.readouterr()
     assert cli.main(["generate", "-c", path, "--seed", "-1"]) == 1
     assert "seed must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("time_dim", [-2, 0, 3])
+def test_config_rejects_time_dim_not_positive_even(workspace, time_dim):
+    with pytest.raises(ValidationError, match="time_dim"):
+        _fast_config(workspace, **{"model.time_dim": time_dim})
+
+
+@pytest.mark.parametrize("time_dim", ["-2", "0", "3"])
+def test_cli_bad_time_dim_exits_1(workspace, capsys, time_dim):
+    path = _write_cfg(workspace, _fast_config(workspace), "time_dim.json")
+    assert cli.main(["prepare", "-c", path, "-s", f"model.time_dim={time_dim}"]) == 1
+    assert "time_dim" in capsys.readouterr().err
 
 
 def test_config_rejects_nonpositive_n_attacks(workspace):

@@ -322,6 +322,29 @@ def test_fedprox_dp_step_peaks_within_one_block_of_fedavg():
     assert peaks["fedprox"] <= peaks["fedavg"] + BLOCK * 8
 
 
+def test_two_step_dp_update_peaks_within_one_block_of_one_step():
+    """Keeping the previous step's batch gradient alive while the next one
+    was built peaked one parameter vector higher here (3.10 against 2.20)."""
+    datasets, _, schedule = _tiny_setup(n_clients=1, n_per=30)
+    params = init_denoiser(3, hidden_width=512, n_hidden=3, time_dim=8,
+                           rng=np.random.default_rng(5))
+    dp_cfg = DpConfig(noise_multiplier=1.0)
+    peaks = {}
+    for local_steps in (1, 2):
+        fed_cfg = FedConfig(n_clients=1, rounds=1, local_steps=local_steps, batch_size=8)
+        state = init_state(params, datasets, fed_cfg, dp_cfg)
+        tracemalloc.start()
+        try:
+            _, stats = client_local_update(state.global_flat, state.manifest,
+                                           state.clients[0], datasets[0], schedule,
+                                           fed_cfg, dp_cfg, np.random.default_rng([7, 1, 0]))
+            peaks[local_steps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats["loss"] is not None
+    assert peaks[2] <= peaks[1] + BLOCK * 8
+
+
 def test_local_update_feeds_the_benchmark_probes(monkeypatch):
     """The benchmark wraps these three names in federation's namespace; its
     clip counter takes len() of privatize's first argument and reads .norm

@@ -169,6 +169,61 @@ def test_folded_time_embedding_matches_concatenating_forward(
                                _concatenating_forward(params, x[0], t0), **tol)
 
 
+def test_astype_copies_into_one_buffer_and_from_flat_stays_float64():
+    params = _tiny_net()
+    low = params.astype(np.float32)
+    assert low.manifest() == params.manifest()
+    for arr in [low.flat] + low.weights + low.biases + low.embeddings:
+        assert arr.dtype == np.float32
+    assert np.shares_memory(low.weights[0], low.flat)
+    assert not np.shares_memory(low.flat, params.flat)
+    np.testing.assert_array_equal(low.flat, params.flat.astype(np.float32))
+    # training state never comes back as float32
+    back = DenoiserParams.from_flat(low.flat, params.manifest())
+    for arr in [back.flat] + back.weights + back.biases + back.embeddings:
+        assert arr.dtype == np.float64
+    np.testing.assert_array_equal(back.flat, low.flat)
+
+
+def _abs_forward(params, x, t):
+    """The network on |x|, |time row| and |parameters|, without ReLU: each
+    output bounds the size of the sums that produce it, which is what
+    rounding errors scale with."""
+    d = params.d_enc
+    w1 = params.weights[0]
+    h = (np.abs(x) @ np.abs(w1[:d])
+         + np.abs(np.atleast_2d(time_embed(t, params.time_dim))) @ np.abs(w1[d:])
+         + np.abs(params.biases[0]))
+    for w, b in zip(params.weights[1:], params.biases[1:]):
+        h = h @ np.abs(w) + np.abs(b)
+    return h
+
+
+@settings(max_examples=60, deadline=None)
+@given(d_enc=st.integers(1, 8), width=st.integers(1, 64), depth=st.integers(1, 3),
+       half_time_dim=st.integers(1, 8), n_tables=st.integers(0, 2),
+       rows=st.integers(1, 8), per_row_t=st.booleans(), seed=st.integers(0, 2**16))
+def test_float32_forward_matches_float64_forward(
+        d_enc, width, depth, half_time_dim, n_tables, rows, per_row_t, seed):
+    rng = np.random.default_rng(seed)
+    tables = [rng.normal(size=(3, 1)) for _ in range(min(n_tables, d_enc))]
+    params = init_denoiser(d_enc, hidden_width=width, n_hidden=depth,
+                           time_dim=2 * half_time_dim, embeddings=tables, rng=rng)
+    for b in params.biases:
+        b[:] = rng.normal(size=b.shape)
+    low = params.astype(np.float32)
+    x = rng.normal(size=(rows, d_enc))
+    t = rng.integers(1, 500, size=rows) if per_row_t else int(rng.integers(1, 500))
+    expected = forward(params, x, t)
+    got = forward(low, x, t, layer_buffers(low, rows))
+    assert got.dtype == np.float32 and expected.dtype == np.float64
+    # float32 rounds at 6e-8 relative; scaling by the largest output alone
+    # fails where an output's sum cancels (4e-5 seen over 40,000 draws),
+    # while against the summed magnitudes the error stayed below 1.2e-7
+    np.testing.assert_allclose(got, expected, rtol=0,
+                               atol=1e-5 * _abs_forward(params, x, t).max())
+
+
 # ---------------------------------------------------------------------------
 # Per-sample gradients vs central finite differences
 

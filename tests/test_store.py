@@ -120,6 +120,8 @@ def test_save_arrays_streamed_bytes_equal_in_memory_archive(tmp_path, meta):
         "ints": np.arange(-5, 7, dtype=np.int64),
         "c_order": np.arange(12.0).reshape(3, 4),
         "f_order": np.asfortranarray(np.arange(20.0).reshape(4, 5)),
+        "strided": np.arange(30.0).reshape(5, 6)[::2, ::3],
+        "float32": np.linspace(-1.0, 1.0, 7, dtype=np.float32),
     }
     path = tmp_path / "ck.npz"
     save_arrays(path, arrays, meta)
