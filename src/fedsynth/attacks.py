@@ -20,11 +20,11 @@ from .errors import ValidationError
 _Z95 = 1.959963984540054
 
 
-def wilson_interval(successes: int, n: int, z: float = _Z95) -> tuple:
+def wilson_interval(successes: int, n: int) -> tuple:
     """95% Wilson score interval for a binomial proportion."""
     if n <= 0:
         raise ValidationError("interval needs at least one trial")
-    p = successes / n
+    p, z = successes / n, _Z95
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
     half = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
@@ -215,15 +215,13 @@ def default_aux_split(schema) -> tuple:
     return tuple(names[0::2]), tuple(names[1::2])
 
 
-def linkability_risk(real: RawTable, syn: RawTable, n_attacks: int, rng,
-                     aux_split: tuple | None = None) -> dict:
+def linkability_risk(real: RawTable, syn: RawTable, n_attacks: int, rng) -> dict:
     """How often the A-column and B-column nearest synthetic neighbours of a
-    real record coincide (1-NN sets intersecting under Gower distance)."""
+    real record coincide (1-NN sets intersecting under Gower distance), with
+    the columns split by ``default_aux_split``."""
     if len(real.schema.names) < 2:
         raise ValidationError("linkability needs at least two columns")
-    split_a, split_b = aux_split if aux_split is not None else default_aux_split(real.schema)
-    if not split_a or not split_b:
-        raise ValidationError("both sides of the aux split must be non-empty")
+    split_a, split_b = default_aux_split(real.schema)
     rows = rng.integers(0, real.n_rows, size=n_attacks)
     real_view, syn_view = _build_views(real, syn)
     near = []

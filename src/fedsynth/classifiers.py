@@ -11,6 +11,15 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
+from .nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+
+LOGISTIC_LR = 0.5
+LOGISTIC_ITERS = 400
+LOGISTIC_L2 = 1e-4
+TREE_MIN_SAMPLES_SPLIT = 2
+MLP_HIDDEN = 64
+MLP_ITERS = 300
+MLP_LR = 1e-2
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -20,15 +29,12 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 class LogisticRegressionGD:
-    """Softmax regression trained by plain gradient descent.
+    """Softmax regression trained by plain gradient descent (LOGISTIC_* settings).
 
     Zero initialization makes training deterministic without a seed.
     """
 
-    def __init__(self, lr: float = 0.5, iters: int = 400, l2: float = 1e-4):
-        self.lr = lr
-        self.iters = iters
-        self.l2 = l2
+    def __init__(self):
         self.coef = None
 
     def fit(self, X: np.ndarray, y: np.ndarray, n_classes: int) -> "LogisticRegressionGD":
@@ -37,10 +43,10 @@ class LogisticRegressionGD:
         onehot = np.zeros((n, n_classes))
         onehot[np.arange(n), y] = 1.0
         W = np.zeros((d, n_classes))
-        for _ in range(self.iters):
+        for _ in range(LOGISTIC_ITERS):
             probs = _softmax(Xb @ W)
-            grad = Xb.T @ (probs - onehot) / n + self.l2 * W
-            W -= self.lr * grad
+            grad = Xb.T @ (probs - onehot) / n + LOGISTIC_L2 * W
+            W -= LOGISTIC_LR * grad
         self.coef = W
         return self
 
@@ -57,9 +63,8 @@ class DecisionTreeGini:
     sorted feature values.
     """
 
-    def __init__(self, max_depth: int = 8, min_samples_split: int = 2):
+    def __init__(self, max_depth: int = 8):
         self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
         self.tree = None
         self.n_classes = None
 
@@ -103,7 +108,7 @@ class DecisionTreeGini:
     def _build(self, X: np.ndarray, y: np.ndarray, depth: int):
         counts = np.bincount(y, minlength=self.n_classes)
         majority = int(np.argmax(counts))
-        if (depth >= self.max_depth or y.size < self.min_samples_split
+        if (depth >= self.max_depth or y.size < TREE_MIN_SAMPLES_SPLIT
                 or np.count_nonzero(counts) == 1):
             return ("leaf", majority)
         split = self._best_split(X, y)
@@ -134,13 +139,9 @@ class DecisionTreeGini:
 
 
 class MlpClassifierAdam:
-    """One hidden ReLU layer (width 64), softmax output, full-batch Adam."""
+    """One hidden ReLU layer (MLP_HIDDEN wide), softmax output, full-batch Adam."""
 
-    def __init__(self, hidden: int = 64, iters: int = 300, lr: float = 1e-2,
-                 seed: int = 0):
-        self.hidden = hidden
-        self.iters = iters
-        self.lr = lr
+    def __init__(self, seed: int = 0):
         self.seed = seed
         self.params = None
 
@@ -149,14 +150,14 @@ class MlpClassifierAdam:
         n, d = X.shape
         onehot = np.zeros((n, n_classes))
         onehot[np.arange(n), y] = 1.0
-        w1 = rng.uniform(-1.0, 1.0, size=(d, self.hidden)) * np.sqrt(6.0 / d)
-        b1 = np.zeros(self.hidden)
-        w2 = rng.uniform(-1.0, 1.0, size=(self.hidden, n_classes)) * np.sqrt(6.0 / self.hidden)
+        w1 = rng.uniform(-1.0, 1.0, size=(d, MLP_HIDDEN)) * np.sqrt(6.0 / d)
+        b1 = np.zeros(MLP_HIDDEN)
+        w2 = rng.uniform(-1.0, 1.0, size=(MLP_HIDDEN, n_classes)) * np.sqrt(6.0 / MLP_HIDDEN)
         b2 = np.zeros(n_classes)
         ms = [np.zeros_like(p) for p in (w1, b1, w2, b2)]
         vs = [np.zeros_like(p) for p in (w1, b1, w2, b2)]
-        beta1, beta2, eps = 0.9, 0.999, 1e-8
-        for step in range(1, self.iters + 1):
+        beta1, beta2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+        for step in range(1, MLP_ITERS + 1):
             z1 = X @ w1 + b1
             h1 = np.maximum(z1, 0.0)
             probs = _softmax(h1 @ w2 + b2)
@@ -173,7 +174,7 @@ class MlpClassifierAdam:
                 vs[k] = beta2 * vs[k] + (1 - beta2) * grads[k] ** 2
                 m_hat = ms[k] / (1 - beta1 ** step)
                 v_hat = vs[k] / (1 - beta2 ** step)
-                params[k] -= self.lr * m_hat / (np.sqrt(v_hat) + eps)
+                params[k] -= MLP_LR * m_hat / (np.sqrt(v_hat) + eps)
             w1, b1, w2, b2 = params
         self.params = (w1, b1, w2, b2)
         return self

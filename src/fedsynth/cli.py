@@ -12,9 +12,10 @@ import argparse
 import sys
 
 from .errors import DivergenceError, PrivacyBudgetError, ValidationError
-from .experiment import (ExperimentConfig, cmd_evaluate, cmd_generate,
-                         cmd_prepare, cmd_sweep, cmd_train, format_report,
-                         format_sweep)
+from .experiment import (DEFAULT_ATTACK_SEED, ExperimentConfig, cmd_evaluate,
+                         cmd_generate, cmd_prepare, cmd_sweep, cmd_train,
+                         format_report, format_sweep)
+from .metrics import DEFAULT_N_ATTACKS, DEFAULT_TEST_FRACTION
 from .store import read_json
 
 EXIT_OK = 0
@@ -58,9 +59,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--real", required=True, help="real CSV path")
     p.add_argument("--syn", required=True, help="synthetic CSV path")
     p.add_argument("--schema", required=True, help="schema JSON path")
-    p.add_argument("--seed", type=int, default=2, help="attack/utility seed")
-    p.add_argument("--n-attacks", type=int, default=500)
-    p.add_argument("--test-fraction", type=float, default=0.2)
+    p.add_argument("--seed", type=int, default=DEFAULT_ATTACK_SEED,
+                   help="attack/utility seed")
+    p.add_argument("--n-attacks", type=int, default=DEFAULT_N_ATTACKS)
+    p.add_argument("--test-fraction", type=float, default=DEFAULT_TEST_FRACTION)
     p.add_argument("--out", default=None, help="write the report JSON here")
 
     p = sub.add_parser("sweep", help="run the config's sweep axes")

@@ -15,8 +15,9 @@ import numpy as np
 from .errors import DivergenceError, ValidationError
 
 DEFAULT_TIMESTEPS = 500
-DEFAULT_BETA_START = 1e-4
-DEFAULT_BETA_END = 0.02
+# endpoints of the linear beta schedule (Ho et al. 2020)
+BETA_START = 1e-4
+BETA_END = 0.02
 
 
 @dataclass(frozen=True)
@@ -55,18 +56,14 @@ class NoiseSchedule:
         return float(self.alpha_bars[self._check_t(t) - 1])
 
 
-def linear_schedule(timesteps: int = DEFAULT_TIMESTEPS,
-                    beta_start: float = DEFAULT_BETA_START,
-                    beta_end: float = DEFAULT_BETA_END) -> NoiseSchedule:
-    """Betas linearly spaced from beta_start (t=1) to beta_end (t=T)."""
+def linear_schedule(timesteps: int = DEFAULT_TIMESTEPS) -> NoiseSchedule:
+    """Betas linearly spaced from BETA_START (t=1) to BETA_END (t=T)."""
     if timesteps < 1:
         raise ValidationError("timesteps must be >= 1")
-    if not 0.0 < beta_start <= beta_end < 1.0:
-        raise ValidationError("need 0 < beta_start <= beta_end < 1")
     if timesteps == 1:
-        betas = np.array([beta_start])
+        betas = np.array([BETA_START])
     else:
-        betas = np.linspace(beta_start, beta_end, timesteps)
+        betas = np.linspace(BETA_START, BETA_END, timesteps)
     return NoiseSchedule(betas)
 
 

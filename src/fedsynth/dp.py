@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .errors import CalibrationError, ValidationError
-from .nn import GradientVector, PerSampleGrads, blocks
+from .nn import PerSampleGrads, blocks
 
 DEFAULT_CLIP_NORM = 1.0
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2.0
@@ -29,6 +29,8 @@ DEFAULT_ORDERS = np.concatenate([
     np.arange(11.0, 65.0),
     np.array([128.0, 256.0, 512.0]),
 ])
+# (lo, hi) noise multipliers between which calibration bisects
+SIGMA_BRACKET = (1e-2, 1e4)
 
 
 @dataclass(frozen=True)
@@ -69,22 +71,23 @@ class DpConfig:
         return math.isfinite(self.epsilon)
 
 
-def clip(grad: GradientVector, clip_norm: float) -> GradientVector:
-    """Rescale the gradient onto the L2 ball of radius ``clip_norm``."""
+def clip(grad: np.ndarray, clip_norm: float) -> np.ndarray:
+    """Rescale one gradient vector onto the L2 ball of radius ``clip_norm``."""
     if not clip_norm > 0.0:
         raise ValidationError("clip norm must be positive")
-    if not np.all(np.isfinite(grad.values)):
+    if not np.all(np.isfinite(grad)):
         raise ValidationError("cannot clip a non-finite gradient")
-    if grad.norm <= clip_norm:
+    norm = float(np.linalg.norm(grad))
+    if norm <= clip_norm:
         return grad
-    values = grad.values * (clip_norm / grad.norm)
+    values = grad * (clip_norm / norm)
     # a single float rescale can land one ulp outside the ball; contract
     # until the recomputed norm honours the bound
     actual = float(np.linalg.norm(values))
     while actual > clip_norm:
         values = values * (clip_norm / actual)
         actual = float(np.linalg.norm(values))
-    return GradientVector(values, norm=clip_norm)
+    return values
 
 
 def clip_scales(per_sample: PerSampleGrads, clip_norm: float) -> np.ndarray:
@@ -104,8 +107,8 @@ def clip_scales(per_sample: PerSampleGrads, clip_norm: float) -> np.ndarray:
 
 
 def privatize(per_sample: PerSampleGrads, clip_norm: float, sigma: float,
-              rng) -> GradientVector:
-    """Clipped, noised batch gradient.
+              rng) -> np.ndarray:
+    """Clipped, noised batch gradient as one float64 P-vector.
 
     Mechanism: (1/B) [sum_i s_i g_i + N(0, (sigma*C)^2 I)], with s_i from
     ``clip_scales``. With sigma = 0 no draw is made, so the RNG is untouched.
@@ -124,7 +127,7 @@ def privatize(per_sample: PerSampleGrads, clip_norm: float, sigma: float,
             acc = total[s]
             acc += noise
     total /= len(per_sample)
-    return GradientVector(total)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -173,22 +176,15 @@ def rdp_subsampled_gaussian(q: float, sigma: float, alpha: float,
     return kappa / (alpha - 1.0)
 
 
-@dataclass
 class RdpAccountant:
-    """Composable RDP ledger over (q, sigma) step groups.
+    """Composable RDP ledger over (q, sigma) step groups, at the orders DEFAULT_ORDERS.
 
     Identical steps are tracked as a count and multiplied out, so "k equal
     steps = k times one step" holds exactly rather than to float round-off.
     """
 
-    orders: np.ndarray = field(default_factory=lambda: DEFAULT_ORDERS.copy())
-    groups: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        orders = np.asarray(self.orders, dtype=np.float64)
-        if np.any(orders <= 1.0) or np.any(np.diff(orders) <= 0):
-            raise ValidationError("orders must be sorted and all > 1")
-        self.orders = orders
+    def __init__(self):
+        self.groups: dict = {}
         self._per_step_cache: dict = {}
 
     @property
@@ -205,7 +201,7 @@ class RdpAccountant:
             integer_rdp = functools.cache(functools.partial(_rdp_integer_order, *key))
             self._per_step_cache[key] = np.array(
                 [rdp_subsampled_gaussian(key[0], key[1], a, integer_rdp)
-                 for a in self.orders])
+                 for a in DEFAULT_ORDERS])
         return self._per_step_cache[key]
 
     def account_step(self, q: float, sigma: float, count: int = 1) -> None:
@@ -216,7 +212,7 @@ class RdpAccountant:
         self.groups[key] = self.groups.get(key, 0) + int(count)
 
     def rdp_totals(self) -> np.ndarray:
-        total = np.zeros_like(self.orders)
+        total = np.zeros_like(DEFAULT_ORDERS)
         for key, count in self.groups.items():
             total += count * self._per_step(key)
         return total
@@ -227,9 +223,9 @@ class RdpAccountant:
             raise ValidationError("delta must lie in (0, 1)")
         if self.steps == 0:
             raise ValidationError("cannot convert an empty accountant")
-        eps = self.rdp_totals() + math.log(1.0 / delta) / (self.orders - 1.0)
+        eps = self.rdp_totals() + math.log(1.0 / delta) / (DEFAULT_ORDERS - 1.0)
         best = int(np.argmin(eps))
-        return float(eps[best]), float(self.orders[best])
+        return float(eps[best]), float(DEFAULT_ORDERS[best])
 
     def projected_epsilon(self, delta: float, q: float, sigma: float,
                           extra_steps: int) -> float:
@@ -237,7 +233,7 @@ class RdpAccountant:
         if extra_steps < 1:
             raise ValidationError("extra_steps must be >= 1")
         totals = self.rdp_totals() + extra_steps * self._per_step((float(q), float(sigma)))
-        eps = totals + math.log(1.0 / delta) / (self.orders - 1.0)
+        eps = totals + math.log(1.0 / delta) / (DEFAULT_ORDERS - 1.0)
         return float(np.min(eps))
 
     # -- checkpoint round-trip ----------------------------------------------
@@ -251,8 +247,8 @@ class RdpAccountant:
         }
 
     @classmethod
-    def from_state_arrays(cls, qs, sigmas, counts, orders=None) -> "RdpAccountant":
-        acc = cls() if orders is None else cls(orders)
+    def from_state_arrays(cls, qs, sigmas, counts) -> "RdpAccountant":
+        acc = cls()
         for q, sigma, count in zip(qs, sigmas, counts):
             acc.account_step(float(q), float(sigma), int(count))
         return acc
@@ -265,16 +261,15 @@ def epsilon_after(q: float, sigma: float, steps: int, delta: float) -> float:
     return acc.to_epsilon(delta)[0]
 
 
-def calibrate_sigma(target_epsilon: float, delta: float, q: float, steps: int,
-                    bracket: tuple = (1e-2, 1e4)) -> float:
+def calibrate_sigma(target_epsilon: float, delta: float, q: float, steps: int) -> float:
     """Smallest noise multiplier whose planned budget lands within 1% below
-    ``target_epsilon`` (never above), found by geometric bisection.
+    ``target_epsilon`` (never above), found by geometric bisection in SIGMA_BRACKET.
     """
     if not (math.isfinite(target_epsilon) and target_epsilon > 0.0):
         raise ValidationError("calibration needs a positive finite epsilon target")
     if steps < 1:
         raise ValidationError("planned step count must be >= 1")
-    lo, hi = bracket
+    lo, hi = SIGMA_BRACKET
     if epsilon_after(q, hi, steps, delta) > target_epsilon:
         raise CalibrationError(
             f"even sigma = {hi} exceeds epsilon target {target_epsilon}")

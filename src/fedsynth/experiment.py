@@ -32,13 +32,15 @@ from .data import (ClientPartition, EncodingPipeline, RawTable, TabularSchema,
 from .dp import DpConfig, RdpAccountant
 from .errors import CheckpointError, FedsynthError, ValidationError
 from .federation import FedConfig, FederatedState, make_client_datasets
-from .metrics import MetricsReport, evaluate_tables
-from .nn import AdamState, DenoiserParams, forward, init_denoiser, layer_buffers
+from .metrics import DEFAULT_N_ATTACKS, DEFAULT_TEST_FRACTION, MetricsReport, evaluate_tables
+from .nn import (DEFAULT_HIDDEN, DEFAULT_N_HIDDEN, DEFAULT_TIME_DIM, AdamState, DenoiserParams,
+                 forward, init_denoiser, layer_buffers)
 from .store import (canonical_json, json_digest, load_arrays, read_json,
                     save_arrays, write_json)
 
 OUTPUT_ROOT_ENV = "FEDSYNTH_OUTPUT_ROOT"
 CHECKPOINT_FORMAT = "fedsynth-checkpoint-v1"
+DEFAULT_ATTACK_SEED = 2
 
 PIPELINE_FILE = "pipeline.json"
 PARTITIONS_FILE = "partitions.json"
@@ -57,7 +59,7 @@ class Seeds:
 
     model: int = 0
     data: int = 1
-    attack: int = 2
+    attack: int = DEFAULT_ATTACK_SEED
 
     def __post_init__(self):
         for name in ("model", "data", "attack"):
@@ -67,12 +69,15 @@ class Seeds:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    hidden_width: int = 1024
-    n_hidden: int = 3
-    time_dim: int = 64
-    n_quantiles: int = 1000
+    hidden_width: int = DEFAULT_HIDDEN
+    n_hidden: int = DEFAULT_N_HIDDEN
+    time_dim: int = DEFAULT_TIME_DIM
 
     def __post_init__(self):
+        for name in ("hidden_width", "n_hidden"):
+            if not isinstance(getattr(self, name), int):
+                raise ValidationError(
+                    f"model.{name} must be an integer, got {getattr(self, name)!r}")
         if self.hidden_width < 1 or self.n_hidden < 1:
             raise ValidationError("model width/depth must be >= 1")
         # sine/cosine pairs: 0 would train a denoiser with no time input
@@ -83,12 +88,10 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class DiffusionConfig:
-    timesteps: int = 500
-    beta_start: float = 1e-4
-    beta_end: float = 0.02
+    timesteps: int = diff.DEFAULT_TIMESTEPS
 
     def schedule(self) -> diff.NoiseSchedule:
-        return diff.linear_schedule(self.timesteps, self.beta_start, self.beta_end)
+        return diff.linear_schedule(self.timesteps)
 
 
 @dataclass(frozen=True)
@@ -98,8 +101,8 @@ class ExperimentConfig:
     output_dir: str = "runs/run"
     partition: str = "noniid"
     n_rows: int = 1000
-    n_attacks: int = 500
-    test_fraction: float = 0.2
+    n_attacks: int = DEFAULT_N_ATTACKS
+    test_fraction: float = DEFAULT_TEST_FRACTION
     checkpoint_every: int = 0
     sweep: dict = field(default_factory=dict)
     seeds: Seeds = field(default_factory=Seeds)
@@ -332,8 +335,7 @@ def cmd_prepare(config: ExperimentConfig) -> dict:
     paths = _paths(config)
     os.makedirs(paths["dir"], exist_ok=True)
 
-    pipeline = EncodingPipeline.fit(table, n_quantiles=config.model.n_quantiles,
-                                    embed_seed=config.seeds.data)
+    pipeline = EncodingPipeline.fit(table, embed_seed=config.seeds.data)
     pipeline.save(paths["pipeline"])
 
     n_clients = config.federation.n_clients
@@ -473,8 +475,9 @@ def cmd_generate(config: ExperimentConfig, checkpoint_path: str | None = None,
     return out_path
 
 
-def cmd_evaluate(real_csv: str, syn_csv: str, schema_path: str, seed: int = 2,
-                 n_attacks: int = 500, test_fraction: float = 0.2,
+def cmd_evaluate(real_csv: str, syn_csv: str, schema_path: str,
+                 seed: int = DEFAULT_ATTACK_SEED, n_attacks: int = DEFAULT_N_ATTACKS,
+                 test_fraction: float = DEFAULT_TEST_FRACTION,
                  out_path: str | None = None,
                  metadata: dict | None = None) -> MetricsReport:
     """Score a synthetic CSV against the real CSV; optionally write a report."""

@@ -22,11 +22,16 @@ import numpy as np
 from .diffusion import NoiseSchedule, make_training_example
 from .dp import DpConfig, RdpAccountant, calibrate_sigma, privatize
 from .errors import DivergenceError, PrivacyBudgetError, ValidationError
-from .nn import (AdamState, DenoiserParams, GradientVector, TrainingSample, adam_step, blocks,
-                 per_sample_grads)
+from .nn import (DEFAULT_LEARNING_RATE, AdamState, DenoiserParams, TrainingSample, adam_step,
+                 blocks, per_sample_grads)
 
 STRATEGIES = ("fedavg", "fedadam", "fedprox", "fedyogi")
 DEFAULT_BATCH_SIZE = 16
+# FedAdam/FedYogi server moment decay rates and denominator floor
+# (Reddi et al. 2021, "Adaptive federated optimization")
+SERVER_BETA1 = 0.9
+SERVER_BETA2 = 0.999
+SERVER_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -40,13 +45,15 @@ class FedConfig:
     strategy: str = "fedavg"
     prox_mu: float = 0.01
     batch_size: int = DEFAULT_BATCH_SIZE
-    learning_rate: float = 1e-3
+    learning_rate: float = DEFAULT_LEARNING_RATE
     server_lr: float = 1.0
-    server_beta1: float = 0.9
-    server_beta2: float = 0.999
-    server_eps: float = 1e-8
 
     def __post_init__(self):
+        for name in ("n_clients", "rounds", "local_steps", "clients_per_round",
+                     "batch_size"):
+            if not isinstance(getattr(self, name), int):
+                raise ValidationError(
+                    f"federation.{name} must be an integer, got {getattr(self, name)!r}")
         if self.strategy not in STRATEGIES:
             raise ValidationError(
                 f"unknown strategy {self.strategy!r}; pick one of {STRATEGIES}")
@@ -60,10 +67,6 @@ class FedConfig:
             raise ValidationError("learning rates must be positive")
         if self.prox_mu < 0:
             raise ValidationError("prox_mu must be non-negative")
-        if not (0 <= self.server_beta1 < 1 and 0 <= self.server_beta2 < 1):
-            raise ValidationError("server betas must lie in [0, 1)")
-        if self.server_eps <= 0:
-            raise ValidationError("server_eps must be positive")
 
 
 @dataclass(frozen=True)
@@ -196,7 +199,7 @@ def server_opt_aggregate(global_flat: np.ndarray, updates: list,
         raise ValidationError("server optimizer state shape mismatch")
     out = fedavg_aggregate(updates)
     state.updates += 1
-    b1, b2 = cfg.server_beta1, cfg.server_beta2
+    b1, b2 = SERVER_BETA1, SERVER_BETA2
     bias1 = 1.0 - b1 ** state.updates
     for s, (delta, d2) in blocks(out.size, 2):
         m, v = state.m[s], state.v[s]
@@ -216,7 +219,7 @@ def server_opt_aggregate(global_flat: np.ndarray, updates: list,
             d2 *= delta
             v -= d2
         np.sqrt(v, out=d2)
-        d2 += cfg.server_eps
+        d2 += SERVER_EPS
         np.divide(m, bias1, out=delta)
         delta *= cfg.server_lr
         delta /= d2
@@ -295,10 +298,10 @@ def client_local_update(global_flat: np.ndarray, manifest: dict,
             grad = privatize(grads, dp_cfg.clip_norm, client.sigma, rng)
             post_norms.append(np.minimum(grads.norms, dp_cfg.clip_norm))
         else:
-            grad = GradientVector(grads.weighted_sum(np.ones(len(grads))) / len(grads))
+            grad = grads.weighted_sum(np.ones(len(grads))) / len(grads)
             post_norms.append(grads.norms)
         if fed_cfg.strategy == "fedprox" and fed_cfg.prox_mu != 0.0:
-            _add_proximal_term(grad.values, flat, anchor, fed_cfg.prox_mu)
+            _add_proximal_term(grad, flat, anchor, fed_cfg.prox_mu)
         adam_step(flat, client.adam, grad)
         del grad  # else it stays alive while the next step builds its own
         if not np.all(np.isfinite(flat)):

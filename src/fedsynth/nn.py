@@ -29,6 +29,11 @@ from .errors import DivergenceError, ValidationError
 DEFAULT_TIME_DIM = 64
 DEFAULT_HIDDEN = 1024
 DEFAULT_N_HIDDEN = 3
+DEFAULT_LEARNING_RATE = 1e-3
+# Adam's moment decay rates and denominator floor (Kingma & Ba 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 # float64 elements per block of the elementwise P-sized passes (Adam, noise,
 # aggregation): a few operand blocks of 256 KiB stay in a core's L2 cache.
 BLOCK = 1 << 15
@@ -52,26 +57,6 @@ def time_embed(t, dim: int = DEFAULT_TIME_DIM) -> np.ndarray:
     out[:, 0::2] = np.sin(angles)
     out[:, 1::2] = np.cos(angles)
     return out[0] if scalar else out
-
-
-class GradientVector:
-    """Flat gradient aligned with DenoiserParams.flatten(); L2 norm computed on first read.
-
-    A training step never reads the norm of its batch gradient, so building
-    one costs no P-sized pass; pass ``norm`` when it is already known.
-    """
-
-    def __init__(self, values, norm: float | None = None):
-        self.values = np.asarray(values, dtype=np.float64)
-        if norm is not None:
-            self.norm = norm
-
-    @functools.cached_property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
-
-    def __len__(self) -> int:
-        return self.values.size
 
 
 class PerSampleGrads:
@@ -363,13 +348,10 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    lr: float = 1e-3
+    lr: float = DEFAULT_LEARNING_RATE
 
     @classmethod
-    def zeros(cls, n_params: int, lr: float = 1e-3) -> "AdamState":
+    def zeros(cls, n_params: int, lr: float = DEFAULT_LEARNING_RATE) -> "AdamState":
         return cls(np.zeros(n_params), np.zeros(n_params), lr=lr)
 
 
@@ -388,34 +370,34 @@ def blocks(n: int, scratch_rows: int):
         yield slice(start, stop), scratch[:, : stop - start]
 
 
-def adam_step(flat_params: np.ndarray, state: AdamState, grad: GradientVector) -> np.ndarray:
+def adam_step(flat_params: np.ndarray, state: AdamState, g: np.ndarray) -> np.ndarray:
     """One bias-corrected Adam update, in place on ``flat_params`` and ``state``.
 
     Runs block by block through one block-sized scratch; each element gets
     exactly the operations, in the order, of the whole-vector update
     m = b1 m + (1-b1) g, v = b2 v + (1-b2) g g,
-    p -= lr (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps).
+    p -= lr (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps),
+    with b1, b2 and eps the ``ADAM_*`` constants.
     """
-    g = grad.values if isinstance(grad, GradientVector) else np.asarray(grad)
     if not np.all(np.isfinite(g)):
         raise DivergenceError("non-finite gradient passed to the optimizer")
     if g.shape != flat_params.shape:
         raise ValidationError(f"gradient shape {g.shape} != params {flat_params.shape}")
     state.t += 1
-    c1, c2 = 1.0 - state.beta1, 1.0 - state.beta2
-    bias1, bias2 = 1.0 - state.beta1 ** state.t, 1.0 - state.beta2 ** state.t
+    c1, c2 = 1.0 - ADAM_BETA1, 1.0 - ADAM_BETA2
+    bias1, bias2 = 1.0 - ADAM_BETA1 ** state.t, 1.0 - ADAM_BETA2 ** state.t
     for s, (step, denom) in blocks(g.size, 2):
         m, v, gs, p = state.m[s], state.v[s], g[s], flat_params[s]
-        m *= state.beta1
+        m *= ADAM_BETA1
         np.multiply(gs, c1, out=step)
         m += step
-        v *= state.beta2
+        v *= ADAM_BETA2
         np.multiply(gs, c2, out=step)
         step *= gs
         v += step
         np.divide(v, bias2, out=denom)
         np.sqrt(denom, out=denom)
-        denom += state.eps
+        denom += ADAM_EPS
         np.divide(m, bias1, out=step)
         step *= state.lr
         step /= denom

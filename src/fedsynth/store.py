@@ -125,10 +125,10 @@ def load_arrays(path, names=None) -> tuple[dict, dict]:
     return arrays, meta
 
 
-def write_json(path, obj, indent: int = 2) -> None:
-    """Atomically write ``obj`` as human-readable JSON."""
+def write_json(path, obj) -> None:
+    """Atomically write ``obj`` as human-readable JSON (sorted keys, two-space indent)."""
     with _replacing(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=indent, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

@@ -1,6 +1,10 @@
 import os
 import sys
 
+import numpy as np
+
+from fedsynth.store import save_arrays
+
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools"))
 
 import compare_outputs  # noqa: E402
@@ -43,3 +47,18 @@ def test_compare_reports_lists_headline_and_changed_numbers():
                      "  utility.phi: None -> None (delta n/a)",
                      "  privacy.pi: 0.125 -> 0.125 (delta +0)",
                      "  fidelity.per_column.x: 0.25 -> 0.5 (delta +0.25)"]
+
+
+def test_compare_checkpoints_reports_members_and_meta_keys(tmp_path):
+    arrays = {"global_flat": np.arange(4.0), "server_m": np.zeros(4)}
+    meta = {"format": "fedsynth-checkpoint-v1", "round": 2, "config_digest": "a" * 64}
+    old, new, other = (str(tmp_path / name) for name in ("old.npz", "new.npz", "other.npz"))
+    save_arrays(old, arrays, meta)
+    save_arrays(new, arrays, dict(meta, config_digest="b" * 64))
+    assert compare_outputs.compare_checkpoints(old, new) == [
+        "  global_flat.npy: identical", "  server_m.npy: identical",
+        "  meta.json keys that differ: config_digest"]
+    save_arrays(other, {"global_flat": np.arange(4.0) + 1.0}, meta)
+    assert compare_outputs.compare_checkpoints(old, other) == [
+        "  global_flat.npy: DIFFERENT", "  server_m.npy: missing from new",
+        "  meta.json keys that differ: none"]

@@ -549,6 +549,29 @@ def test_cli_bad_time_dim_exits_1(workspace, capsys, time_dim):
     assert "time_dim" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["model.hidden_width", "model.n_hidden",
+                                 "federation.n_clients", "federation.rounds",
+                                 "federation.local_steps",
+                                 "federation.clients_per_round",
+                                 "federation.batch_size"])
+def test_cli_non_integer_integer_setting_exits_1(workspace, capsys, key):
+    path = _write_cfg(workspace, _fast_config(workspace), "non_integer.json")
+    assert cli.main(["prepare", "-c", path, "-s", f"{key}=2.5"]) == 1
+    assert "integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting", ["federation.server_beta1=0.9",
+                                     "federation.server_beta2=0.999",
+                                     "federation.server_eps=1e-8",
+                                     "diffusion.beta_start=0.0001",
+                                     "diffusion.beta_end=0.02",
+                                     "model.n_quantiles=1000"])
+def test_cli_removed_setting_exits_1(workspace, capsys, setting):
+    path = _write_cfg(workspace, _fast_config(workspace), "removed.json")
+    assert cli.main(["prepare", "-c", path, "-s", setting]) == 1
+    assert setting.split(".")[1].split("=")[0] in capsys.readouterr().err
+
+
 def test_config_rejects_nonpositive_n_attacks(workspace):
     with pytest.raises(ValidationError):
         _fast_config(workspace, n_attacks=0)

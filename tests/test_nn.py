@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsynth.errors import DivergenceError, ValidationError
-from fedsynth.nn import (BLOCK, AdamState, DenoiserParams, GradientVector, adam_step,
-                         forward, init_denoiser, layer_buffers, per_sample_grads,
+from fedsynth.nn import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, BLOCK, AdamState, DenoiserParams,
+                         adam_step, forward, init_denoiser, layer_buffers, per_sample_grads,
                          time_embed, TrainingSample)
 
 
@@ -396,12 +396,6 @@ def test_per_sample_grads_rejects_mixed_emb_rows():
         per_sample_grads(params, [with_rows, without])
 
 
-def test_gradient_vector_norm_cached():
-    gv = GradientVector(np.array([3.0, 4.0]))
-    assert gv.norm == 5.0
-    assert len(gv) == 2
-
-
 # ---------------------------------------------------------------------------
 # Adam
 
@@ -412,9 +406,9 @@ def test_adam_first_step_closed_form():
     p0 = rng.normal(size=n)
     g = rng.normal(size=n)
     state = AdamState.zeros(n, lr=0.01)
-    p1 = adam_step(np.array(p0), state, GradientVector(np.array(g)))
+    p1 = adam_step(np.array(p0), state, g)
     # after bias correction the first step is lr * g / (|g| + eps)
-    expected = p0 - 0.01 * g / (np.abs(g) + 1e-8)
+    expected = p0 - 0.01 * g / (np.abs(g) + ADAM_EPS)
     np.testing.assert_allclose(p1, expected, rtol=1e-12)
     assert state.t == 1
 
@@ -423,9 +417,9 @@ def test_adam_two_steps_closed_form():
     p = np.zeros(1)
     state = AdamState.zeros(1, lr=0.1)
     g1, g2 = np.array([2.0]), np.array([-1.0])
-    p = adam_step(p, state, GradientVector(g1))
-    p = adam_step(p, state, GradientVector(g2))
-    b1, b2, eps = 0.9, 0.999, 1e-8
+    p = adam_step(p, state, g1)
+    p = adam_step(p, state, g2)
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     m = (1 - b1) * g1
     v = (1 - b2) * g1**2
     x = -0.1 * (m / (1 - b1)) / (np.sqrt(v / (1 - b2)) + eps)
@@ -438,13 +432,13 @@ def test_adam_two_steps_closed_form():
 def _adam_oracle(flat_params, state, g):
     """The unblocked whole-vector update: a P-sized temporary per operation."""
     state.t += 1
-    state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * g
-    state.v *= state.beta2
-    state.v += (1.0 - state.beta2) * g * g
-    m_hat = state.m / (1.0 - state.beta1 ** state.t)
-    v_hat = state.v / (1.0 - state.beta2 ** state.t)
-    flat_params -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * g
+    state.v *= ADAM_BETA2
+    state.v += (1.0 - ADAM_BETA2) * g * g
+    m_hat = state.m / (1.0 - ADAM_BETA1 ** state.t)
+    v_hat = state.v / (1.0 - ADAM_BETA2 ** state.t)
+    flat_params -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @pytest.mark.parametrize("n", [1, 1000, 2 * BLOCK + 123])
@@ -455,7 +449,7 @@ def test_adam_blocked_bit_equals_whole_vector_update(n):
     for _ in range(5):
         g = rng.normal(size=n) * 10.0 ** rng.uniform(-6, 2, size=n)
         g[rng.random(n) < 0.1] = 0.0
-        adam_step(p, state, GradientVector(g))
+        adam_step(p, state, g)
         _adam_oracle(expected, oracle, g)
         assert np.array_equal(p, expected)
         assert np.array_equal(state.m, oracle.m) and np.array_equal(state.v, oracle.v)
@@ -464,7 +458,7 @@ def test_adam_blocked_bit_equals_whole_vector_update(n):
 def test_adam_step_allocates_less_than_one_parameter_vector():
     n = 2_173_956  # the paper-width denoiser's parameter count
     rng = np.random.default_rng(0)
-    p, g, state = rng.normal(size=n), GradientVector(rng.normal(size=n)), AdamState.zeros(n)
+    p, g, state = rng.normal(size=n), rng.normal(size=n), AdamState.zeros(n)
     tracemalloc.start()
     try:
         adam_step(p, state, g)
@@ -477,10 +471,10 @@ def test_adam_step_allocates_less_than_one_parameter_vector():
 def test_adam_rejects_nonfinite_gradient():
     state = AdamState.zeros(2, lr=0.1)
     with pytest.raises(DivergenceError):
-        adam_step(np.zeros(2), state, GradientVector(np.array([np.nan, 0.0])))
+        adam_step(np.zeros(2), state, np.array([np.nan, 0.0]))
 
 
 def test_adam_rejects_shape_mismatch():
     state = AdamState.zeros(2, lr=0.1)
     with pytest.raises(ValidationError):
-        adam_step(np.zeros(3), state, GradientVector(np.zeros(2)))
+        adam_step(np.zeros(3), state, np.zeros(2))

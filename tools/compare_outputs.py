@@ -10,8 +10,11 @@ workload scores, evaluate) in its own subprocess, importing its own
 inputs and config, with BLAS on one thread as in the benchmark. The script
 then prints:
 
-- whether ``pipeline.json``, ``checkpoint.npz`` and ``audit.jsonl`` are
-  byte-identical, and whether the manifest's per-client ε are equal;
+- whether ``pipeline.json`` and ``audit.jsonl`` are byte-identical, and
+  whether the manifest's per-client ε are equal;
+- for ``checkpoint.npz``, whether each ``.npy`` member is byte-identical,
+  and which top-level keys of its ``meta.json`` differ (a config change
+  moves only ``config_digest``);
 - for ``synthetic.csv``, per column, the categorical cells that differ and
   the numeric cells that moved, with the largest relative move
   |new - old| / max(|old|, |new|);
@@ -33,9 +36,10 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import zipfile
 
 TOOLS = os.path.dirname(os.path.abspath(__file__))
-FILES = ("pipeline.json", "checkpoint.npz", "audit.jsonl")
+FILES = ("pipeline.json", "audit.jsonl")
 HEADLINE = (("fidelity", "omega"), ("utility", "phi"), ("privacy", "pi"))
 
 
@@ -132,6 +136,25 @@ def compare_csv(old_path: str, new_path: str, schema: dict) -> list:
     return [summary] + lines
 
 
+def compare_checkpoints(old_path: str, new_path: str) -> list:
+    """One line per ``.npy`` member of two checkpoints, then the differing meta keys."""
+    with zipfile.ZipFile(old_path) as old, zipfile.ZipFile(new_path) as new:
+        old_names, new_names = set(old.namelist()), set(new.namelist())
+        lines = []
+        for name in sorted((old_names | new_names) - {"meta.json"}):
+            if name not in old_names or name not in new_names:
+                side = "old" if name not in old_names else "new"
+                lines.append(f"  {name}: missing from {side}")
+            else:
+                same = old.read(name) == new.read(name)
+                lines.append(f"  {name}: {'identical' if same else 'DIFFERENT'}")
+        metas = [json.loads(z.read("meta.json")) for z in (old, new)]
+    keys = sorted(k for k in set(metas[0]) | set(metas[1])
+                  if metas[0].get(k) != metas[1].get(k))
+    lines.append(f"  meta.json keys that differ: {', '.join(keys) or 'none'}")
+    return lines
+
+
 def _numbers(obj, path=()):
     """(path, value) for every number in a JSON tree."""
     if isinstance(obj, dict):
@@ -165,6 +188,9 @@ def compare(old_run: str, new_run: str, schema: dict) -> list:
     for name in FILES:
         same = _sha256(os.path.join(old_run, name)) == _sha256(os.path.join(new_run, name))
         lines.append(f"{name}: {'identical' if same else 'DIFFERENT'}")
+    lines.append("checkpoint.npz:")
+    lines += compare_checkpoints(os.path.join(old_run, "checkpoint.npz"),
+                                 os.path.join(new_run, "checkpoint.npz"))
     eps = [_read_json(os.path.join(run, "manifest.json"))["epsilons"]
            for run in (old_run, new_run)]
     lines.append(f"manifest epsilons: {'identical' if eps[0] == eps[1] else 'DIFFERENT'} "
