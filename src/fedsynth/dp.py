@@ -6,6 +6,15 @@ with conversion to (epsilon, delta), and bisection calibration of the noise
 multiplier to a target budget. ``privatize`` clips by scaling: it takes each
 sample's norm from the layer factors of a PerSampleGrads and forms the
 clipped sum as one weighted sum, so no per-sample gradient is ever built.
+
+The accountant's log-sum-exp is ``_logsumexp``, a 1-d copy of the steps of
+scipy 1.17's ``scipy.special.logsumexp`` in the same order and on the same
+1-element arrays. scipy's call spends most of its time in array-API
+dispatch, paid once per integer order, so the copy makes each (q, sigma)
+key several times cheaper while every sigma and epsilon stays bit-identical
+to scipy's. It is not vectorised across orders on purpose: padding the
+orders to one 2-d array changes NumPy's pairwise-sum grouping and moves the
+results in the last bits.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .errors import CalibrationError, ValidationError
 from .nn import PerSampleGrads, blocks
@@ -29,6 +38,8 @@ DEFAULT_ORDERS = np.concatenate([
     np.arange(11.0, 65.0),
     np.array([128.0, 256.0, 512.0]),
 ])
+# log(n!) for n = 0 .. the largest integer order an accountant evaluates
+_LOG_FACTORIAL = gammaln(np.arange(int(DEFAULT_ORDERS[-1]) + 1) + 1)
 # (lo, hi) noise multipliers between which calibration bisects
 SIGMA_BRACKET = (1e-2, 1e4)
 
@@ -134,13 +145,44 @@ def privatize(per_sample: PerSampleGrads, clip_norm: float, sigma: float,
 # Renyi-DP accounting for the subsampled Gaussian mechanism
 
 
-def _rdp_integer_order(q: float, sigma: float, alpha: int) -> float:
-    """log sum_k C(alpha, k) (1-q)^(alpha-k) q^k e^(k(k-1)/(2 sigma^2)), over alpha-1."""
-    k = np.arange(alpha + 1)
-    terms = (gammaln(alpha + 1) - gammaln(k + 1) - gammaln(alpha - k + 1)
-             + k * (k - 1) / (2.0 * sigma * sigma)
-             + (alpha - k) * math.log1p(-q) + k * math.log(q))
-    return float(logsumexp(terms)) / (alpha - 1)
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) of a 1-d float array, which it overwrites.
+
+    The steps and their order are scipy 1.17's: the maxima are counted and
+    taken out of the sum, which is then scaled by their count m. scipy's
+    fallback for a non-finite result is left out: for these terms it gives
+    the same inf or nan.
+    """
+    a_max = np.max(a, axis=(0,), keepdims=True)
+    is_max = a == a_max
+    m = np.sum(is_max, axis=(0,), keepdims=True, dtype=a.dtype)
+    a[is_max] = -np.inf
+    a -= a_max
+    s = np.sum(np.exp(a, out=a), axis=(0,), keepdims=True, dtype=a.dtype) / m
+    return float((np.log1p(s) + np.log(m) + a_max)[0])
+
+
+def _integer_rdp(q: float, sigma: float, max_order: int = len(_LOG_FACTORIAL) - 1):
+    """Memoised alpha -> integer-order RDP bound of one (q, sigma) step, alpha <= max_order.
+
+    The order-alpha bound is log sum_k C(alpha, k) (1-q)^(alpha-k) q^k
+    e^(k(k-1)/(2 sigma^2)), over alpha-1. The per-key vectors
+    k(k-1)/(2 sigma^2), k log(1-q) and k log q are built once here and each
+    order reads slices of them.
+    """
+    k = np.arange(max_order + 1)
+    log_fact = (_LOG_FACTORIAL if max_order < len(_LOG_FACTORIAL)
+                else gammaln(k + 1))
+    quad = k * (k - 1) / (2.0 * sigma * sigma)
+    keep = k * math.log1p(-q)
+    pick = k * math.log(q)
+
+    @functools.cache
+    def rdp(alpha: int) -> float:
+        terms = (log_fact[alpha] - log_fact[:alpha + 1] - log_fact[alpha::-1]
+                 + quad[:alpha + 1] + keep[alpha::-1] + pick[:alpha + 1])
+        return _logsumexp(terms) / (alpha - 1)
+    return rdp
 
 
 def rdp_subsampled_gaussian(q: float, sigma: float, alpha: float,
@@ -153,7 +195,7 @@ def rdp_subsampled_gaussian(q: float, sigma: float, alpha: float,
     between the neighbouring integers (with a zero moment at alpha = 1),
     which upper-bounds the true convex log-moment. ``integer_rdp(k)``, when
     given, must return that integer-order bound for this (q, sigma); a caller
-    evaluating many orders passes a memoised one so each is computed once.
+    evaluating many orders passes one ``_integer_rdp`` so each is computed once.
     """
     if not 0.0 < q <= 1.0:
         raise ValidationError("sampling rate q must lie in (0, 1]")
@@ -164,7 +206,7 @@ def rdp_subsampled_gaussian(q: float, sigma: float, alpha: float,
     if q == 1.0:
         return alpha / (2.0 * sigma * sigma)
     if integer_rdp is None:
-        integer_rdp = functools.partial(_rdp_integer_order, q, sigma)
+        integer_rdp = _integer_rdp(q, sigma, math.floor(alpha) + 1)
     if float(alpha).is_integer():
         return integer_rdp(int(alpha))
     lo = math.floor(alpha)
@@ -198,9 +240,11 @@ class RdpAccountant:
         order is evaluated once per key.
         """
         if key not in self._per_step_cache:
-            integer_rdp = functools.cache(functools.partial(_rdp_integer_order, *key))
+            q, sigma = key
+            # q = 1 needs no binomial terms; rdp_subsampled_gaussian rejects a bad key
+            integer_rdp = _integer_rdp(q, sigma) if 0.0 < q < 1.0 and sigma > 0.0 else None
             self._per_step_cache[key] = np.array(
-                [rdp_subsampled_gaussian(key[0], key[1], a, integer_rdp)
+                [rdp_subsampled_gaussian(q, sigma, a, integer_rdp)
                  for a in DEFAULT_ORDERS])
         return self._per_step_cache[key]
 
@@ -277,11 +321,12 @@ def calibrate_sigma(target_epsilon: float, delta: float, q: float, steps: int) -
         return lo
     for _ in range(200):
         mid = math.sqrt(lo * hi)
-        if epsilon_after(q, mid, steps, delta) > target_epsilon:
+        eps_mid = epsilon_after(q, mid, steps, delta)
+        if eps_mid > target_epsilon:
             lo = mid
         else:
             hi = mid
-            if epsilon_after(q, hi, steps, delta) >= 0.99 * target_epsilon:
+            if eps_mid >= 0.99 * target_epsilon:
                 break
         if hi / lo < 1.0 + 1e-12:
             break

@@ -36,3 +36,9 @@ class PrivacyBudgetError(FedsynthError):
 
 class CalibrationError(PrivacyBudgetError):
     """No noise multiplier in the search bracket meets the epsilon target."""
+
+
+def require_int(value, name: str, minimum: int) -> None:
+    """Raise ValidationError unless ``value`` is an integer >= ``minimum``."""
+    if not isinstance(value, int) or value < minimum:
+        raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")

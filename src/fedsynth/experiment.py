@@ -30,7 +30,7 @@ from .data import (ClientPartition, EncodingPipeline, RawTable, TabularSchema,
                    load_csv, load_partitions, partition_iid, partition_noniid,
                    save_partitions, write_csv)
 from .dp import DpConfig, RdpAccountant
-from .errors import CheckpointError, FedsynthError, ValidationError
+from .errors import CheckpointError, FedsynthError, ValidationError, require_int
 from .federation import FedConfig, FederatedState, make_client_datasets
 from .metrics import DEFAULT_N_ATTACKS, DEFAULT_TEST_FRACTION, MetricsReport, evaluate_tables
 from .nn import (DEFAULT_HIDDEN, DEFAULT_N_HIDDEN, DEFAULT_TIME_DIM, AdamState, DenoiserParams,
@@ -63,8 +63,7 @@ class Seeds:
 
     def __post_init__(self):
         for name in ("model", "data", "attack"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"seed {name!r} must be non-negative")
+            require_int(getattr(self, name), f"seeds.{name}", 0)
 
 
 @dataclass(frozen=True)
@@ -75,11 +74,7 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in ("hidden_width", "n_hidden"):
-            if not isinstance(getattr(self, name), int):
-                raise ValidationError(
-                    f"model.{name} must be an integer, got {getattr(self, name)!r}")
-        if self.hidden_width < 1 or self.n_hidden < 1:
-            raise ValidationError("model width/depth must be >= 1")
+            require_int(getattr(self, name), f"model.{name}", 1)
         # sine/cosine pairs: 0 would train a denoiser with no time input
         if not isinstance(self.time_dim, int) or self.time_dim < 2 or self.time_dim % 2:
             raise ValidationError(
@@ -89,6 +84,9 @@ class ModelConfig:
 @dataclass(frozen=True)
 class DiffusionConfig:
     timesteps: int = diff.DEFAULT_TIMESTEPS
+
+    def __post_init__(self):
+        require_int(self.timesteps, "diffusion.timesteps", 1)
 
     def schedule(self) -> diff.NoiseSchedule:
         return diff.linear_schedule(self.timesteps)
@@ -114,10 +112,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.partition not in ("noniid", "iid"):
             raise ValidationError("partition must be 'noniid' or 'iid'")
-        if self.n_rows < 1:
-            raise ValidationError("n_rows must be >= 1")
-        if self.n_attacks < 1:
-            raise ValidationError("n_attacks must be >= 1")
+        require_int(self.n_rows, "n_rows", 1)
+        require_int(self.n_attacks, "n_attacks", 1)
+        require_int(self.checkpoint_every, "checkpoint_every", 0)
 
     # -- serialization -------------------------------------------------------
 

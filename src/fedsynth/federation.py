@@ -21,7 +21,8 @@ import numpy as np
 
 from .diffusion import NoiseSchedule, make_training_example
 from .dp import DpConfig, RdpAccountant, calibrate_sigma, privatize
-from .errors import DivergenceError, PrivacyBudgetError, ValidationError
+from .errors import (DivergenceError, PrivacyBudgetError, ValidationError,
+                     require_int)
 from .nn import (DEFAULT_LEARNING_RATE, AdamState, DenoiserParams, TrainingSample, adam_step,
                  blocks, per_sample_grads)
 
@@ -51,18 +52,12 @@ class FedConfig:
     def __post_init__(self):
         for name in ("n_clients", "rounds", "local_steps", "clients_per_round",
                      "batch_size"):
-            if not isinstance(getattr(self, name), int):
-                raise ValidationError(
-                    f"federation.{name} must be an integer, got {getattr(self, name)!r}")
+            require_int(getattr(self, name), f"federation.{name}", 1)
         if self.strategy not in STRATEGIES:
             raise ValidationError(
                 f"unknown strategy {self.strategy!r}; pick one of {STRATEGIES}")
-        if self.rounds < 1 or self.local_steps < 1:
-            raise ValidationError("rounds and local_steps must be >= 1")
-        if not 1 <= self.clients_per_round <= self.n_clients:
+        if self.clients_per_round > self.n_clients:
             raise ValidationError("need 1 <= clients_per_round <= n_clients")
-        if self.batch_size < 1:
-            raise ValidationError("batch_size must be >= 1")
         if self.learning_rate <= 0 or self.server_lr <= 0:
             raise ValidationError("learning rates must be positive")
         if self.prox_mu < 0:
@@ -373,11 +368,16 @@ def run_round(state: FederatedState, datasets: list, schedule: NoiseSchedule,
 
 def init_state(init_params: DenoiserParams, datasets: list, fed_cfg: FedConfig,
                dp_cfg: DpConfig) -> FederatedState:
-    """Fresh training state: zero moments, calibrated per-client noise."""
+    """Fresh training state: zero moments, calibrated per-client noise.
+
+    Calibration runs once per distinct (delta, q): clients with equal shard
+    sizes share the bisection's result.
+    """
     if not datasets:
         raise ValidationError("train needs at least one client shard")
     flat = init_params.flatten().copy()
     clients = []
+    calibrated: dict = {}
     for cid, data in enumerate(datasets):
         sigma = dp_cfg.noise_multiplier
         delta = None
@@ -385,9 +385,12 @@ def init_state(init_params: DenoiserParams, datasets: list, fed_cfg: FedConfig,
         if dp_cfg.accounting_active:
             delta = dp_cfg.delta if dp_cfg.delta is not None else 1.0 / data.n_samples
             if sigma is None:
-                planned = fed_cfg.local_steps * fed_cfg.rounds
-                sigma = calibrate_sigma(dp_cfg.epsilon, delta,
-                                        _sampling_rate(fed_cfg, data.n_samples), planned)
+                key = (delta, _sampling_rate(fed_cfg, data.n_samples))
+                if key not in calibrated:
+                    calibrated[key] = calibrate_sigma(
+                        dp_cfg.epsilon, delta, key[1],
+                        fed_cfg.local_steps * fed_cfg.rounds)
+                sigma = calibrated[key]
             accountant = RdpAccountant()
         clients.append(ClientState(cid, AdamState.zeros(flat.size, fed_cfg.learning_rate),
                                    accountant, sigma, delta, data.n_samples))

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -5,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln, logsumexp
 
+from fedsynth import dp
 from fedsynth.dp import (DEFAULT_ORDERS, DpConfig, RdpAccountant,
                          calibrate_sigma, clip, clip_scales, epsilon_after,
                          privatize, rdp_subsampled_gaussian)
@@ -21,6 +24,19 @@ RDP_Q01_S1_A2 = 1.7181342207454793e-4
 # delta=1e-5 over the default order grid; optimum sits at alpha=5.75.
 EPS_SINGLE_STEP = 5.298773782098995
 EPS_SINGLE_STEP_ORDER = 5.75
+
+
+def _scipy_integer_order(q, sigma, alpha):
+    """Oracle: the integer-order bound summed with scipy.special.logsumexp."""
+    k = np.arange(alpha + 1)
+    terms = (gammaln(alpha + 1) - gammaln(k + 1) - gammaln(alpha - k + 1)
+             + k * (k - 1) / (2.0 * sigma * sigma)
+             + (alpha - k) * math.log1p(-q) + k * math.log(q))
+    return float(logsumexp(terms)) / (alpha - 1)
+
+
+def _scipy_integer_rdp(q, sigma, max_order=None):
+    return functools.cache(functools.partial(_scipy_integer_order, q, sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +247,56 @@ def test_rdp_integer_order_matches_mpmath_binomial_sum():
         exact = mp.log(total) / (alpha - 1)
         got = rdp_subsampled_gaussian(float(q), float(sigma), float(alpha))
         assert got == pytest.approx(float(exact), rel=1e-12), (q, sigma, alpha)
+
+
+def test_integer_orders_bit_equal_scipy_logsumexp():
+    orders = list(range(2, 66)) + [128, 256, 512]
+    for q in [1e-4, 1e-3, 0.008, 0.0158, 0.1, 0.5, 0.999]:
+        for sigma in [1e-2, 0.3, 1.0, 3.7, 50.0, 1e3]:
+            integer_rdp = dp._integer_rdp(q, sigma)
+            for alpha in orders:
+                expected = _scipy_integer_order(q, sigma, alpha)
+                assert integer_rdp(alpha) == expected, (q, sigma, alpha)
+                assert rdp_subsampled_gaussian(q, sigma, float(alpha)) == expected
+
+
+def test_logsumexp_counts_tied_maxima_like_scipy():
+    for values in ([0.0, 0.0, 0.0], [3.0, -1.0, 3.0, 2.5], [-700.0, -700.0, -1e3]):
+        a = np.array(values)
+        assert dp._logsumexp(a.copy()) == float(logsumexp(a))
+
+
+# generate_score's calibration (2000-row IID shards, 12 rounds of 2 steps),
+# criterion 6's (non-IID shards of 1013, 582 and 405 rows, 50 rounds of 20
+# steps) and the calibration tests' own inputs, as (epsilon, delta, q, steps)
+CALIBRATION_INPUTS = (
+    [(5.0, 1 / 2000, 16 / 2000, 24)]
+    + [(0.2, 1 / n, 16 / n, 1000) for n in (1013, 582, 405)]
+    + [(t, 1e-5, 0.1, 100) for t in (0.2, 1.0, 10.0)]
+    + [(1.0, 1e-5, 0.05, 100), (1.0, 1e-5, 0.05, 1000), (0.2, 1e-5, 0.05, 200),
+       (5.0, 1e-5, 0.05, 200), (5.0, 1.5e-3, 0.024, 1000), (1e9, 1e-5, 0.01, 10)])
+
+
+def test_calibration_matches_scipy_logsumexp_oracle(monkeypatch):
+    fast = [calibrate_sigma(*args) for args in CALIBRATION_INPUTS]
+    monkeypatch.setattr(dp, "_integer_rdp", _scipy_integer_rdp)
+    oracle = [calibrate_sigma(*args) for args in CALIBRATION_INPUTS]
+    assert fast == oracle
+
+
+def test_calibration_evaluates_each_sigma_once(monkeypatch):
+    sigmas = []
+
+    def spy(q, sigma, steps, delta):
+        sigmas.append(sigma)
+        return epsilon_after(q, sigma, steps, delta)
+
+    monkeypatch.setattr(dp, "epsilon_after", spy)
+    for args in CALIBRATION_INPUTS:
+        sigmas.clear()
+        result = calibrate_sigma(*args)
+        assert len(sigmas) == len(set(sigmas)), args
+        assert result in sigmas
 
 
 def test_rdp_monotone_in_q():

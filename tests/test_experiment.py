@@ -560,6 +560,19 @@ def test_cli_non_integer_integer_setting_exits_1(workspace, capsys, key):
     assert "integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting", ["n_rows=2.5", "n_attacks=2.5",
+                                     "diffusion.timesteps=2.5",
+                                     "diffusion.timesteps=0",
+                                     "checkpoint_every=-1",
+                                     "checkpoint_every=1.5", "seeds.model=1.5",
+                                     "seeds.data=-1"])
+def test_cli_bad_integer_setting_exits_1(workspace, capsys, setting):
+    path = _write_cfg(workspace, _fast_config(workspace), "bad_integer.json")
+    assert cli.main(["prepare", "-c", path, "-s", setting]) == 1
+    err = capsys.readouterr().err
+    assert setting.split("=")[0] in err and "integer" in err
+
+
 @pytest.mark.parametrize("setting", ["federation.server_beta1=0.9",
                                      "federation.server_beta2=0.999",
                                      "federation.server_eps=1e-8",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fedsynth.diffusion import linear_schedule, make_training_example
-from fedsynth.dp import DpConfig, epsilon_after, privatize
+from fedsynth.dp import DpConfig, calibrate_sigma, epsilon_after, privatize
 from fedsynth.errors import (DivergenceError, PrivacyBudgetError,
                              ValidationError)
 from fedsynth import federation
@@ -533,6 +533,25 @@ def test_calibrated_full_run_lands_just_under_target():
     assert res.rounds_completed == 4
     for cid, eps in res.epsilons.items():
         assert 0.9 < eps <= 1.0, f"client {cid} ended at epsilon {eps}"
+
+
+def test_init_state_calibrates_once_per_distinct_shard(monkeypatch):
+    datasets, params, _ = _tiny_setup(n_clients=3, n_per=60)
+    datasets[2] = _numeric_dataset(45, 3, 9)
+    cfg = FedConfig(n_clients=3, rounds=4, local_steps=5, batch_size=16)
+    dp = DpConfig(epsilon=1.0)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return calibrate_sigma(*args)
+
+    monkeypatch.setattr(federation, "calibrate_sigma", spy)
+    state = init_state(params, datasets, cfg, dp)
+    assert calls == [(1.0, 1 / 60, 16 / 60, 20), (1.0, 1 / 45, 16 / 45, 20)]
+    sigmas = [c.sigma for c in state.clients]
+    assert sigmas[0] == sigmas[1] == calibrate_sigma(1.0, 1 / 60, 16 / 60, 20)
+    assert sigmas[2] == calibrate_sigma(1.0, 1 / 45, 16 / 45, 20)
 
 
 def test_dp_noise_changes_trajectory():
