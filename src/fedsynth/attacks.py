@@ -97,17 +97,22 @@ def gower_distances(queries: _View, reference: _View, rows: np.ndarray) -> np.nd
     if cols.size == 0:
         raise ValidationError("Gower distance needs at least one column")
     q, ref = queries.data[rows], reference.data
-    total = np.zeros((rows.size, ref.shape[0]))
+    shape = (rows.size, ref.shape[0])
+    # One buffer of each kind for all columns: page faults on fresh
+    # (rows, N) temporaries cost more than the arithmetic.
+    total, diff = np.zeros(shape), np.empty(shape)
+    mismatch = np.empty(shape, dtype=bool)
     for j in cols[~queries.is_cat[cols]]:
         if queries.ranges[j] > 0:
-            # In place: one (rows, N) temporary per column instead of three.
-            diff = np.subtract.outer(q[:, j], ref[:, j])
+            np.subtract.outer(q[:, j], ref[:, j], out=diff)
             np.abs(diff, out=diff)
             diff /= queries.ranges[j]
             total += diff
     for j in cols[queries.is_cat[cols]]:
-        total += np.not_equal.outer(q[:, j], ref[:, j])
-    return total / cols.size
+        np.not_equal.outer(q[:, j], ref[:, j], out=mismatch)
+        total += mismatch
+    total /= cols.size
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -154,29 +154,56 @@ class MlpClassifierAdam:
         b1 = np.zeros(MLP_HIDDEN)
         w2 = rng.uniform(-1.0, 1.0, size=(MLP_HIDDEN, n_classes)) * np.sqrt(6.0 / MLP_HIDDEN)
         b2 = np.zeros(n_classes)
-        ms = [np.zeros_like(p) for p in (w1, b1, w2, b2)]
-        vs = [np.zeros_like(p) for p in (w1, b1, w2, b2)]
+        params = (w1, b1, w2, b2)
+        ms = [np.zeros_like(p) for p in params]
+        vs = [np.zeros_like(p) for p in params]
+        scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
+        # Every (n, ·) array is allocated once and updated in place, in the
+        # order of the textbook expressions, so results are bit-identical
+        # to them; fresh pages each iteration cost more than the arithmetic.
+        z1, h1, d_h1 = (np.empty((n, MLP_HIDDEN)) for _ in range(3))
+        relu = np.empty((n, MLP_HIDDEN), dtype=bool)
+        logits = np.empty((n, n_classes))
+        row = np.empty((n, 1))
         beta1, beta2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
         for step in range(1, MLP_ITERS + 1):
-            z1 = X @ w1 + b1
-            h1 = np.maximum(z1, 0.0)
-            probs = _softmax(h1 @ w2 + b2)
-            d_logits = (probs - onehot) / n
-            g_w2 = h1.T @ d_logits
-            g_b2 = d_logits.sum(axis=0)
-            d_h1 = (d_logits @ w2.T) * (z1 > 0)
+            np.matmul(X, w1, out=z1)
+            z1 += b1
+            np.maximum(z1, 0.0, out=h1)
+            np.matmul(h1, w2, out=logits)
+            logits += b2
+            np.max(logits, axis=1, keepdims=True, out=row)  # softmax, in place
+            logits -= row
+            np.exp(logits, out=logits)
+            np.sum(logits, axis=1, keepdims=True, out=row)
+            logits /= row
+            logits -= onehot  # d_logits = (probs - onehot) / n
+            logits /= n
+            g_w2 = h1.T @ logits
+            g_b2 = logits.sum(axis=0)
+            np.matmul(logits, w2.T, out=d_h1)
+            np.greater(z1, 0, out=relu)
+            d_h1 *= relu
             g_w1 = X.T @ d_h1
             g_b1 = d_h1.sum(axis=0)
-            params = [w1, b1, w2, b2]
-            grads = [g_w1, g_b1, g_w2, g_b2]
-            for k in range(4):
-                ms[k] = beta1 * ms[k] + (1 - beta1) * grads[k]
-                vs[k] = beta2 * vs[k] + (1 - beta2) * grads[k] ** 2
-                m_hat = ms[k] / (1 - beta1 ** step)
-                v_hat = vs[k] / (1 - beta2 ** step)
-                params[k] -= MLP_LR * m_hat / (np.sqrt(v_hat) + eps)
-            w1, b1, w2, b2 = params
-        self.params = (w1, b1, w2, b2)
+            bias1, bias2 = 1 - beta1 ** step, 1 - beta2 ** step
+            for p, g, m, v, (s, t) in zip(params, (g_w1, g_b1, g_w2, g_b2),
+                                          ms, vs, scratch):
+                m *= beta1  # m = beta1 * m + (1 - beta1) * g
+                np.multiply(g, 1 - beta1, out=s)
+                m += s
+                v *= beta2  # v = beta2 * v + (1 - beta2) * g ** 2
+                np.square(g, out=s)
+                s *= 1 - beta2
+                v += s
+                np.divide(m, bias1, out=s)  # p -= lr * m_hat / (sqrt(v_hat) + eps)
+                np.divide(v, bias2, out=t)
+                np.sqrt(t, out=t)
+                t += eps
+                s *= MLP_LR
+                s /= t
+                p -= s
+        self.params = params
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:

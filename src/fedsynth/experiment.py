@@ -233,13 +233,23 @@ def desk_preset(**kwargs) -> ExperimentConfig:
 
 
 def save_checkpoint(path, state: FederatedState, config_digest: str,
-                    pipeline_digest: str, seeds: Seeds) -> None:
-    arrays = {"global_flat": state.global_flat,
-              "server_m": state.server.m, "server_v": state.server.v}
+                    pipeline_digest: str, seeds: Seeds, finished: bool = False) -> None:
+    """Write ``state`` to ``path``.
+
+    An unfinished run's checkpoint holds everything ``--resume`` needs: the
+    global model, the server's and every client's optimizer moments, and the
+    accountant ledgers. A ``finished`` run can train no further, so its
+    checkpoint keeps only the model and the ledgers (two P-vectors fewer per
+    client, and the server's two).
+    """
+    arrays = {"global_flat": state.global_flat}
+    if not finished:
+        arrays.update(server_m=state.server.m, server_v=state.server.v)
     client_meta = []
     for c in state.clients:
-        arrays[f"adam_m_{c.client_id}"] = c.adam.m
-        arrays[f"adam_v_{c.client_id}"] = c.adam.v
+        if not finished:
+            arrays[f"adam_m_{c.client_id}"] = c.adam.m
+            arrays[f"adam_v_{c.client_id}"] = c.adam.v
         if c.accountant is not None:
             acc = c.accountant.state_arrays()
             arrays[f"acc_q_{c.client_id}"] = acc["qs"]
@@ -276,20 +286,29 @@ def _read_checkpoint(path, names=None) -> tuple:
     return arrays, meta
 
 
+def _accountant(arrays: dict, client_meta: dict) -> RdpAccountant | None:
+    """A client's accountant, rebuilt from its ledger in a checkpoint."""
+    if not client_meta["has_accountant"]:
+        return None
+    cid = client_meta["client_id"]
+    return RdpAccountant.from_state_arrays(
+        arrays.get(f"acc_q_{cid}", np.zeros(0)),
+        arrays.get(f"acc_sigma_{cid}", np.zeros(0)),
+        arrays.get(f"acc_count_{cid}", np.zeros(0, dtype=np.int64)))
+
+
 def load_checkpoint(path) -> tuple:
+    """The full training state of an unfinished run's checkpoint, and its meta."""
     arrays, meta = _read_checkpoint(path)
+    if "server_m" not in arrays:
+        raise CheckpointError(f"{path!r} is a finished run's checkpoint; "
+                              "it holds no optimizer state to resume from")
     clients = []
     for cm in meta["clients"]:
         cid = cm["client_id"]
         adam = AdamState(arrays[f"adam_m_{cid}"], arrays[f"adam_v_{cid}"],
                          t=int(cm["adam_t"]), lr=float(cm["adam_lr"]))
-        accountant = None
-        if cm["has_accountant"]:
-            accountant = RdpAccountant.from_state_arrays(
-                arrays.get(f"acc_q_{cid}", np.zeros(0)),
-                arrays.get(f"acc_sigma_{cid}", np.zeros(0)),
-                arrays.get(f"acc_count_{cid}", np.zeros(0, dtype=np.int64)))
-        clients.append(fed.ClientState(cid, adam, accountant, cm["sigma"],
+        clients.append(fed.ClientState(cid, adam, _accountant(arrays, cm), cm["sigma"],
                                        cm["delta"], int(cm["n_samples"])))
     state = FederatedState(
         arrays["global_flat"], meta["manifest"], clients,
@@ -376,27 +395,79 @@ def _keep_audit_through(path: str, last_round: int) -> None:
         fh.writelines(kept)
 
 
+def _manifest(config: ExperimentConfig, pipeline_digest: str, rounds_completed: int,
+              stopped_early: bool, epsilons: dict, started: float) -> dict:
+    return {
+        "config_digest": config.digest,
+        "pipeline_digest": pipeline_digest,
+        "rounds_completed": rounds_completed,
+        "stopped_early": stopped_early,
+        "epsilons": {str(k): v for k, v in epsilons.items()},
+        "wall_time_s": round(time.time() - started, 3),
+        "versions": {"python": platform.python_version(),
+                     "numpy": np.__version__, "scipy": scipy.__version__},
+    }
+
+
+def _finished_manifest(config: ExperimentConfig, paths: dict, meta: dict) -> dict:
+    """The manifest of a finished run, which ``--resume`` leaves as it is.
+
+    A crash between the final checkpoint and the manifest leaves no manifest,
+    or a staged session's; then it is written from the checkpoint's ledgers.
+    """
+    started = time.time()
+    if os.path.exists(paths["manifest"]):
+        manifest = read_json(paths["manifest"])
+        written = [manifest.get(k) for k in ("config_digest", "rounds_completed",
+                                             "stopped_early")]
+        if written == [meta["config_digest"], meta["round"], meta["stopped_early"]]:
+            return manifest
+    arrays, _ = _read_checkpoint(paths["checkpoint"])
+    epsilons = {}
+    for cm in meta["clients"]:
+        accountant = _accountant(arrays, cm)
+        if accountant is not None:
+            epsilons[cm["client_id"]] = (accountant.to_epsilon(cm["delta"])[0]
+                                         if accountant.steps else None)
+    manifest = _manifest(config, meta["pipeline_digest"], meta["round"],
+                         meta["stopped_early"], epsilons, started)
+    write_json(paths["manifest"], manifest)
+    return manifest
+
+
 def cmd_train(config: ExperimentConfig, resume: bool = False,
               stop_after_round: int | None = None) -> dict:
-    """Run federated training; write checkpoint, audit log, and manifest."""
+    """Run federated training; write checkpoint, audit log, and manifest.
+
+    A run is finished once all ``federation.rounds`` are done or the privacy
+    budget stopped it. Its final checkpoint keeps only the model and the
+    ledgers, and ``resume`` of a finished run trains nothing and leaves the
+    checkpoint, audit log and manifest as they are.
+    """
     paths = _paths(config)
     _require(paths["pipeline"], "prepare")
     _require(paths["partitions"], "prepare")
-    table = _load_inputs(config)
     pipeline = EncodingPipeline.load(paths["pipeline"])
-    partitions = load_partitions(paths["partitions"])
-    datasets = make_client_datasets(pipeline, table, partitions)
-    schedule = config.diffusion.schedule()
+
+    def finished(round_: int, stopped_early: bool) -> bool:
+        return stopped_early or round_ >= config.federation.rounds
 
     state = None
     if resume:
         _require(paths["checkpoint"], "train (nothing to resume)")
-        state, meta = load_checkpoint(paths["checkpoint"])
+        _, meta = _read_checkpoint(paths["checkpoint"], names=())
         if meta["config_digest"] != config.digest:
             raise CheckpointError(
                 "checkpoint was produced by a different config; refusing to resume")
         if meta["pipeline_digest"] != pipeline.digest:
             raise CheckpointError("checkpoint does not match the fitted pipeline")
+        if finished(meta["round"], meta["stopped_early"]):
+            return _finished_manifest(config, paths, meta)
+        state, _ = load_checkpoint(paths["checkpoint"])
+    table = _load_inputs(config)
+    partitions = load_partitions(paths["partitions"])
+    datasets = make_client_datasets(pipeline, table, partitions)
+    schedule = config.diffusion.schedule()
     _keep_audit_through(paths["audit"], state.round if resume else 0)
 
     init_params = init_denoiser(
@@ -409,7 +480,9 @@ def cmd_train(config: ExperimentConfig, resume: bool = False,
         with open(paths["audit"], "a", encoding="utf-8") as fh:
             fh.writelines(canonical_json(line) + "\n" for line in lines)
         every = config.checkpoint_every
-        if every > 0 and st.round % every == 0:
+        # the save after fed.train writes the session's last round
+        last = st.round in (config.federation.rounds, stop_after_round)
+        if every > 0 and st.round % every == 0 and not last:
             save_checkpoint(paths["checkpoint"], st, config.digest,
                             pipeline.digest, config.seeds)
 
@@ -418,19 +491,10 @@ def cmd_train(config: ExperimentConfig, resume: bool = False,
                               config.federation, config.dp, config.seeds.model,
                               state=state, stop_after_round=stop_after_round,
                               round_callback=round_cb)
-    save_checkpoint(paths["checkpoint"], state, config.digest,
-                    pipeline.digest, config.seeds)
-
-    manifest = {
-        "config_digest": config.digest,
-        "pipeline_digest": pipeline.digest,
-        "rounds_completed": result.rounds_completed,
-        "stopped_early": result.stopped_early,
-        "epsilons": {str(k): v for k, v in result.epsilons.items()},
-        "wall_time_s": round(time.time() - started, 3),
-        "versions": {"python": platform.python_version(),
-                     "numpy": np.__version__, "scipy": scipy.__version__},
-    }
+    save_checkpoint(paths["checkpoint"], state, config.digest, pipeline.digest,
+                    config.seeds, finished=finished(state.round, state.stopped_early))
+    manifest = _manifest(config, pipeline.digest, result.rounds_completed,
+                         result.stopped_early, result.epsilons, started)
     write_json(paths["manifest"], manifest)
     return manifest
 

@@ -98,6 +98,34 @@ def test_build_views_column_subset_matches_restricted_tables():
                                   gower_distances(*alone, rows))
 
 
+def _gower_reference(queries, reference, rows):
+    """gower_distances with a fresh array per column and a fresh quotient:
+    the oracle for the reused buffers, which must match it bit for bit."""
+    cols = queries.cols
+    q, ref = queries.data[rows], reference.data
+    total = np.zeros((rows.size, ref.shape[0]))
+    for j in cols[~queries.is_cat[cols]]:
+        if queries.ranges[j] > 0:
+            total += np.abs(np.subtract.outer(q[:, j], ref[:, j])) / queries.ranges[j]
+    for j in cols[queries.is_cat[cols]]:
+        total += np.not_equal.outer(q[:, j], ref[:, j])
+    return total / cols.size
+
+
+@pytest.mark.parametrize("columns", [None, ("grade", "amount", "dept"),
+                                     ("score",), ("dept",)])
+def test_gower_distances_match_the_fresh_array_reference(columns):
+    real = independent_table(90, seed=3)
+    syn = independent_table(70, seed=4)
+    real.columns["offset"][:] = 1.5  # a zero-range numeric column
+    syn.columns["offset"][:] = 1.5
+    r, s = _build_views(real, syn, columns)
+    for queries, reference in ((r, s), (s, r)):
+        rows = np.arange(0, queries.data.shape[0], 2)
+        assert np.array_equal(gower_distances(queries, reference, rows),
+                              _gower_reference(queries, reference, rows))
+
+
 def test_default_aux_split_alternates():
     table = independent_table(10, seed=0)
     a, b = default_aux_split(table.schema)

@@ -55,10 +55,16 @@ def test_compare_checkpoints_reports_members_and_meta_keys(tmp_path):
     old, new, other = (str(tmp_path / name) for name in ("old.npz", "new.npz", "other.npz"))
     save_arrays(old, arrays, meta)
     save_arrays(new, arrays, dict(meta, config_digest="b" * 64))
+    size = os.path.getsize(old)
+    assert os.path.getsize(new) == size
     assert compare_outputs.compare_checkpoints(old, new) == [
+        f"  size: {size} -> {size} bytes",
         "  global_flat.npy: identical", "  server_m.npy: identical",
         "  meta.json keys that differ: config_digest"]
     save_arrays(other, {"global_flat": np.arange(4.0) + 1.0}, meta)
+    smaller = os.path.getsize(other)
+    assert smaller < size
     assert compare_outputs.compare_checkpoints(old, other) == [
+        f"  size: {size} -> {smaller} bytes",
         "  global_flat.npy: DIFFERENT", "  server_m.npy: missing from new",
         "  meta.json keys that differ: none"]

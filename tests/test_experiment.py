@@ -17,7 +17,7 @@ from fedsynth.experiment import (OUTPUT_ROOT_ENV, ExperimentConfig, Seeds,
                                  run_pipeline)
 from fedsynth.fixtures import gaussian_mixture_table
 from fedsynth.nn import DenoiserParams, forward, init_denoiser
-from fedsynth.store import load_arrays, read_json, save_arrays
+from fedsynth.store import load_arrays, read_json, save_arrays, write_json
 
 
 @pytest.fixture()
@@ -41,6 +41,9 @@ def _fast_config(ws, out="run", **extra):
             "n_rows": 40, "n_attacks": 15}
     base.update(extra)
     return cfg.replace(**base)
+
+
+DP_ON = {"dp.epsilon": 50.0, "dp.noise_multiplier": 1.0}
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +240,89 @@ def test_periodic_checkpointing(workspace):
     assert manifest["rounds_completed"] == 3
 
 
+@pytest.mark.parametrize("stop_after_round, writes", [(None, 3), (2, 2)])
+def test_periodic_checkpointing_writes_each_round_once(workspace, monkeypatch,
+                                                       stop_after_round, writes):
+    cfg = _fast_config(workspace, out="periodic_once", checkpoint_every=1,
+                       **{"federation.rounds": 3})
+    cmd_prepare(cfg)
+    rounds, save = [], experiment.save_checkpoint
+
+    def counting_save(path, state, *args, **kwargs):
+        rounds.append(state.round)
+        return save(path, state, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "save_checkpoint", counting_save)
+    cmd_train(cfg, stop_after_round=stop_after_round)
+    assert rounds == list(range(1, writes + 1))
+
+
+def _members(path):
+    with zipfile.ZipFile(path) as zf:
+        return sorted(zf.namelist())
+
+
+def test_finished_checkpoint_keeps_only_the_model_and_ledgers(workspace):
+    extra = dict(DP_ON, **{"federation.strategy": "fedadam",
+                           "federation.clients_per_round": 2})
+    staged = _fast_config(workspace, out="fedadam", **extra)
+    cmd_prepare(staged)
+    cmd_train(staged, stop_after_round=1)
+    ledgers = [f"acc_{kind}_{cid}.npy" for cid in (0, 1)
+               for kind in ("count", "q", "sigma")]
+    moments = ["adam_m_0.npy", "adam_m_1.npy", "adam_v_0.npy", "adam_v_1.npy",
+               "server_m.npy", "server_v.npy"]
+    assert _members(_checkpoint(staged)) == sorted(
+        ["global_flat.npy", "meta.json"] + ledgers + moments)
+
+    cmd_train(staged, resume=True)
+    assert _members(_checkpoint(staged)) == sorted(
+        ["global_flat.npy", "meta.json"] + ledgers)
+    with pytest.raises(CheckpointError, match="finished"):
+        experiment.load_checkpoint(_checkpoint(staged))
+
+
+def _run_files(cfg):
+    return {name: open(os.path.join(cfg.resolved_output_dir(), name), "rb").read()
+            for name in ("checkpoint.npz", "audit.jsonl", "manifest.json")}
+
+
+@pytest.mark.parametrize("extra, stopped_early", [
+    ({}, False),
+    ({"dp.epsilon": 2.0, "dp.noise_multiplier": 1.0, "federation.rounds": 40}, True),
+])
+def test_resume_of_a_finished_run_changes_nothing(workspace, extra, stopped_early):
+    cfg = _fast_config(workspace, out="finished", **extra)
+    path = _write_cfg(workspace, cfg, "finished.json")
+    assert cli.main(["prepare", "-c", path]) == 0
+    assert cli.main(["train", "-c", path]) == 0
+    before = _run_files(cfg)
+    manifest = json.loads(before["manifest.json"])
+    assert manifest["stopped_early"] is stopped_early
+    assert (manifest["rounds_completed"] < cfg.federation.rounds) is stopped_early
+    assert cli.main(["train", "-c", path, "--resume"]) == 0
+    assert _run_files(cfg) == before
+
+
+def test_resume_rewrites_a_manifest_the_final_checkpoint_outran(workspace):
+    """A crash between the final checkpoint and its manifest leaves none, or
+    the one of a staged session; resume writes it from the ledgers."""
+    cfg = _fast_config(workspace, out="outran", **DP_ON)
+    cmd_prepare(cfg)
+    staged = cmd_train(cfg, stop_after_round=1)
+    final = cmd_train(cfg, resume=True)
+    manifest_path = os.path.join(cfg.resolved_output_dir(), "manifest.json")
+    for left_behind in (staged, None):
+        os.remove(manifest_path)
+        if left_behind is not None:
+            write_json(manifest_path, left_behind)
+        rebuilt = cmd_train(cfg, resume=True)
+        assert read_json(manifest_path) == rebuilt
+        for key in ("config_digest", "pipeline_digest", "rounds_completed",
+                    "stopped_early", "epsilons", "versions"):
+            assert rebuilt[key] == final[key], key
+
+
 def test_generate_deterministic_and_in_domain(workspace):
     cfg = _fast_config(workspace)
     cmd_prepare(cfg)
@@ -273,10 +359,19 @@ def test_generate_seed_and_rows_override(workspace):
 @pytest.fixture()
 def dp_run(workspace):
     """A trained run with accounting on, so its checkpoint holds accountants."""
-    cfg = _fast_config(workspace, out="dp_run",
-                       **{"dp.epsilon": 50.0, "dp.noise_multiplier": 1.0})
+    cfg = _fast_config(workspace, out="dp_run", **DP_ON)
     cmd_prepare(cfg)
     cmd_train(cfg)
+    return cfg
+
+
+@pytest.fixture()
+def staged_dp_run(workspace):
+    """dp_run's config stopped after round 1: a checkpoint with the full
+    resumable state (optimizer moments as well as the model and ledgers)."""
+    cfg = _fast_config(workspace, out="staged_dp_run", **DP_ON)
+    cmd_prepare(cfg)
+    cmd_train(cfg, stop_after_round=1)
     return cfg
 
 
@@ -358,8 +453,8 @@ def test_generate_float32_overflow_exits_2_and_writes_no_csv(workspace, dp_run, 
     assert not os.path.exists(out)
 
 
-def test_generate_checks_crc_of_members_it_does_not_decode(dp_run):
-    path = _checkpoint(dp_run)
+def test_generate_checks_crc_of_members_it_does_not_decode(staged_dp_run):
+    path = _checkpoint(staged_dp_run)
     raw = bytearray(open(path, "rb").read())
     with zipfile.ZipFile(path) as zf:
         info = zf.getinfo("adam_m_0.npy")
@@ -370,10 +465,10 @@ def test_generate_checks_crc_of_members_it_does_not_decode(dp_run):
     raw[data_start + info.file_size // 2] ^= 0x01
     open(path, "wb").write(bytes(raw))
     with pytest.raises(CheckpointError):
-        cmd_generate(dp_run)
+        cmd_generate(staged_dp_run)
 
 
-def test_generate_rebuilds_no_accountant(dp_run, monkeypatch):
+def test_generate_rebuilds_no_accountant(staged_dp_run, monkeypatch):
     calls = []
     account_step = RdpAccountant.account_step
 
@@ -382,9 +477,9 @@ def test_generate_rebuilds_no_accountant(dp_run, monkeypatch):
         return account_step(self, *args, **kwargs)
 
     monkeypatch.setattr(RdpAccountant, "account_step", spy)
-    cmd_generate(dp_run)
+    cmd_generate(staged_dp_run)
     assert calls == []
-    experiment.load_checkpoint(_checkpoint(dp_run))  # the spy does see a rebuild
+    experiment.load_checkpoint(_checkpoint(staged_dp_run))  # the spy does see a rebuild
     assert calls
 
 

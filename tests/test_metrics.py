@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fedsynth.classifiers import (DecisionTreeGini, LogisticRegressionGD,
-                                  MlpClassifierAdam, accuracy,
-                                  builtin_classifiers)
+from fedsynth.classifiers import (MLP_HIDDEN, MLP_ITERS, MLP_LR, DecisionTreeGini,
+                                  LogisticRegressionGD, MlpClassifierAdam, _softmax,
+                                  accuracy, builtin_classifiers)
+from fedsynth.data import RawTable, TabularSchema
 from fedsynth.errors import ValidationError
 from fedsynth.fixtures import (INDEPENDENT_SCHEMA, gaussian_mixture_table,
                                independent_table, separable_table,
                                shuffle_column)
-from fedsynth.metrics import (MetricsReport, column_fidelity, evaluate_tables,
-                              js_similarity, row_fidelity, theil_u,
+from fedsynth.metrics import (MetricsReport, _encode_features, column_fidelity,
+                              evaluate_tables, js_similarity, row_fidelity, theil_u,
                               utility_score, wasserstein_similarity)
+from fedsynth.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 # Frozen oracle: 1 - JS2((1/2, 1/2), (1, 0)) with base-2 logs.
 JS_HALF_VS_POINT = 0.6887218755408672
@@ -233,6 +235,57 @@ def test_mlp_separable_and_seeded():
     m2 = MlpClassifierAdam(seed=0).fit(X, y, k)
     np.testing.assert_array_equal(m1.predict(X), m2.predict(X))
     assert accuracy(y, m1.predict(X)) >= 0.95
+
+
+def _mlp_fit_reference(X, y, n_classes, seed):
+    """MlpClassifierAdam.fit as fresh-array expressions: the oracle for the
+    in-place loop, which must match it bit for bit."""
+    beta1, beta2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+    rng = np.random.default_rng(seed)
+    n, d = X.shape
+    onehot = np.zeros((n, n_classes))
+    onehot[np.arange(n), y] = 1.0
+    w1 = rng.uniform(-1.0, 1.0, size=(d, MLP_HIDDEN)) * np.sqrt(6.0 / d)
+    b1 = np.zeros(MLP_HIDDEN)
+    w2 = rng.uniform(-1.0, 1.0, size=(MLP_HIDDEN, n_classes)) * np.sqrt(6.0 / MLP_HIDDEN)
+    b2 = np.zeros(n_classes)
+    ms = [np.zeros_like(p) for p in (w1, b1, w2, b2)]
+    vs = [np.zeros_like(p) for p in (w1, b1, w2, b2)]
+    for step in range(1, MLP_ITERS + 1):
+        z1 = X @ w1 + b1
+        h1 = np.maximum(z1, 0.0)
+        probs = _softmax(h1 @ w2 + b2)
+        d_logits = (probs - onehot) / n
+        g_w2 = h1.T @ d_logits
+        g_b2 = d_logits.sum(axis=0)
+        d_h1 = (d_logits @ w2.T) * (z1 > 0)
+        g_w1 = X.T @ d_h1
+        g_b1 = d_h1.sum(axis=0)
+        params = [w1, b1, w2, b2]
+        grads = [g_w1, g_b1, g_w2, g_b2]
+        for k in range(4):
+            ms[k] = beta1 * ms[k] + (1 - beta1) * grads[k]
+            vs[k] = beta2 * vs[k] + (1 - beta2) * grads[k] ** 2
+            m_hat = ms[k] / (1 - beta1 ** step)
+            v_hat = vs[k] / (1 - beta2 ** step)
+            params[k] -= MLP_LR * m_hat / (np.sqrt(v_hat) + eps)
+        w1, b1, w2, b2 = params
+    return w1, b1, w2, b2
+
+
+@pytest.mark.parametrize("table", [
+    gaussian_mixture_table(300, seed=3),  # 4 features, 3 classes
+    RawTable(TabularSchema(INDEPENDENT_SCHEMA.columns, target_column="grade"),
+             independent_table(300, seed=4).columns),  # 40-level one-hots
+], ids=["narrow", "wide"])
+def test_mlp_fit_matches_the_reference_loop_bit_for_bit(table):
+    schema = table.schema
+    X = _encode_features(schema, table, table)[0]
+    labels = {v: i for i, v in enumerate(dict.fromkeys(table.column(schema.target_column)))}
+    y = np.array([labels[v] for v in table.column(schema.target_column)])
+    got = MlpClassifierAdam(seed=7).fit(X, y, len(labels)).params
+    want = _mlp_fit_reference(X, y, len(labels), seed=7)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_builtin_classifiers_names():

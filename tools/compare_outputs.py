@@ -12,9 +12,9 @@ then prints:
 
 - whether ``pipeline.json`` and ``audit.jsonl`` are byte-identical, and
   whether the manifest's per-client ε are equal;
-- for ``checkpoint.npz``, whether each ``.npy`` member is byte-identical,
-  and which top-level keys of its ``meta.json`` differ (a config change
-  moves only ``config_digest``);
+- for ``checkpoint.npz``, each tree's file size in bytes, whether each
+  ``.npy`` member is byte-identical, and which top-level keys of its
+  ``meta.json`` differ (a config change moves only ``config_digest``);
 - for ``synthetic.csv``, per column, the categorical cells that differ and
   the numeric cells that moved, with the largest relative move
   |new - old| / max(|old|, |new|);
@@ -137,10 +137,12 @@ def compare_csv(old_path: str, new_path: str, schema: dict) -> list:
 
 
 def compare_checkpoints(old_path: str, new_path: str) -> list:
-    """One line per ``.npy`` member of two checkpoints, then the differing meta keys."""
+    """Both checkpoints' sizes, one line per ``.npy`` member, then the
+    differing meta keys."""
+    sizes = [os.path.getsize(path) for path in (old_path, new_path)]
+    lines = [f"  size: {sizes[0]} -> {sizes[1]} bytes"]
     with zipfile.ZipFile(old_path) as old, zipfile.ZipFile(new_path) as new:
         old_names, new_names = set(old.namelist()), set(new.namelist())
-        lines = []
         for name in sorted((old_names | new_names) - {"meta.json"}):
             if name not in old_names or name not in new_names:
                 side = "old" if name not in old_names else "new"
