@@ -15,7 +15,7 @@ from .data import (CategoryCodec, ClientPartition, EncodingPipeline,
                    fit_quantile_map, load_csv, load_partitions, partition_iid,
                    partition_noniid, save_partitions, write_csv)
 from .diffusion import (NoiseSchedule, generate, linear_schedule,
-                        make_training_example, p_sample_step, q_sample)
+                        make_training_example, p_sample_step, q_sample, respace)
 from .dp import (DEFAULT_ORDERS, DpConfig, RdpAccountant, calibrate_sigma,
                  clip, epsilon_after, privatize, rdp_subsampled_gaussian)
 from .errors import (CalibrationError, CheckpointError, CsvFormatError,
@@ -57,7 +57,7 @@ __all__ = [
     "linear_schedule", "linkability_risk", "load_csv", "load_partitions",
     "make_client_datasets", "make_training_example", "p_sample_step",
     "partition_iid", "partition_noniid", "per_sample_grads",
-    "privacy_score", "privatize", "q_sample", "rdp_subsampled_gaussian",
+    "privacy_score", "privatize", "q_sample", "rdp_subsampled_gaussian", "respace",
     "row_fidelity", "run_pipeline", "run_round", "save_partitions",
     "separable_table", "shuffle_column", "singling_out_risk", "theil_u",
     "time_embed", "train", "utility_score", "wasserstein_similarity",

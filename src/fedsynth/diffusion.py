@@ -4,6 +4,12 @@ Steps are 1-indexed (t = 1..T) to match the usual process notation; the
 schedule stores beta_t, alpha_t = 1 - beta_t, and the cumulative product
 alpha_bar_t. The reverse step uses the fixed variance sigma_t^2 = beta_t and
 adds no noise at the terminal step t = 1.
+
+Training draws t from all T steps; sampling runs the same reverse step on a
+respaced schedule of SAMPLE_STEPS steps (Nichol & Dhariwal 2021):
+``respace`` keeps alpha_bar at the steps tau_1 = 1 < ... < tau_S = T and
+recomputes each beta from consecutive alpha_bars, and the denoiser is asked
+about the original step tau_i at respaced step i.
 """
 
 from __future__ import annotations
@@ -18,6 +24,9 @@ DEFAULT_TIMESTEPS = 500
 # endpoints of the linear beta schedule (Ho et al. 2020)
 BETA_START = 1e-4
 BETA_END = 0.02
+# reverse-chain length used for sampling; a schedule of at most this many
+# steps is sampled in full
+SAMPLE_STEPS = 50
 
 
 @dataclass(frozen=True)
@@ -30,6 +39,8 @@ class NoiseSchedule:
         betas = np.asarray(self.betas, dtype=np.float64)
         if betas.ndim != 1 or betas.size < 1:
             raise ValidationError("schedule needs at least one beta")
+        if not np.all(np.isfinite(betas)):
+            raise ValidationError("betas must be finite")
         if np.any(betas <= 0.0) or np.any(betas >= 1.0):
             raise ValidationError("betas must lie strictly inside (0, 1)")
         object.__setattr__(self, "betas", betas)
@@ -65,6 +76,29 @@ def linear_schedule(timesteps: int = DEFAULT_TIMESTEPS) -> NoiseSchedule:
     else:
         betas = np.linspace(BETA_START, BETA_END, timesteps)
     return NoiseSchedule(betas)
+
+
+def respace(schedule: NoiseSchedule, steps: int) -> tuple[NoiseSchedule, np.ndarray]:
+    """The schedule restricted to ``steps`` of its steps, and those steps.
+
+    Returns (respaced, tau): tau = round(linspace(1, T, steps)) holds 1 and
+    T, respaced.alpha_bars equals schedule.alpha_bars[tau - 1] exactly, and
+    respaced beta_i = 1 - alpha_bar_{tau_i} / alpha_bar_{tau_(i-1)} with
+    alpha_bar_{tau_0} = 1. With steps >= T it returns the schedule itself
+    and tau = 1..T.
+    """
+    T = schedule.timesteps
+    if steps >= T:
+        return schedule, np.arange(1, T + 1)
+    if steps < 2:
+        raise ValidationError("respacing needs at least 2 steps")
+    tau = np.round(np.linspace(1, T, steps)).astype(np.int64)
+    alpha_bars = schedule.alpha_bars[tau - 1]
+    respaced = NoiseSchedule(1.0 - alpha_bars / np.concatenate(([1.0], alpha_bars[:-1])))
+    # the cumulative product of 1 - beta would round away from the trained
+    # alpha_bars, so keep them as they are
+    object.__setattr__(respaced, "alpha_bars", alpha_bars)
+    return respaced, tau
 
 
 def q_sample(x0, t: int, eps, schedule: NoiseSchedule) -> np.ndarray:
@@ -108,7 +142,13 @@ def p_sample_step(denoise_fn, x_t, t: int, schedule: NoiseSchedule, rng) -> np.n
 
 def generate(denoise_fn, n_rows: int, d_enc: int, schedule: NoiseSchedule,
              rng) -> np.ndarray:
-    """Sample n_rows encoded rows by full reverse diffusion from x_T ~ N(0, I)."""
+    """Sample n_rows encoded rows by reverse diffusion from x_T ~ N(0, I).
+
+    Runs every step of ``schedule``, from T down to 1, calling
+    ``denoise_fn(x, t)`` with the schedule's own step t; to sample on a
+    respaced schedule, pass one from ``respace`` and map t to tau[t - 1]
+    inside ``denoise_fn``.
+    """
     if n_rows < 1:
         raise ValidationError("n_rows must be >= 1")
     x = rng.standard_normal((n_rows, d_enc))

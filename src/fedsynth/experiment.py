@@ -523,13 +523,17 @@ def cmd_generate(config: ExperimentConfig, checkpoint_path: str | None = None,
     if n_rows < 1:
         raise ValidationError("n_rows must be >= 1")
     rng = np.random.default_rng([seed, 0])  # block 0; blocks would be [seed, b]
-    # The denoiser runs on a float32 copy (sampling is post-processing, so
-    # precision does not touch ε); the chain's update, its noise and decode
-    # stay float64, and decode reads the checkpoint's float64 tables.
+    # The denoiser runs on a float32 copy, and the chain on a respaced
+    # schedule of diff.SAMPLE_STEPS steps (sampling is post-processing, so
+    # neither touches ε); the chain's update, its noise and decode stay
+    # float64, and decode reads the checkpoint's float64 tables. The model
+    # was trained on the original steps, so respaced step i asks it about
+    # step tau[i - 1].
     sampler = params.astype(np.float32)
     buffers = layer_buffers(sampler, n_rows)
-    encoded = diff.generate(lambda x, t: forward(sampler, x, t, buffers),
-                            n_rows, params.d_enc, config.diffusion.schedule(), rng)
+    schedule, tau = diff.respace(config.diffusion.schedule(), diff.SAMPLE_STEPS)
+    encoded = diff.generate(lambda x, i: forward(sampler, x, int(tau[i - 1]), buffers),
+                            n_rows, params.d_enc, schedule, rng)
     table = pipeline.decode(encoded, embeddings=params.embeddings)
     out_path = out_path or paths["synthetic"]
     write_csv(out_path, table)

@@ -1,4 +1,6 @@
+import json
 import os
+import pathlib
 import sys
 
 import numpy as np
@@ -68,3 +70,59 @@ def test_compare_checkpoints_reports_members_and_meta_keys(tmp_path):
         f"  size: {size} -> {smaller} bytes",
         "  global_flat.npy: DIFFERENT", "  server_m.npy: missing from new",
         "  meta.json keys that differ: none"]
+
+
+def _report(omega, phi, pi):
+    return {"fidelity": {"omega": omega}, "utility": {"phi": phi}, "privacy": {"pi": pi}}
+
+
+def test_headline_table_has_a_row_per_seed_and_tree_then_medians():
+    reports = {101: {"old": _report(0.5, 0.25, 0.125), "new": _report(0.75, None, 0.25)},
+               102: {"old": _report(0.25, 0.5, 0.25), "new": _report(0.5, 0.5, 0.5)},
+               103: {"old": _report(1.0, 0.75, 0.0), "new": _report(0.25, 0.25, 0.0)}}
+    assert compare_outputs.headline_table(reports) == [
+        "  seed tree    omega      phi       pi",
+        "   101  old   0.5000   0.2500   0.1250",
+        "   101  new   0.7500      n/a   0.2500",
+        "   102  old   0.2500   0.5000   0.2500",
+        "   102  new   0.5000   0.5000   0.5000",
+        "   103  old   1.0000   0.7500   0.0000",
+        "   103  new   0.2500   0.2500   0.0000",
+        "median  old   0.5000   0.5000   0.1250",
+        "median  new   0.5000      n/a   0.2500"]
+
+
+def test_main_compares_each_seed_then_prints_the_table(tmp_path, monkeypatch, capsys):
+    """Each seed runs both trees (the subprocess is stubbed here: the run's
+    omega is the seed over 1000, plus 0.1 on the new tree) before the one
+    table."""
+    def fake_subprocess_run(cmd, env, check):
+        tree, workload, seed, work = cmd[-4:]
+        run = pathlib.Path(work) / "run"
+        run.mkdir()
+        for path in (run.parent / "data.csv", run / "synthetic.csv"):
+            _write(path, [["x", "c"], ["1.0", "a"]])
+        (run.parent / "schema.json").write_text(json.dumps(SCHEMA))
+        for name in compare_outputs.FILES:
+            (run / name).write_text("same")
+        (run / "manifest.json").write_text(json.dumps({"epsilons": [1.0]}))
+        save_arrays(str(run / "checkpoint.npz"), {"global_flat": np.zeros(2)}, {"format": "x"})
+        omega = int(seed) / 1000 + (0.1 if tree == "NEW" else 0.0)
+        (run / "report.json").write_text(json.dumps(_report(omega, 0.5, 0.25)))
+
+    monkeypatch.setattr(compare_outputs.subprocess, "run", fake_subprocess_run)
+    argv = ["OLD", "NEW", "--workload", "w", "--seed", "101", "102", "--work", str(tmp_path)]
+    assert compare_outputs.main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("w seed")] == ["w seed 101", "w seed 102"]
+    assert out[out.index("w Ω/Φ/Π by seed") + 1:] == [
+        "  seed tree    omega      phi       pi",
+        "   101  old   0.1010   0.5000   0.2500",
+        "   101  new   0.2010   0.5000   0.2500",
+        "   102  old   0.1020   0.5000   0.2500",
+        "   102  new   0.2020   0.5000   0.2500",
+        "median  old   0.1015   0.5000   0.2500",
+        "median  new   0.2015   0.5000   0.2500"]
+    for seed in (101, 102):
+        for side in ("old", "new"):
+            assert (tmp_path / f"seed{seed}" / side / "run" / "report.json").exists()

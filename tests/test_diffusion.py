@@ -1,11 +1,15 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from fedsynth.diffusion import (NoiseSchedule, generate, linear_schedule,
-                                make_training_example, p_sample_step, q_sample)
+                                make_training_example, p_sample_step, q_sample,
+                                respace)
 from fedsynth.errors import DivergenceError, ValidationError
 from fedsynth.nn import forward, init_denoiser, layer_buffers
 
@@ -64,12 +68,70 @@ def test_schedule_rejects_bad_betas():
         linear_schedule(timesteps=0)
 
 
+def test_schedule_rejects_non_finite_betas():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError, match="finite"):
+            NoiseSchedule(np.array([0.1, bad]))
+
+
 def test_schedule_rejects_out_of_range_t():
     sched = linear_schedule(timesteps=5)
     with pytest.raises(ValidationError):
         sched.beta(0)
     with pytest.raises(ValidationError):
         sched.beta(6)
+
+
+# ---------------------------------------------------------------------------
+# Respacing
+
+
+def test_respace_at_or_above_t_is_the_full_chain():
+    sched = linear_schedule(timesteps=30)
+    fn = lambda x, t: 0.1 * x + 0.01 * t
+    full = generate(fn, 9, 2, sched, np.random.default_rng(3))
+    for steps in (30, 31, 500):
+        respaced, tau = respace(sched, steps)
+        assert respaced is sched
+        np.testing.assert_array_equal(tau, np.arange(1, 31))
+        out = generate(lambda x, i: fn(x, int(tau[i - 1])), 9, 2, respaced,
+                       np.random.default_rng(3))
+        assert np.array_equal(out, full)
+
+
+@settings(max_examples=60, deadline=None)
+@given(timesteps=st.integers(3, 2000), data=st.data())
+def test_respace_keeps_alpha_bars_at_tau(timesteps, data):
+    steps = data.draw(st.integers(2, timesteps - 1))
+    sched = linear_schedule(timesteps)
+    respaced, tau = respace(sched, steps)
+    assert respaced.timesteps == tau.size == steps
+    assert tau[0] == 1 and tau[-1] == timesteps and np.all(np.diff(tau) > 0)
+    assert np.array_equal(respaced.alpha_bars, sched.alpha_bars[tau - 1])
+    assert np.all((respaced.betas > 0.0) & (respaced.betas < 1.0))
+    np.testing.assert_allclose(respaced.betas[1:], 1.0 - respaced.alpha_bars[1:]
+                               / respaced.alpha_bars[:-1], rtol=1e-15)
+    assert respaced.betas[0] == pytest.approx(sched.betas[0], rel=1e-11)
+
+
+def test_respace_rejects_fewer_than_two_steps():
+    with pytest.raises(ValidationError):
+        respace(linear_schedule(10), 1)
+
+
+def test_respaced_reverse_sampling_recovers_x0_from_true_noise():
+    """Criterion 2 on a respaced chain: T = 200 sampled in 20 steps with the
+    oracle asked about the original steps tau."""
+    sched = linear_schedule(200)
+    respaced, tau = respace(sched, 20)
+    x0 = 0.73
+
+    def oracle(x, i):
+        abar = sched.alpha_bar(int(tau[i - 1]))
+        return (x - math.sqrt(abar) * x0) / math.sqrt(1.0 - abar)
+
+    samples = generate(oracle, 64, 1, respaced, np.random.default_rng(5))
+    assert float(np.max(np.abs(samples - x0))) <= 1e-6
 
 
 # ---------------------------------------------------------------------------

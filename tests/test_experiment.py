@@ -483,28 +483,41 @@ def test_generate_rebuilds_no_accountant(staged_dp_run, monkeypatch):
     assert calls
 
 
-def test_generate_feeds_the_benchmark_probes(dp_run, monkeypatch):
+def test_generate_feeds_the_benchmark_probes(workspace, monkeypatch):
     """The benchmark wraps experiment.forward, reading its second argument
     as the batch (the chain's float64 x), and diffusion.p_sample_step; each
-    runs once per step."""
+    runs once per sampled step. A schedule longer than SAMPLE_STEPS is
+    respaced, and the denoiser is asked about the original steps tau."""
     forward_args, steps = [], []
     forward, p_sample_step = experiment.forward, diffusion.p_sample_step
 
     def counting_forward(*args, **kwargs):
-        forward_args.append((args[1].shape, args[1].dtype))
+        forward_args.append((args[1].shape, args[1].dtype, args[2]))
         return forward(*args, **kwargs)
 
     def counting_step(*args, **kwargs):
         steps.append(1)
         return p_sample_step(*args, **kwargs)
 
-    monkeypatch.setattr(experiment, "forward", counting_forward)
-    monkeypatch.setattr(diffusion, "p_sample_step", counting_step)
-    cmd_generate(dp_run)
-    d_enc = load_arrays(_checkpoint(dp_run))[1]["manifest"]["weights"][-1][1]
-    timesteps = dp_run.diffusion.timesteps
-    assert forward_args == [((dp_run.n_rows, d_enc), np.float64)] * timesteps
-    assert len(steps) == timesteps
+    for timesteps in (10, 3 * diffusion.SAMPLE_STEPS - 7):
+        cfg = _fast_config(workspace, out=f"probes_{timesteps}",
+                           **{"diffusion.timesteps": timesteps}, **DP_ON)
+        cmd_prepare(cfg)
+        cmd_train(cfg)
+        forward_args.clear()
+        steps.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(experiment, "forward", counting_forward)
+            patch.setattr(diffusion, "p_sample_step", counting_step)
+            cmd_generate(cfg)
+        d_enc = load_arrays(_checkpoint(cfg))[1]["manifest"]["weights"][-1][1]
+        if timesteps <= diffusion.SAMPLE_STEPS:
+            tau = list(range(1, timesteps + 1))
+        else:
+            tau = [round(v) for v in np.linspace(1, timesteps, diffusion.SAMPLE_STEPS)]
+        assert tau[0] == 1 and tau[-1] == timesteps
+        assert len(steps) == len(tau) == min(timesteps, diffusion.SAMPLE_STEPS)
+        assert forward_args == [((cfg.n_rows, d_enc), np.float64, t) for t in reversed(tau)]
 
 
 def test_evaluate_self_report(workspace, tmp_path):

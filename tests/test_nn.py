@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedsynth.errors import DivergenceError, ValidationError
@@ -358,15 +358,44 @@ def test_per_sample_grads_rejects_empty_batch():
         per_sample_grads(_tiny_net(), [])
 
 
+def _abs_grad_norm(params, sample):
+    """Norm of one sample's gradient with every sum replaced by the sum of
+    its terms' magnitudes (|x_in|, |time row|, |target|, |parameters|,
+    under the sample's own ReLU pattern). Rounding errors scale with these
+    magnitudes; where no sum cancels, this is the gradient's own norm."""
+    x = np.concatenate([sample.x_in, time_embed(sample.t, params.time_dim)])
+    mags, masks = [np.abs(x)], []
+    last = len(params.weights) - 1
+    for li, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = x @ w + b
+        mag = mags[-1] @ np.abs(w) + np.abs(b)
+        if li < last:
+            masks.append(z > 0.0)
+            x = np.maximum(z, 0.0)
+            mags.append(mag * masks[-1])
+    delta = (2.0 / params.d_enc) * (mag + np.abs(sample.target))
+    sq = 0.0
+    for li in range(last, -1, -1):
+        sq += (mags[li] @ mags[li] + 1.0) * (delta @ delta)  # weight and bias gradients
+        delta = delta @ np.abs(params.weights[li]).T
+        if li > 0:
+            delta *= masks[li - 1]
+    if sample.emb_rows is not None:
+        sq += sample.emb_coeff ** 2 * sum(delta[sl] @ delta[sl] for sl in _emb_slices(params))
+    return np.sqrt(sq)
+
+
 @settings(max_examples=40, deadline=None)
 @given(n_tables=st.integers(0, 2), size=st.integers(1, 6),
        seed=st.integers(0, 2**32 - 1))
+@example(n_tables=0, size=2, seed=560)  # a gradient left small by cancellation
 def test_per_sample_grads_batch_matches_single_sample_calls(n_tables, size, seed):
     """Row i of one batched call equals a call on sample i alone, to 1e-12 of
-    the row's norm: batched and single matmuls sum in different orders, so an
-    entry left small by cancellation can differ by more than 1e-12 of itself.
-    Vocabularies of 2 rows make samples share table rows; the last sample
-    always repeats the first sample's rows."""
+    the magnitudes that its sums add up (_abs_grad_norm): batched and single
+    matmuls sum in different orders, so a row left small by cancellation can
+    differ by more than 1e-12 of its own norm. Vocabularies of 2 rows make
+    samples share table rows; the last sample always repeats the first
+    sample's rows."""
     rng = np.random.default_rng(seed)
     params = _tiny_net(rng_seed=seed, d_enc=1 + 2 * n_tables,
                        emb_shapes=((2,),) * n_tables)
@@ -381,8 +410,10 @@ def test_per_sample_grads_batch_matches_single_sample_calls(n_tables, size, seed
     for sample, g in zip(batch, grads):
         single, loss = per_sample_grads(params, [sample])
         ref = single[0].values
-        assert np.linalg.norm(g.values - ref) <= 1e-12 * np.linalg.norm(ref)
-        assert g.norm == pytest.approx(single[0].norm, rel=1e-12)
+        scale = _abs_grad_norm(params, sample)
+        assert np.linalg.norm(ref) <= scale
+        assert np.linalg.norm(g.values - ref) <= 1e-12 * scale
+        assert abs(g.norm - single[0].norm) <= 1e-12 * scale
         losses.append(loss)
     assert mean_loss == pytest.approx(np.mean(losses), rel=1e-12)
 

@@ -2,7 +2,7 @@
 
 Run from anywhere:
 
-    python3 tools/compare_outputs.py OLD_TREE NEW_TREE --workload generate_score --seed 101
+    python3 tools/compare_outputs.py OLD_TREE NEW_TREE --workload generate_score --seed 101 102 103
 
 Each tree runs the workload's stages (set-up, train, generate and, where the
 workload scores, evaluate) in its own subprocess, importing its own
@@ -21,6 +21,11 @@ then prints:
 - every number in ``report.json`` that differs, with its delta, and Ω, Φ
   and Π either way.
 
+With several seeds it compares each seed in turn, then, for a workload that
+scores, prints one Ω/Φ/Π row per seed for each tree and each tree's median,
+so a change that moves outputs by design shows its spread against the seed
+spread.
+
 Outputs go to ``--work`` (kept) or to a temporary directory (removed).
 Exit status is 0 once both trees ran, whatever the comparison found.
 """
@@ -33,6 +38,7 @@ import hashlib
 import json
 import os
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -85,6 +91,7 @@ def _run_tree(tree: str, workload: str, seed: int, work: str, dest: str) -> None
             "c.run_stages(sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4])")
     subprocess.run([sys.executable, "-c", code, tree, workload, str(seed), work],
                    env=env, check=True)
+    os.makedirs(os.path.dirname(dest), exist_ok=True)
     os.replace(work, dest)
 
 
@@ -185,6 +192,31 @@ def compare_reports(old: dict, new: dict) -> list:
     return lines
 
 
+def _headline(report: dict) -> list:
+    return [report[section].get(key) for section, key in HEADLINE]
+
+
+def _cells(values: list) -> str:
+    return " ".join(f"{'n/a' if v is None else f'{v:.4f}':>8}" for v in values)
+
+
+def headline_table(reports: dict) -> list:
+    """One Ω/Φ/Π row per seed for each tree, then each tree's median.
+
+    ``reports`` maps seed -> {"old": report, "new": report}; a median over a
+    metric that some report lacks (Φ without a target column) is n/a.
+    """
+    lines = [f"{'seed':>6} {'tree':>4} " + " ".join(f"{key:>8}" for _, key in HEADLINE)]
+    for seed, pair in reports.items():
+        for side in ("old", "new"):
+            lines.append(f"{seed:>6} {side:>4} {_cells(_headline(pair[side]))}")
+    for side in ("old", "new"):
+        columns = zip(*(_headline(pair[side]) for pair in reports.values()))
+        medians = [None if None in col else statistics.median(col) for col in columns]
+        lines.append(f"{'median':>6} {side:>4} {_cells(medians)}")
+    return lines
+
+
 def compare(old_run: str, new_run: str, schema: dict) -> list:
     lines = []
     for name in FILES:
@@ -212,26 +244,35 @@ def main(argv=None) -> int:
     parser.add_argument("old_tree")
     parser.add_argument("new_tree")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seed", type=int, nargs="+", required=True)
     parser.add_argument("--work", default=None,
                         help="directory for both trees' outputs (kept); "
                              "default: a temporary directory, removed")
     args = parser.parse_args(argv)
     work = args.work or tempfile.mkdtemp(prefix="compare_outputs_")
+    reports = {}
     try:
-        sides = {}
-        for side, tree in (("old", args.old_tree), ("new", args.new_tree)):
-            sides[side] = os.path.join(work, side)
-            _run_tree(tree, args.workload, args.seed, os.path.join(work, "stage"),
-                      sides[side])
-        if _sha256(os.path.join(sides["old"], "data.csv")) != _sha256(
-                os.path.join(sides["new"], "data.csv")):
-            print("note: the trees generated different input tables")
-        schema = _read_json(os.path.join(sides["old"], "schema.json"))
-        print(f"{args.workload} seed {args.seed}")
-        for line in compare(os.path.join(sides["old"], "run"),
-                            os.path.join(sides["new"], "run"), schema):
-            print(line)
+        for seed in args.seed:
+            sides = {}
+            for side, tree in (("old", args.old_tree), ("new", args.new_tree)):
+                sides[side] = os.path.join(work, f"seed{seed}", side)
+                _run_tree(tree, args.workload, seed, os.path.join(work, "stage"),
+                          sides[side])
+            if _sha256(os.path.join(sides["old"], "data.csv")) != _sha256(
+                    os.path.join(sides["new"], "data.csv")):
+                print("note: the trees generated different input tables")
+            schema = _read_json(os.path.join(sides["old"], "schema.json"))
+            print(f"{args.workload} seed {seed}")
+            for line in compare(os.path.join(sides["old"], "run"),
+                                os.path.join(sides["new"], "run"), schema):
+                print(line)
+            paths = {side: os.path.join(sides[side], "run", "report.json") for side in sides}
+            if all(os.path.exists(path) for path in paths.values()):
+                reports[seed] = {side: _read_json(path) for side, path in paths.items()}
+        if reports:
+            print(f"{args.workload} Ω/Φ/Π by seed")
+            for line in headline_table(reports):
+                print(line)
     finally:
         if args.work is None:
             shutil.rmtree(work, ignore_errors=True)
