@@ -21,6 +21,10 @@ import numpy as np
 from .errors import DivergenceError, ValidationError
 
 DEFAULT_TIMESTEPS = 500
+# largest T a config may ask for: the linear schedule's alpha_bar_T is about
+# exp(-0.01 T), about 1e-44 here and 0 in float64 from T of about 74,000 on,
+# where respacing would divide 0 by 0
+MAX_TIMESTEPS = 10_000
 # endpoints of the linear beta schedule (Ho et al. 2020)
 BETA_START = 1e-4
 BETA_END = 0.02
@@ -31,7 +35,12 @@ SAMPLE_STEPS = 50
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Immutable forward-process coefficients for T steps."""
+    """Immutable forward-process coefficients for T steps.
+
+    alpha_bars is the cumulative product of alphas, except on a schedule
+    built by ``from_alpha_bars`` (as ``respace`` does), which keeps the
+    given alpha_bars exactly; there the two agree to rounding only.
+    """
 
     betas: np.ndarray
 
@@ -46,6 +55,17 @@ class NoiseSchedule:
         object.__setattr__(self, "betas", betas)
         object.__setattr__(self, "alphas", 1.0 - betas)
         object.__setattr__(self, "alpha_bars", np.cumprod(1.0 - betas))
+
+    @classmethod
+    def from_alpha_bars(cls, alpha_bars) -> "NoiseSchedule":
+        """The schedule with these alpha_bars: beta_t = 1 - abar_t / abar_(t-1)
+        with abar_0 = 1, so alpha_bars must fall strictly from below 1 and
+        stay above 0."""
+        alpha_bars = np.asarray(alpha_bars, dtype=np.float64)
+        schedule = cls(1.0 - alpha_bars / np.concatenate(([1.0], alpha_bars[:-1])))
+        # the cumulative product of 1 - beta would round away from them
+        object.__setattr__(schedule, "alpha_bars", alpha_bars)
+        return schedule
 
     @property
     def timesteps(self) -> int:
@@ -84,8 +104,9 @@ def respace(schedule: NoiseSchedule, steps: int) -> tuple[NoiseSchedule, np.ndar
     Returns (respaced, tau): tau = round(linspace(1, T, steps)) holds 1 and
     T, respaced.alpha_bars equals schedule.alpha_bars[tau - 1] exactly, and
     respaced beta_i = 1 - alpha_bar_{tau_i} / alpha_bar_{tau_(i-1)} with
-    alpha_bar_{tau_0} = 1. With steps >= T it returns the schedule itself
-    and tau = 1..T.
+    alpha_bar_{tau_0} = 1, so alpha_bar must stay above 0 at the kept steps
+    (see MAX_TIMESTEPS). With steps >= T it returns the schedule itself and
+    tau = 1..T.
     """
     T = schedule.timesteps
     if steps >= T:
@@ -93,12 +114,7 @@ def respace(schedule: NoiseSchedule, steps: int) -> tuple[NoiseSchedule, np.ndar
     if steps < 2:
         raise ValidationError("respacing needs at least 2 steps")
     tau = np.round(np.linspace(1, T, steps)).astype(np.int64)
-    alpha_bars = schedule.alpha_bars[tau - 1]
-    respaced = NoiseSchedule(1.0 - alpha_bars / np.concatenate(([1.0], alpha_bars[:-1])))
-    # the cumulative product of 1 - beta would round away from the trained
-    # alpha_bars, so keep them as they are
-    object.__setattr__(respaced, "alpha_bars", alpha_bars)
-    return respaced, tau
+    return NoiseSchedule.from_alpha_bars(schedule.alpha_bars[tau - 1]), tau
 
 
 def q_sample(x0, t: int, eps, schedule: NoiseSchedule) -> np.ndarray:

@@ -38,7 +38,10 @@ class CalibrationError(PrivacyBudgetError):
     """No noise multiplier in the search bracket meets the epsilon target."""
 
 
-def require_int(value, name: str, minimum: int) -> None:
-    """Raise ValidationError unless ``value`` is an integer >= ``minimum``."""
+def require_int(value, name: str, minimum: int, maximum: int | None = None) -> None:
+    """Raise ValidationError unless ``value`` is an integer >= ``minimum``
+    (and <= ``maximum`` if given)."""
     if not isinstance(value, int) or value < minimum:
         raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise ValidationError(f"{name} must be an integer <= {maximum}, got {value!r}")

@@ -86,7 +86,7 @@ class DiffusionConfig:
     timesteps: int = diff.DEFAULT_TIMESTEPS
 
     def __post_init__(self):
-        require_int(self.timesteps, "diffusion.timesteps", 1)
+        require_int(self.timesteps, "diffusion.timesteps", 1, diff.MAX_TIMESTEPS)
 
     def schedule(self) -> diff.NoiseSchedule:
         return diff.linear_schedule(self.timesteps)

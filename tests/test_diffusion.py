@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from fedsynth.diffusion import (NoiseSchedule, generate, linear_schedule,
-                                make_training_example, p_sample_step, q_sample,
-                                respace)
+from fedsynth.diffusion import (MAX_TIMESTEPS, SAMPLE_STEPS, NoiseSchedule, generate,
+                                linear_schedule, make_training_example, p_sample_step,
+                                q_sample, respace)
 from fedsynth.errors import DivergenceError, ValidationError
 from fedsynth.nn import forward, init_denoiser, layer_buffers
 
@@ -112,6 +112,14 @@ def test_respace_keeps_alpha_bars_at_tau(timesteps, data):
     np.testing.assert_allclose(respaced.betas[1:], 1.0 - respaced.alpha_bars[1:]
                                / respaced.alpha_bars[:-1], rtol=1e-15)
     assert respaced.betas[0] == pytest.approx(sched.betas[0], rel=1e-11)
+
+
+def test_respace_needs_alpha_bar_above_zero_at_the_kept_steps():
+    respaced, _ = respace(linear_schedule(MAX_TIMESTEPS), SAMPLE_STEPS)
+    assert np.all(respaced.alpha_bars > 0.0)
+    # alpha_bar underflows to 0 near the end of a much longer schedule
+    with pytest.raises(ValidationError):
+        respace(linear_schedule(10 * MAX_TIMESTEPS), SAMPLE_STEPS)
 
 
 def test_respace_rejects_fewer_than_two_steps():

@@ -671,6 +671,7 @@ def test_cli_non_integer_integer_setting_exits_1(workspace, capsys, key):
 @pytest.mark.parametrize("setting", ["n_rows=2.5", "n_attacks=2.5",
                                      "diffusion.timesteps=2.5",
                                      "diffusion.timesteps=0",
+                                     "diffusion.timesteps=10001",
                                      "checkpoint_every=-1",
                                      "checkpoint_every=1.5", "seeds.model=1.5",
                                      "seeds.data=-1"])

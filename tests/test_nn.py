@@ -391,11 +391,11 @@ def _abs_grad_norm(params, sample):
 @example(n_tables=0, size=2, seed=560)  # a gradient left small by cancellation
 def test_per_sample_grads_batch_matches_single_sample_calls(n_tables, size, seed):
     """Row i of one batched call equals a call on sample i alone, to 1e-12 of
-    the magnitudes that its sums add up (_abs_grad_norm): batched and single
-    matmuls sum in different orders, so a row left small by cancellation can
-    differ by more than 1e-12 of its own norm. Vocabularies of 2 rows make
-    samples share table rows; the last sample always repeats the first
-    sample's rows."""
+    the row's norm: batched and single matmuls sum in different orders, so
+    where the row's norm has cancelled below 1e-2 of the magnitudes its sums
+    add up (_abs_grad_norm) the bound is 1e-14 of those magnitudes instead.
+    Vocabularies of 2 rows make samples share table rows; the last sample
+    always repeats the first sample's rows."""
     rng = np.random.default_rng(seed)
     params = _tiny_net(rng_seed=seed, d_enc=1 + 2 * n_tables,
                        emb_shapes=((2,),) * n_tables)
@@ -412,8 +412,9 @@ def test_per_sample_grads_batch_matches_single_sample_calls(n_tables, size, seed
         ref = single[0].values
         scale = _abs_grad_norm(params, sample)
         assert np.linalg.norm(ref) <= scale
-        assert np.linalg.norm(g.values - ref) <= 1e-12 * scale
-        assert abs(g.norm - single[0].norm) <= 1e-12 * scale
+        tol = 1e-12 * max(np.linalg.norm(ref), 1e-2 * scale)
+        assert np.linalg.norm(g.values - ref) <= tol
+        assert abs(g.norm - single[0].norm) <= tol
         losses.append(loss)
     assert mean_loss == pytest.approx(np.mean(losses), rel=1e-12)
 
