@@ -87,21 +87,29 @@ def _build_views(real: RawTable, syn: RawTable, columns=None) -> tuple:
     return views if columns is None else tuple(v.select(columns) for v in views)
 
 
-def gower_distances(queries: _View, reference: _View, rows: np.ndarray) -> np.ndarray:
-    """(len(rows), N_ref) mean per-column Gower distance matrix.
+def gower_distances(queries: _View, reference: _View, rows: np.ndarray,
+                    ref_rows: slice = slice(None), buffers=None) -> np.ndarray:
+    """(len(rows), n) mean per-column Gower distance matrix against the n
+    reference rows ``ref_rows`` (default: all of them).
 
     Numeric columns contribute |a-b|/range (0 when the joint range is 0);
-    categoricals contribute a 0/1 mismatch indicator.
+    categoricals contribute a 0/1 mismatch indicator. ``buffers`` (from
+    ``_gower_buffers``) lends the scratch; the result is then a view of it,
+    overwritten by the next call that shares them.
     """
     cols = queries.cols
     if cols.size == 0:
         raise ValidationError("Gower distance needs at least one column")
-    q, ref = queries.data[rows], reference.data
+    q, ref = queries.data[rows], reference.data[ref_rows]
     shape = (rows.size, ref.shape[0])
     # One buffer of each kind for all columns: page faults on fresh
     # (rows, N) temporaries cost more than the arithmetic.
-    total, diff = np.zeros(shape), np.empty(shape)
-    mismatch = np.empty(shape, dtype=bool)
+    if buffers is None:
+        total, diff = np.zeros(shape), np.empty(shape)
+        mismatch = np.empty(shape, dtype=bool)
+    else:
+        total, diff, mismatch = (b[:shape[0] * shape[1]].reshape(shape) for b in buffers)
+        total.fill(0.0)
     for j in cols[~queries.is_cat[cols]]:
         if queries.ranges[j] > 0:
             np.subtract.outer(q[:, j], ref[:, j], out=diff)
@@ -113,6 +121,44 @@ def gower_distances(queries: _View, reference: _View, rows: np.ndarray) -> np.nd
         total += mismatch
     total /= cols.size
     return total
+
+
+# Reference rows per Gower block: about nn.BLOCK distances at 500 attacks, so
+# the attacks' memory does not grow with the synthetic table.
+GOWER_BLOCK_ROWS = 64
+
+
+def _gower_buffers(n_queries: int) -> tuple:
+    """Scratch for ``gower_distances`` over at most GOWER_BLOCK_ROWS reference rows."""
+    size = n_queries * GOWER_BLOCK_ROWS
+    return np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+
+
+def _gower_blocks(n_ref: int):
+    """Slices of at most GOWER_BLOCK_ROWS reference rows covering range(n_ref)."""
+    for start in range(0, n_ref, GOWER_BLOCK_ROWS):
+        yield slice(start, min(start + GOWER_BLOCK_ROWS, n_ref))
+
+
+def _nearest(queries: _View, reference: _View, rows: np.ndarray) -> np.ndarray:
+    """Index of each query row's nearest reference row, block by block.
+
+    Equal to ``np.argmin`` over the full distance matrix: a later block wins
+    only on a strictly smaller distance, so ties keep the first index, and a
+    NaN distance wins as argmin's does.
+    """
+    buffers = _gower_buffers(rows.size)
+    best = np.full(rows.size, np.inf)
+    nearest = np.zeros(rows.size, dtype=np.int64)
+    every = np.arange(rows.size)
+    for block in _gower_blocks(reference.data.shape[0]):
+        dist = gower_distances(queries, reference, rows, block, buffers)
+        arg = np.argmin(dist, axis=1)
+        low = dist[every, arg]
+        wins = (low < best) | (np.isnan(low) & ~np.isnan(best))
+        best[wins] = low[wins]
+        nearest[wins] = arg[wins] + block.start
+    return nearest
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +275,26 @@ def linkability_risk(real: RawTable, syn: RawTable, n_attacks: int, rng) -> dict
     split_a, split_b = default_aux_split(real.schema)
     rows = rng.integers(0, real.n_rows, size=n_attacks)
     real_view, syn_view = _build_views(real, syn)
-    near = []
-    for split in (split_a, split_b):
-        dist = gower_distances(real_view.select(split), syn_view.select(split), rows)
-        near.append(dist <= dist.min(axis=1, keepdims=True))
-    successes = int(np.any(near[0] & near[1], axis=1).sum())
+    a = real_view.select(split_a), syn_view.select(split_a)
+    b = real_view.select(split_b), syn_view.select(split_b)
+    buffers = _gower_buffers(rows.size)
+    # One pass over the synthetic blocks keeps each split's running minimum
+    # per attacked row, and whether a row seen so far sits at both minima. A
+    # link found earlier stands only while neither minimum drops, since a
+    # drop moves that split's tied rows into the current block.
+    low_a, low_b = np.full(rows.size, np.inf), np.full(rows.size, np.inf)
+    linked = np.zeros(rows.size, dtype=bool)
+    for block in _gower_blocks(syn.n_rows):
+        dist = gower_distances(*a, rows, block, buffers)
+        new_a = np.minimum(low_a, dist.min(axis=1))
+        near = dist <= new_a[:, None]
+        dist = gower_distances(*b, rows, block, buffers)
+        new_b = np.minimum(low_b, dist.min(axis=1))
+        near &= dist <= new_b[:, None]
+        linked &= (new_a == low_a) & (new_b == low_b)
+        linked |= near.any(axis=1)
+        low_a, low_b = new_a, new_b
+    successes = int(linked.sum())
     raw = successes / n_attacks
     baseline = 1.0 / syn.n_rows  # two independent uniform picks coincide
     return {"risk": adjusted_risk(raw, baseline), "raw": raw, "baseline": baseline}
@@ -258,8 +319,7 @@ def inference_risk(real: RawTable, syn: RawTable, n_attacks: int, rng) -> dict:
     for d, name in enumerate(names):
         rows = rng.integers(0, real.n_rows, size=n_attacks)
         aux = [c for c in names if c != name]
-        dists = gower_distances(real_view.select(aux), syn_view.select(aux), rows)
-        nn = np.argmin(dists, axis=1)
+        nn = _nearest(real_view.select(aux), syn_view.select(aux), rows)
         real_col, syn_col = real_view.data[:, d], syn_view.data[:, d]
         if real_view.is_cat[d]:
             hits = syn_col[nn] == real_col[rows]

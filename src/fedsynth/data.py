@@ -9,6 +9,7 @@ a single JSON file so that decoding is reproducible.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -59,12 +60,14 @@ class TabularSchema:
             raise SchemaError(
                 f"partition_column {self.partition_column!r} must be categorical")
 
-    @property
+    # Computed once per schema: load_csv and RawTable.n_rows read them per row.
+    @functools.cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.columns)
 
-    @property
+    @functools.cached_property
     def kinds(self) -> dict:
+        """name -> kind; one dict shared by every caller, so never mutate it."""
         return dict(self.columns)
 
     @property

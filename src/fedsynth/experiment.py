@@ -13,6 +13,8 @@ relative output directories.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import importlib.metadata
 import itertools
 import json
 import math
@@ -22,7 +24,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
 
 from . import diffusion as diff
 from . import federation as fed
@@ -395,6 +396,13 @@ def _keep_audit_through(path: str, last_round: int) -> None:
         fh.writelines(kept)
 
 
+@functools.cache
+def _scipy_version() -> str:
+    """The installed SciPy's version, read once per process (about 10 ms a
+    read) and without importing SciPy."""
+    return importlib.metadata.version("scipy")
+
+
 def _manifest(config: ExperimentConfig, pipeline_digest: str, rounds_completed: int,
               stopped_early: bool, epsilons: dict, started: float) -> dict:
     return {
@@ -405,7 +413,7 @@ def _manifest(config: ExperimentConfig, pipeline_digest: str, rounds_completed: 
         "epsilons": {str(k): v for k, v in epsilons.items()},
         "wall_time_s": round(time.time() - started, 3),
         "versions": {"python": platform.python_version(),
-                     "numpy": np.__version__, "scipy": scipy.__version__},
+                     "numpy": np.__version__, "scipy": _scipy_version()},
     }
 
 
@@ -470,12 +478,6 @@ def cmd_train(config: ExperimentConfig, resume: bool = False,
     schedule = config.diffusion.schedule()
     _keep_audit_through(paths["audit"], state.round if resume else 0)
 
-    init_params = init_denoiser(
-        pipeline.encoded_width, hidden_width=config.model.hidden_width,
-        n_hidden=config.model.n_hidden, time_dim=config.model.time_dim,
-        embeddings=pipeline.initial_embeddings(),
-        rng=np.random.default_rng([config.seeds.model]))
-
     def round_cb(st, lines):
         with open(paths["audit"], "a", encoding="utf-8") as fh:
             fh.writelines(canonical_json(line) + "\n" for line in lines)
@@ -487,10 +489,15 @@ def cmd_train(config: ExperimentConfig, resume: bool = False,
                             pipeline.digest, config.seeds)
 
     started = time.time()
-    result, state = fed.train(datasets, init_params, schedule,
-                              config.federation, config.dp, config.seeds.model,
-                              state=state, stop_after_round=stop_after_round,
-                              round_callback=round_cb)
+    # The initial parameters have no name here, so that train can free them
+    # once its state holds a copy.
+    result, state = fed.train(datasets, init_denoiser(
+        pipeline.encoded_width, hidden_width=config.model.hidden_width,
+        n_hidden=config.model.n_hidden, time_dim=config.model.time_dim,
+        embeddings=pipeline.initial_embeddings(),
+        rng=np.random.default_rng([config.seeds.model])),
+        schedule, config.federation, config.dp, config.seeds.model,
+        state=state, stop_after_round=stop_after_round, round_callback=round_cb)
     save_checkpoint(paths["checkpoint"], state, config.digest, pipeline.digest,
                     config.seeds, finished=finished(state.round, state.stopped_early))
     manifest = _manifest(config, pipeline.digest, result.rounds_completed,

@@ -151,42 +151,47 @@ class TrainResult:
 # Aggregation
 
 
-def fedavg_aggregate(updates: list) -> np.ndarray:
+def fedavg_aggregate(updates) -> np.ndarray:
     """Sample-count-weighted mean of client parameter vectors.
 
-    ``updates`` is a list of (flat params, sample count); weights normalize
-    over the participating clients. Each element is summed over the clients
-    in list order from zero, then divided by the weight sum, block by block.
+    ``updates`` is an iterable of (flat params, sample count), read once, so
+    a generator can compute each client's vector only when it is needed and
+    drop it before computing the next. Each element is summed over the
+    clients in order from zero, block by block, and divided by the weight sum
+    after the last client.
     """
-    if not updates:
-        raise ValidationError("nothing to aggregate")
-    length = updates[0][0].size
+    total = None
     weight_sum = 0.0
     for vec, weight in updates:
-        if vec.size != length:
+        if total is None:
+            total = np.zeros(vec.size)
+        elif vec.size != total.size:
             raise ValidationError("client parameter vectors differ in length")
-        weight_sum += float(weight)
+        weight = float(weight)
+        weight_sum += weight
+        for s, (term,) in blocks(total.size, 1):
+            np.multiply(vec[s], weight, out=term)
+            acc = total[s]
+            acc += term
+        del vec  # else it stays alive while the next update is computed
+    if total is None:
+        raise ValidationError("nothing to aggregate")
     if weight_sum <= 0.0:
         raise ValidationError("aggregation weights must sum to a positive value")
-    total = np.zeros(length)
-    for s, (term,) in blocks(length, 1):
-        acc = total[s]
-        for vec, weight in updates:
-            np.multiply(vec[s], float(weight), out=term)
-            acc += term
-        acc /= weight_sum
+    total /= weight_sum
     return total
 
 
-def server_opt_aggregate(global_flat: np.ndarray, updates: list,
+def server_opt_aggregate(global_flat: np.ndarray, updates,
                          state: ServerOptState, cfg: FedConfig) -> np.ndarray:
     """One adaptive server step on the pseudo-gradient.
 
-    Delta = current global minus the FedAvg of client params. The first
-    moment is bias-corrected; the second is not (standard federated-optimizer
-    convention). FedYogi's sign-controlled second moment matches FedAdam on
-    the first update from zero moments. The moments are updated in place and
-    the new global vector is written over the FedAvg result, block by block.
+    Delta = current global minus the FedAvg of client params (``updates`` as
+    for ``fedavg_aggregate``). The first moment is bias-corrected; the second
+    is not (standard federated-optimizer convention). FedYogi's
+    sign-controlled second moment matches FedAdam on the first update from
+    zero moments. The moments are updated in place and the new global vector
+    is written over the FedAvg result, block by block.
     """
     if cfg.strategy not in ("fedadam", "fedyogi"):
         raise ValidationError(f"server optimizer got strategy {cfg.strategy!r}")
@@ -345,23 +350,26 @@ def run_round(state: FederatedState, datasets: list, schedule: NoiseSchedule,
     chosen = sorted(selection_rng.choice(np.asarray(eligible), size=take,
                                          replace=False).tolist())
 
-    updates = []
     audit = []
-    for cid in chosen:
-        client = state.clients[cid]
-        rng = np.random.default_rng([seed, 1 + cid, r])
-        flat, stats = client_local_update(state.global_flat, state.manifest,
-                                          client, datasets[cid], schedule,
-                                          fed_cfg, dp_cfg, rng)
-        updates.append((flat, client.n_samples))
-        audit.append({"round": r + 1, "client": cid,
-                      "epsilon": client.current_epsilon(), **stats})
+
+    def updates():
+        """Each chosen client's update, computed when the aggregate reads it."""
+        for cid in chosen:
+            client = state.clients[cid]
+            rng = np.random.default_rng([seed, 1 + cid, r])
+            flat, stats = client_local_update(state.global_flat, state.manifest,
+                                              client, datasets[cid], schedule,
+                                              fed_cfg, dp_cfg, rng)
+            audit.append({"round": r + 1, "client": cid,
+                          "epsilon": client.current_epsilon(), **stats})
+            yield flat, client.n_samples
+            del flat  # the aggregate has added it; free it before the next client
 
     if fed_cfg.strategy in ("fedadam", "fedyogi"):
-        state.global_flat = server_opt_aggregate(state.global_flat, updates,
+        state.global_flat = server_opt_aggregate(state.global_flat, updates(),
                                                  state.server, fed_cfg)
     else:
-        state.global_flat = fedavg_aggregate(updates)
+        state.global_flat = fedavg_aggregate(updates())
     state.round += 1
     return audit
 
@@ -408,7 +416,9 @@ def train(datasets: list, init_params: DenoiserParams, schedule: NoiseSchedule,
     Pass a previously saved ``state`` to resume; ``stop_after_round`` halts
     the session once that many total rounds are complete (for interruption
     tests and staged runs). ``round_callback(state, audit_lines)`` fires after
-    every round, e.g. to write periodic checkpoints.
+    every round, e.g. to write periodic checkpoints. The state holds a copy
+    of ``init_params``: a caller that keeps no reference to them frees their
+    P-vector before the first round.
     """
     if state is None:
         state = init_state(init_params, datasets, fed_cfg, dp_cfg)
@@ -417,6 +427,7 @@ def train(datasets: list, init_params: DenoiserParams, schedule: NoiseSchedule,
                 raise PrivacyBudgetError(
                     f"epsilon target {dp_cfg.epsilon} cannot cover even one "
                     f"round of {fed_cfg.local_steps} local steps")
+    del init_params
     audit: list = []
     limit = fed_cfg.rounds if stop_after_round is None else min(
         fed_cfg.rounds, stop_after_round)

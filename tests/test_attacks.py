@@ -1,11 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from fedsynth.attacks import (adjusted_risk, default_aux_split,
+from fedsynth.attacks import (GOWER_BLOCK_ROWS, adjusted_risk, default_aux_split,
                               gower_distances, inference_risk,
                               linkability_risk, privacy_score,
                               singling_out_risk, wilson_interval,
-                              _build_views)
+                              _build_views, _nearest)
 from fedsynth.data import RawTable, TabularSchema
 from fedsynth.errors import ValidationError
 from fedsynth.fixtures import (gaussian_mixture_table, independent_table,
@@ -124,6 +126,105 @@ def test_gower_distances_match_the_fresh_array_reference(columns):
         rows = np.arange(0, queries.data.shape[0], 2)
         assert np.array_equal(gower_distances(queries, reference, rows),
                               _gower_reference(queries, reference, rows))
+
+
+def test_gower_distances_over_a_reference_range_with_buffers():
+    """A reference-row range in lent buffers gives those columns of the full
+    matrix bit for bit, and the result lives in the buffers."""
+    r, s = _build_views(independent_table(50, seed=5), independent_table(150, seed=6))
+    rows = np.arange(0, 50, 3)
+    full = gower_distances(r, s, rows)
+    buffers = (np.empty(rows.size * 100), np.empty(rows.size * 100),
+               np.empty(rows.size * 100, dtype=bool))
+    for block in (slice(0, 64), slice(64, 128), slice(128, 150), slice(10, 11)):
+        part = gower_distances(r, s, rows, block, buffers)
+        assert np.array_equal(part, full[:, block])
+        assert np.shares_memory(part, buffers[0])
+
+
+def _tiled_table(table, n_rows, seed):
+    """``n_rows`` rows of ``table`` where row i + GOWER_BLOCK_ROWS repeats row
+    i, so every nearest distance is tied across block boundaries."""
+    first = np.random.default_rng(seed).integers(0, table.n_rows, size=GOWER_BLOCK_ROWS)
+    idx = np.resize(first, n_rows)
+    return RawTable(table.schema, {n: c[idx] for n, c in table.columns.items()})
+
+
+def _block_cases():
+    real = independent_table(300, seed=7)
+    odd = 2 * GOWER_BLOCK_ROWS + 17   # a partial last block
+    return [(real, independent_table(odd, seed=8)),
+            (real, _tiled_table(real, odd, seed=9)),
+            (real, _tiled_table(real, 3 * GOWER_BLOCK_ROWS, seed=10)),
+            (gaussian_mixture_table(200, seed=11), gaussian_mixture_table(odd, seed=12))]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_blocked_nearest_matches_dense_argmin(case):
+    """First index of the minimum, as np.argmin over the whole matrix gives,
+    also when the minimum recurs in later blocks."""
+    real, syn = _block_cases()[case]
+    r, s = _build_views(real, syn)
+    rows = np.random.default_rng(case).integers(0, real.n_rows, size=150)
+    names = real.schema.names
+    for name in names:
+        aux = [c for c in names if c != name]
+        queries, reference = r.select(aux), s.select(aux)
+        dense = np.argmin(gower_distances(queries, reference, rows), axis=1)
+        assert np.array_equal(_nearest(queries, reference, rows), dense)
+
+
+def test_blocked_nearest_takes_the_first_nan_like_argmin():
+    r, s = _build_views(independent_table(20, seed=1), independent_table(200, seed=2))
+    s.data[[5, 70, 150], 0] = np.nan   # NaN distances in blocks 0, 1 and 2
+    rows = np.arange(20)
+    dense = np.argmin(gower_distances(r, s, rows), axis=1)
+    assert np.all(dense == 5)
+    assert np.array_equal(_nearest(r, s, rows), dense)
+    s.data[5, 0] = 0.0
+    assert np.all(_nearest(r, s, rows) == 70)
+
+
+def _dense_linkability(real, syn, n_attacks, rng):
+    """linkability_risk on whole (n_attacks, N_syn) matrices: the oracle for
+    the blocked one-pass version."""
+    split_a, split_b = default_aux_split(real.schema)
+    rows = rng.integers(0, real.n_rows, size=n_attacks)
+    real_view, syn_view = _build_views(real, syn)
+    near = []
+    for split in (split_a, split_b):
+        dist = gower_distances(real_view.select(split), syn_view.select(split), rows)
+        near.append(dist <= dist.min(axis=1, keepdims=True))
+    raw = int(np.any(near[0] & near[1], axis=1).sum()) / n_attacks
+    baseline = 1.0 / syn.n_rows
+    return {"risk": adjusted_risk(raw, baseline), "raw": raw, "baseline": baseline}
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_blocked_linkability_matches_dense_oracle(case):
+    real, syn = _block_cases()[case]
+    got = linkability_risk(real, syn, 200, np.random.default_rng(case))
+    assert got == _dense_linkability(real, syn, 200, np.random.default_rng(case))
+    if case in (1, 2):  # tiled copies of real rows: links sit at tied minima
+        assert got["raw"] > 0.0
+
+
+def test_attack_memory_does_not_grow_with_the_synthetic_table():
+    """500 attacks against 2,000 and then 20,000 synthetic rows: the traced
+    peak grows by the coded tables, not by (attacks x rows) matrices, which
+    added about 220 MB."""
+    real = independent_table(1000, seed=13)
+    peaks = []
+    for n_syn in (2_000, 20_000):
+        syn = independent_table(n_syn, seed=14)
+        tracemalloc.start()
+        try:
+            linkability_risk(real, syn, 500, np.random.default_rng(1))
+            inference_risk(real, syn, 500, np.random.default_rng(2))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 10 * 2 ** 20
 
 
 def test_default_aux_split_alternates():

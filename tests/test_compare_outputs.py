@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import subprocess
 import sys
 
 import numpy as np
@@ -72,6 +73,25 @@ def test_compare_checkpoints_reports_members_and_meta_keys(tmp_path):
         "  meta.json keys that differ: none"]
 
 
+def test_peak_rss_table_marks_stages_a_workload_skips():
+    rss = {"old": {"import": 55.5, "setup": 60.0, "train": 70.25, "generate": 79.6},
+           "new": {"import": 35.2, "setup": 40.0, "train": 45.0, "generate": 48.1}}
+    assert compare_outputs.peak_rss_table(rss) == [
+        "peak RSS MB after   import    setup    train generate evaluate",
+        "              old     55.5     60.0     70.2     79.6      n/a",
+        "              new     35.2     40.0     45.0     48.1      n/a"]
+
+
+def test_peak_rss_is_the_run_s_own_not_its_parent_s():
+    """A child's ru_maxrss starts at its parent's peak; the tool's does not."""
+    ballast = np.ones(64 * 2 ** 17)  # 64 MB resident in this process
+    code = "import compare_outputs as c; print(c._peak_rss_mb())"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(compare_outputs.__file__))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert 0.0 < float(out) < ballast.nbytes / 2 ** 20
+
+
 def _report(omega, phi, pi):
     return {"fidelity": {"omega": omega}, "utility": {"phi": phi}, "privacy": {"pi": pi}}
 
@@ -94,8 +114,9 @@ def test_headline_table_has_a_row_per_seed_and_tree_then_medians():
 
 def test_main_compares_each_seed_then_prints_the_table(tmp_path, monkeypatch, capsys):
     """Each seed runs both trees (the subprocess is stubbed here: the run's
-    omega is the seed over 1000, plus 0.1 on the new tree) before the one
-    table."""
+    omega is the seed over 1000, plus 0.1 on the new tree, and its peak RSS
+    after evaluate is the seed, less 40 MB on the new tree) and prints their
+    peak-RSS rows, before the one Ω/Φ/Π table."""
     def fake_subprocess_run(cmd, env, check):
         tree, workload, seed, work = cmd[-4:]
         run = pathlib.Path(work) / "run"
@@ -109,12 +130,22 @@ def test_main_compares_each_seed_then_prints_the_table(tmp_path, monkeypatch, ca
         save_arrays(str(run / "checkpoint.npz"), {"global_flat": np.zeros(2)}, {"format": "x"})
         omega = int(seed) / 1000 + (0.1 if tree == "NEW" else 0.0)
         (run / "report.json").write_text(json.dumps(_report(omega, 0.5, 0.25)))
+        rss = {"import": 30.0, "setup": 40.0, "train": 50.0, "generate": 60.0,
+               "evaluate": int(seed) - (40.0 if tree == "NEW" else 0.0)}
+        (run.parent / compare_outputs.RSS_FILE).write_text(json.dumps(rss))
 
     monkeypatch.setattr(compare_outputs.subprocess, "run", fake_subprocess_run)
     argv = ["OLD", "NEW", "--workload", "w", "--seed", "101", "102", "--work", str(tmp_path)]
     assert compare_outputs.main(argv) == 0
     out = capsys.readouterr().out.splitlines()
     assert [line for line in out if line.startswith("w seed")] == ["w seed 101", "w seed 102"]
+    for name in ("pipeline.json", "audit.jsonl", "synthetic.csv"):
+        assert out.count(f"{name}: identical") == 2
+    assert out.count("report.json: DIFFERENT") == 2
+    first = out.index("peak RSS MB after   import    setup    train generate evaluate")
+    assert out[first + 1:first + 3] == [
+        "              old     30.0     40.0     50.0     60.0    101.0",
+        "              new     30.0     40.0     50.0     60.0     61.0"]
     assert out[out.index("w Ω/Φ/Π by seed") + 1:] == [
         "  seed tree    omega      phi       pi",
         "   101  old   0.1010   0.5000   0.2500",

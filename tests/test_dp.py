@@ -1,5 +1,8 @@
 import functools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -258,6 +261,34 @@ def test_integer_orders_bit_equal_scipy_logsumexp():
                 expected = _scipy_integer_order(q, sigma, alpha)
                 assert integer_rdp(alpha) == expected, (q, sigma, alpha)
                 assert rdp_subsampled_gaussian(q, sigma, float(alpha)) == expected
+
+
+def test_log_factorial_bit_equals_scipy_gammaln():
+    ns = list(range(20_001)) + [10**5, 10**8 - 1, 10**8, 10**9, 2**40]
+    expected = gammaln(np.array(ns, dtype=np.float64) + 1.0)
+    got = np.array([dp._log_factorial(n) for n in ns])
+    assert np.array_equal(got, expected)
+    assert np.array_equal(dp._LOG_FACTORIAL, expected[:len(dp._LOG_FACTORIAL)])
+
+
+def test_orders_above_the_log_factorial_table_bit_equal_scipy():
+    top = len(dp._LOG_FACTORIAL) - 1
+    for q, sigma in [(0.01, 0.8), (0.3, 20.0)]:
+        for alpha in (top + 1, 700):
+            expected = _scipy_integer_order(q, sigma, alpha)
+            assert rdp_subsampled_gaussian(q, sigma, float(alpha)) == expected
+            assert dp._integer_rdp(q, sigma, 700)(alpha) == expected
+
+
+def test_importing_the_package_and_cli_loads_no_scipy():
+    """scipy.special alone costs 24 MB of resident memory at start-up."""
+    code = ("import sys, fedsynth, fedsynth.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_logsumexp_counts_tied_maxima_like_scipy():

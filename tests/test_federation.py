@@ -1,5 +1,7 @@
 import math
+import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -177,6 +179,70 @@ def test_blocked_aggregation_bit_equals_whole_vector_oracle(n, strategy):
         assert np.array_equal(out, expected)
         assert np.array_equal(state.m, oracle.m) and np.array_equal(state.v, oracle.v)
         g = out
+
+
+@pytest.mark.parametrize("strategy", ["fedavg", "fedadam", "fedyogi"])
+def test_streamed_aggregation_bit_equals_the_list_oracle(strategy):
+    """A generator, read once, gives the list oracle's result bit for bit."""
+    n = 2 * BLOCK + 77
+    rng = np.random.default_rng(7)
+    cfg = FedConfig(strategy=strategy, n_clients=3, server_lr=0.01)
+    state, oracle = (ServerOptState(np.zeros(n), np.zeros(n)) for _ in range(2))
+    g = rng.normal(size=n)
+    for _ in range(3):
+        ups = [(g + rng.normal(size=n) * 10.0 ** rng.uniform(-4, 1), w)
+               for w in rng.integers(1, 50, size=3)]
+        streamed = (update for update in ups)
+        if strategy == "fedavg":
+            out, expected = fedavg_aggregate(streamed), _fedavg_oracle(ups)
+        else:
+            out = server_opt_aggregate(g, streamed, state, cfg)
+            expected = _server_opt_oracle(g, ups, oracle, cfg)
+            assert np.array_equal(state.m, oracle.m) and np.array_equal(state.v, oracle.v)
+        assert next(streamed, None) is None
+        assert np.array_equal(out, expected)
+        g = out
+
+
+@pytest.mark.parametrize("strategy", ["fedavg", "fedadam"])
+def test_run_round_frees_each_client_vector_before_the_next_update(monkeypatch, strategy):
+    """Client k's updated vector is garbage once client k + 1's update starts,
+    so a round holds one client vector at a time, not one per client."""
+    datasets, params, schedule = _tiny_setup(n_clients=3)
+    fed_cfg = FedConfig(n_clients=3, rounds=2, local_steps=2, clients_per_round=3,
+                        strategy=strategy)
+    dp_cfg = DpConfig()
+    state = init_state(params, datasets, fed_cfg, dp_cfg)
+    local_update = federation.client_local_update
+    refs, alive_at_start = [], []
+
+    def tracked(*args):
+        alive_at_start.append([ref() is not None for ref in refs])
+        flat, stats = local_update(*args)
+        refs.append(weakref.ref(flat))
+        return flat, stats
+
+    monkeypatch.setattr(federation, "client_local_update", tracked)
+    audit = run_round(state, datasets, schedule, fed_cfg, dp_cfg, seed=3)
+    assert [line["client"] for line in audit] == [0, 1, 2]
+    assert alive_at_start == [[], [False], [False, False]]
+    assert all(ref() is None for ref in refs)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="older CPython keeps call arguments on the caller's stack")
+def test_train_frees_initial_params_passed_without_a_reference():
+    """The state copies the initial parameters; passed inline, as cmd_train
+    does, their P-vector is gone before the first round."""
+    datasets, params, schedule = _tiny_setup()
+    ref = weakref.ref(params.flat)
+    holder = [params]
+    del params
+    alive = []
+    train(datasets, holder.pop(), schedule,
+          FedConfig(n_clients=2, rounds=2, local_steps=1), DpConfig(), seed=0,
+          round_callback=lambda state, lines: alive.append(ref() is not None))
+    assert alive == [False, False]
 
 
 def test_aggregation_allocates_less_than_two_parameter_vectors():

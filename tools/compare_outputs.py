@@ -19,7 +19,10 @@ then prints:
   the numeric cells that moved, with the largest relative move
   |new - old| / max(|old|, |new|);
 - every number in ``report.json`` that differs, with its delta, and Ω, Φ
-  and Π either way.
+  and Π either way;
+- one row per tree of its process's peak resident memory after its imports
+  and after each stage, so a memory change shows which stage sets each
+  tree's peak.
 
 With several seeds it compares each seed in turn, then, for a workload that
 scores, prints one Ω/Φ/Π row per seed for each tree and each tree's median,
@@ -37,6 +40,7 @@ import csv
 import hashlib
 import json
 import os
+import resource
 import shutil
 import statistics
 import subprocess
@@ -47,15 +51,37 @@ import zipfile
 TOOLS = os.path.dirname(os.path.abspath(__file__))
 FILES = ("pipeline.json", "audit.jsonl")
 HEADLINE = (("fidelity", "omega"), ("utility", "phi"), ("privacy", "pi"))
+RSS_FILE = "peak_rss.json"
+STAGES = ("import", "setup", "train", "generate", "evaluate")
+
+
+def _peak_rss_mb() -> float:
+    """This process's peak resident memory in MB.
+
+    Linux's VmHWM where it exists: ``ru_maxrss`` survives fork and exec, so a
+    child's would start at this script's own peak, which grows as it reads
+    the trees' checkpoints.
+    """
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def run_stages(tree: str, workload: str, seed: int, work: str) -> None:
-    """The workload's stages on ``tree``'s code; outputs land in ``work/run``."""
+    """The workload's stages on ``tree``'s code. Outputs land in ``work/run``,
+    and the peak RSS after the imports and after each stage in
+    ``work/peak_rss.json``."""
     tree = os.path.abspath(tree)
     sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "perfbench")]
     from fedsynth import experiment
     from workloads import WORKLOADS
 
+    rss = {"import": _peak_rss_mb()}
     spec = WORKLOADS[workload]
     dataset = os.path.join(work, "data.csv")
     schema = os.path.join(work, "schema.json")
@@ -64,14 +90,20 @@ def run_stages(tree: str, workload: str, seed: int, work: str) -> None:
     table.schema.save(schema)
     cfg = spec.config(seed, dataset, schema, os.path.join(work, "run"))
     experiment.cmd_prepare(cfg)
+    rss["setup"] = _peak_rss_mb()
     experiment.cmd_train(cfg)
+    rss["train"] = _peak_rss_mb()
     syn = experiment.cmd_generate(cfg)
+    rss["generate"] = _peak_rss_mb()
     if spec.evaluates:
         experiment.cmd_evaluate(
             dataset, syn, schema, seed=cfg.seeds.attack, n_attacks=cfg.n_attacks,
             test_fraction=cfg.test_fraction,
             out_path=os.path.join(work, "run", experiment.REPORT_FILE),
             metadata={"config_digest": cfg.digest})
+        rss["evaluate"] = _peak_rss_mb()
+    with open(os.path.join(work, RSS_FILE), "w", encoding="utf-8") as fh:
+        json.dump(rss, fh)
 
 
 def _run_tree(tree: str, workload: str, seed: int, work: str, dest: str) -> None:
@@ -217,11 +249,29 @@ def headline_table(reports: dict) -> list:
     return lines
 
 
+def peak_rss_table(rss: dict) -> list:
+    """One row per tree of its peak RSS in MB after each of STAGES.
+
+    ``rss`` maps "old"/"new" to a tree's RSS_FILE contents; a stage the
+    workload does not run is n/a.
+    """
+    lines = [f"{'peak RSS MB after':>17} " + " ".join(f"{stage:>8}" for stage in STAGES)]
+    for side in ("old", "new"):
+        cells = " ".join(f"{rss[side][stage]:8.1f}" if stage in rss[side] else f"{'n/a':>8}"
+                         for stage in STAGES)
+        lines.append(f"{side:>17} {cells}")
+    return lines
+
+
+def _same_file(old_path: str, new_path: str) -> str:
+    return "identical" if _sha256(old_path) == _sha256(new_path) else "DIFFERENT"
+
+
 def compare(old_run: str, new_run: str, schema: dict) -> list:
     lines = []
     for name in FILES:
-        same = _sha256(os.path.join(old_run, name)) == _sha256(os.path.join(new_run, name))
-        lines.append(f"{name}: {'identical' if same else 'DIFFERENT'}")
+        same = _same_file(os.path.join(old_run, name), os.path.join(new_run, name))
+        lines.append(f"{name}: {same}")
     lines.append("checkpoint.npz:")
     lines += compare_checkpoints(os.path.join(old_run, "checkpoint.npz"),
                                  os.path.join(new_run, "checkpoint.npz"))
@@ -229,12 +279,12 @@ def compare(old_run: str, new_run: str, schema: dict) -> list:
            for run in (old_run, new_run)]
     lines.append(f"manifest epsilons: {'identical' if eps[0] == eps[1] else 'DIFFERENT'} "
                  f"{eps[0]} vs {eps[1]}")
-    lines.append("synthetic.csv:")
-    lines += compare_csv(os.path.join(old_run, "synthetic.csv"),
-                         os.path.join(new_run, "synthetic.csv"), schema)
+    syn = [os.path.join(run, "synthetic.csv") for run in (old_run, new_run)]
+    lines.append(f"synthetic.csv: {_same_file(*syn)}")
+    lines += compare_csv(*syn, schema)
     report = [os.path.join(run, "report.json") for run in (old_run, new_run)]
     if all(os.path.exists(path) for path in report):
-        lines.append("report.json:")
+        lines.append(f"report.json: {_same_file(*report)}")
         lines += compare_reports(_read_json(report[0]), _read_json(report[1]))
     return lines
 
@@ -265,6 +315,9 @@ def main(argv=None) -> int:
             print(f"{args.workload} seed {seed}")
             for line in compare(os.path.join(sides["old"], "run"),
                                 os.path.join(sides["new"], "run"), schema):
+                print(line)
+            rss = {side: _read_json(os.path.join(sides[side], RSS_FILE)) for side in sides}
+            for line in peak_rss_table(rss):
                 print(line)
             paths = {side: os.path.join(sides[side], "run", "report.json") for side in sides}
             if all(os.path.exists(path) for path in paths.values()):
