@@ -17,7 +17,7 @@ from .data import (CategoryCodec, ClientPartition, EncodingPipeline,
 from .diffusion import (NoiseSchedule, generate, linear_schedule,
                         make_training_example, p_sample_step, q_sample, respace)
 from .dp import (DEFAULT_ORDERS, DpConfig, RdpAccountant, calibrate_sigma,
-                 clip, epsilon_after, privatize, rdp_subsampled_gaussian)
+                 epsilon_after, privatize, rdp_subsampled_gaussian)
 from .errors import (CalibrationError, CheckpointError, CsvFormatError,
                      DivergenceError, FedsynthError, PrivacyBudgetError,
                      SchemaError, ValidationError)
@@ -26,7 +26,7 @@ from .experiment import (DiffusionConfig, ExperimentConfig, FedConfig,
                          cmd_prepare, cmd_sweep, cmd_train, desk_preset,
                          run_pipeline)
 from .federation import (ClientDataset, ClientState, FederatedState,
-                         TrainResult, fedavg_aggregate, make_client_datasets,
+                         fedavg_aggregate, init_state, make_client_datasets,
                          run_round, train)
 from .fixtures import (INDEPENDENT_SCHEMA, MIXTURE_SCHEMA, SEPARABLE_SCHEMA,
                        gaussian_mixture_table, independent_table,
@@ -47,13 +47,14 @@ __all__ = [
     "FederatedState", "FedsynthError", "INDEPENDENT_SCHEMA", "MIXTURE_SCHEMA",
     "MetricsReport", "ModelConfig", "NoiseSchedule", "PrivacyBudgetError",
     "QuantileMap", "RawTable", "RdpAccountant", "SEPARABLE_SCHEMA",
-    "SchemaError", "Seeds", "TabularSchema", "TrainResult", "ValidationError",
-    "adam_step", "adjusted_risk", "calibrate_sigma", "clip",
+    "SchemaError", "Seeds", "TabularSchema", "ValidationError",
+    "adam_step", "adjusted_risk", "calibrate_sigma",
     "cmd_evaluate", "cmd_generate", "cmd_prepare", "cmd_sweep", "cmd_train",
     "column_fidelity", "desk_preset", "epsilon_after", "evaluate_tables",
     "fedavg_aggregate", "fit_category_codec", "fit_quantile_map", "forward",
     "gaussian_mixture_table", "generate", "gower_distances",
-    "independent_table", "inference_risk", "init_denoiser", "js_similarity",
+    "independent_table", "inference_risk", "init_denoiser", "init_state",
+    "js_similarity",
     "linear_schedule", "linkability_risk", "load_csv", "load_partitions",
     "make_client_datasets", "make_training_example", "p_sample_step",
     "partition_iid", "partition_noniid", "per_sample_grads",

@@ -91,11 +91,7 @@ def linear_schedule(timesteps: int = DEFAULT_TIMESTEPS) -> NoiseSchedule:
     """Betas linearly spaced from BETA_START (t=1) to BETA_END (t=T)."""
     if timesteps < 1:
         raise ValidationError("timesteps must be >= 1")
-    if timesteps == 1:
-        betas = np.array([BETA_START])
-    else:
-        betas = np.linspace(BETA_START, BETA_END, timesteps)
-    return NoiseSchedule(betas)
+    return NoiseSchedule(np.linspace(BETA_START, BETA_END, timesteps))
 
 
 def respace(schedule: NoiseSchedule, steps: int) -> tuple[NoiseSchedule, np.ndarray]:

@@ -126,25 +126,6 @@ class DpConfig:
         return math.isfinite(self.epsilon)
 
 
-def clip(grad: np.ndarray, clip_norm: float) -> np.ndarray:
-    """Rescale one gradient vector onto the L2 ball of radius ``clip_norm``."""
-    if not clip_norm > 0.0:
-        raise ValidationError("clip norm must be positive")
-    if not np.all(np.isfinite(grad)):
-        raise ValidationError("cannot clip a non-finite gradient")
-    norm = float(np.linalg.norm(grad))
-    if norm <= clip_norm:
-        return grad
-    values = grad * (clip_norm / norm)
-    # a single float rescale can land one ulp outside the ball; contract
-    # until the recomputed norm honours the bound
-    actual = float(np.linalg.norm(values))
-    while actual > clip_norm:
-        values = values * (clip_norm / actual)
-        actual = float(np.linalg.norm(values))
-    return values
-
-
 def clip_scales(per_sample: PerSampleGrads, clip_norm: float) -> np.ndarray:
     """Per-sample factors s_i = min(1, C / ||g_i||) that put each s_i g_i in the ball.
 

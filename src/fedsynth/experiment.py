@@ -116,6 +116,13 @@ class ExperimentConfig:
         require_int(self.n_rows, "n_rows", 1)
         require_int(self.n_attacks, "n_attacks", 1)
         require_int(self.checkpoint_every, "checkpoint_every", 0)
+        if not (isinstance(self.test_fraction, (int, float))
+                and 0 < self.test_fraction < 1):
+            raise ValidationError(
+                f"test_fraction must be a number in (0, 1), got {self.test_fraction!r}")
+        if not isinstance(self.sweep, dict):
+            raise ValidationError(
+                f"sweep must map axis names to value lists, got {self.sweep!r}")
 
     # -- serialization -------------------------------------------------------
 
@@ -181,7 +188,10 @@ class ExperimentConfig:
         """
         dotted = {k: v for k, v in kwargs.items() if "." in k}
         plain = {k: v for k, v in kwargs.items() if "." not in k}
-        out = dataclasses.replace(self, **plain) if plain else self
+        try:
+            out = dataclasses.replace(self, **plain) if plain else self
+        except TypeError as exc:  # an unknown key
+            raise ValidationError(f"malformed config: {exc}") from exc
         if dotted:
             raw = out.to_dict()
             for key, value in dotted.items():
@@ -287,37 +297,44 @@ def _read_checkpoint(path, names=None) -> tuple:
     return arrays, meta
 
 
-def _accountant(arrays: dict, client_meta: dict) -> RdpAccountant | None:
-    """A client's accountant, rebuilt from its ledger in a checkpoint."""
-    if not client_meta["has_accountant"]:
-        return None
-    cid = client_meta["client_id"]
-    return RdpAccountant.from_state_arrays(
-        arrays.get(f"acc_q_{cid}", np.zeros(0)),
-        arrays.get(f"acc_sigma_{cid}", np.zeros(0)),
-        arrays.get(f"acc_count_{cid}", np.zeros(0, dtype=np.int64)))
+def _read_state(path) -> tuple:
+    """The training state a checkpoint holds, and its meta.
+
+    A finished run's checkpoint has no optimizer moments: its state's
+    ``server`` and every client's ``adam`` are None, so it can report ε but
+    not train.
+    """
+    arrays, meta = _read_checkpoint(path)
+    clients = []
+    for cm in meta["clients"]:
+        cid = cm["client_id"]
+        adam = accountant = None
+        if f"adam_m_{cid}" in arrays:
+            adam = AdamState(arrays[f"adam_m_{cid}"], arrays[f"adam_v_{cid}"],
+                             t=int(cm["adam_t"]), lr=float(cm["adam_lr"]))
+        if cm["has_accountant"]:
+            accountant = RdpAccountant.from_state_arrays(
+                arrays.get(f"acc_q_{cid}", np.zeros(0)),
+                arrays.get(f"acc_sigma_{cid}", np.zeros(0)),
+                arrays.get(f"acc_count_{cid}", np.zeros(0, dtype=np.int64)))
+        clients.append(fed.ClientState(cid, adam, accountant, cm["sigma"],
+                                       cm["delta"], int(cm["n_samples"])))
+    server = None
+    if "server_m" in arrays:
+        server = fed.ServerOptState(arrays["server_m"], arrays["server_v"],
+                                    int(meta["server_updates"]))
+    state = FederatedState(arrays["global_flat"], meta["manifest"], clients, server,
+                           round=int(meta["round"]),
+                           stopped_early=bool(meta["stopped_early"]))
+    return state, meta
 
 
 def load_checkpoint(path) -> tuple:
     """The full training state of an unfinished run's checkpoint, and its meta."""
-    arrays, meta = _read_checkpoint(path)
-    if "server_m" not in arrays:
+    state, meta = _read_state(path)
+    if state.server is None:
         raise CheckpointError(f"{path!r} is a finished run's checkpoint; "
                               "it holds no optimizer state to resume from")
-    clients = []
-    for cm in meta["clients"]:
-        cid = cm["client_id"]
-        adam = AdamState(arrays[f"adam_m_{cid}"], arrays[f"adam_v_{cid}"],
-                         t=int(cm["adam_t"]), lr=float(cm["adam_lr"]))
-        clients.append(fed.ClientState(cid, adam, _accountant(arrays, cm), cm["sigma"],
-                                       cm["delta"], int(cm["n_samples"])))
-    state = FederatedState(
-        arrays["global_flat"], meta["manifest"], clients,
-        fed.ServerOptState(arrays["server_m"], arrays["server_v"],
-                           int(meta["server_updates"])),
-        round=int(meta["round"]),
-        stopped_early=bool(meta["stopped_early"]),
-    )
     return state, meta
 
 
@@ -403,21 +420,23 @@ def _scipy_version() -> str:
     return importlib.metadata.version("scipy")
 
 
-def _manifest(config: ExperimentConfig, pipeline_digest: str, rounds_completed: int,
-              stopped_early: bool, epsilons: dict, started: float) -> dict:
+def _manifest(config: ExperimentConfig, pipeline_digest: str, state: FederatedState,
+              started: float) -> dict:
     return {
         "config_digest": config.digest,
         "pipeline_digest": pipeline_digest,
-        "rounds_completed": rounds_completed,
-        "stopped_early": stopped_early,
-        "epsilons": {str(k): v for k, v in epsilons.items()},
+        "rounds_completed": state.round,
+        "stopped_early": state.stopped_early,
+        "epsilons": {str(c.client_id): c.current_epsilon() for c in state.clients
+                     if c.accountant is not None},
         "wall_time_s": round(time.time() - started, 3),
         "versions": {"python": platform.python_version(),
                      "numpy": np.__version__, "scipy": _scipy_version()},
     }
 
 
-def _finished_manifest(config: ExperimentConfig, paths: dict, meta: dict) -> dict:
+def _finished_manifest(config: ExperimentConfig, paths: dict, pipeline_digest: str,
+                       state: FederatedState) -> dict:
     """The manifest of a finished run, which ``--resume`` leaves as it is.
 
     A crash between the final checkpoint and the manifest leaves no manifest,
@@ -428,17 +447,9 @@ def _finished_manifest(config: ExperimentConfig, paths: dict, meta: dict) -> dic
         manifest = read_json(paths["manifest"])
         written = [manifest.get(k) for k in ("config_digest", "rounds_completed",
                                              "stopped_early")]
-        if written == [meta["config_digest"], meta["round"], meta["stopped_early"]]:
+        if written == [config.digest, state.round, state.stopped_early]:
             return manifest
-    arrays, _ = _read_checkpoint(paths["checkpoint"])
-    epsilons = {}
-    for cm in meta["clients"]:
-        accountant = _accountant(arrays, cm)
-        if accountant is not None:
-            epsilons[cm["client_id"]] = (accountant.to_epsilon(cm["delta"])[0]
-                                         if accountant.steps else None)
-    manifest = _manifest(config, meta["pipeline_digest"], meta["round"],
-                         meta["stopped_early"], epsilons, started)
+    manifest = _manifest(config, pipeline_digest, state, started)
     write_json(paths["manifest"], manifest)
     return manifest
 
@@ -450,28 +461,30 @@ def cmd_train(config: ExperimentConfig, resume: bool = False,
     A run is finished once all ``federation.rounds`` are done or the privacy
     budget stopped it. Its final checkpoint keeps only the model and the
     ledgers, and ``resume`` of a finished run trains nothing and leaves the
-    checkpoint, audit log and manifest as they are.
+    checkpoint, audit log and manifest as they are. ``resume`` reads the
+    checkpoint once.
     """
     paths = _paths(config)
     _require(paths["pipeline"], "prepare")
     _require(paths["partitions"], "prepare")
     pipeline = EncodingPipeline.load(paths["pipeline"])
 
-    def finished(round_: int, stopped_early: bool) -> bool:
-        return stopped_early or round_ >= config.federation.rounds
+    def finished(st: FederatedState) -> bool:
+        return st.stopped_early or st.round >= config.federation.rounds
 
     state = None
     if resume:
         _require(paths["checkpoint"], "train (nothing to resume)")
-        _, meta = _read_checkpoint(paths["checkpoint"], names=())
+        # _read_state keeps no name for the checkpoint's arrays, so the
+        # state's first global vector is freed once round 1 replaces it
+        state, meta = _read_state(paths["checkpoint"])
         if meta["config_digest"] != config.digest:
             raise CheckpointError(
                 "checkpoint was produced by a different config; refusing to resume")
         if meta["pipeline_digest"] != pipeline.digest:
             raise CheckpointError("checkpoint does not match the fitted pipeline")
-        if finished(meta["round"], meta["stopped_early"]):
-            return _finished_manifest(config, paths, meta)
-        state, _ = load_checkpoint(paths["checkpoint"])
+        if finished(state):
+            return _finished_manifest(config, paths, pipeline.digest, state)
     table = _load_inputs(config)
     partitions = load_partitions(paths["partitions"])
     datasets = make_client_datasets(pipeline, table, partitions)
@@ -489,19 +502,21 @@ def cmd_train(config: ExperimentConfig, resume: bool = False,
                             pipeline.digest, config.seeds)
 
     started = time.time()
-    # The initial parameters have no name here, so that train can free them
-    # once its state holds a copy.
-    result, state = fed.train(datasets, init_denoiser(
-        pipeline.encoded_width, hidden_width=config.model.hidden_width,
-        n_hidden=config.model.n_hidden, time_dim=config.model.time_dim,
-        embeddings=pipeline.initial_embeddings(),
-        rng=np.random.default_rng([config.seeds.model])),
-        schedule, config.federation, config.dp, config.seeds.model,
-        state=state, stop_after_round=stop_after_round, round_callback=round_cb)
+    if state is None:
+        # The initial parameters have no name here, so that they are freed
+        # once init_state holds a copy.
+        state = fed.init_state(init_denoiser(
+            pipeline.encoded_width, hidden_width=config.model.hidden_width,
+            n_hidden=config.model.n_hidden, time_dim=config.model.time_dim,
+            embeddings=pipeline.initial_embeddings(),
+            rng=np.random.default_rng([config.seeds.model])),
+            datasets, config.federation, config.dp)
+    fed.train(state, datasets, schedule, config.federation, config.dp,
+              config.seeds.model, stop_after_round=stop_after_round,
+              round_callback=round_cb)
     save_checkpoint(paths["checkpoint"], state, config.digest, pipeline.digest,
-                    config.seeds, finished=finished(state.round, state.stopped_early))
-    manifest = _manifest(config, pipeline.digest, result.rounds_completed,
-                         result.stopped_early, result.epsilons, started)
+                    config.seeds, finished=finished(state))
+    manifest = _manifest(config, pipeline.digest, state, started)
     write_json(paths["manifest"], manifest)
     return manifest
 
@@ -593,16 +608,16 @@ _AXIS_ALIASES = {
 }
 
 
-def _cell_config(config: ExperimentConfig, assignment: dict) -> ExperimentConfig:
-    raw = config.to_dict()
-    raw["sweep"] = {}
+def _cell_config(config: ExperimentConfig, assignment: dict,
+                 output_dir: str) -> ExperimentConfig:
+    dotted = {}
     for key, value in assignment.items():
-        key = _AXIS_ALIASES.get(key, key)
         if key == "seed":
-            key, value = "seeds", {"model": value, "data": value + 1,
-                                   "attack": value + 2}
-        raw = _set_dotted(raw, key, value)
-    return ExperimentConfig.from_dict(raw)
+            dotted.update({"seeds.model": value, "seeds.data": value + 1,
+                           "seeds.attack": value + 2})
+        else:
+            dotted[_AXIS_ALIASES.get(key, key)] = value
+    return config.replace(sweep={}, output_dir=output_dir, **dotted)
 
 
 def _axis_label(value):
@@ -657,7 +672,7 @@ def cmd_sweep(config: ExperimentConfig) -> list:
     for assignment in assignments:
         # FEDSYNTH_OUTPUT_ROOT applies once, when the cell's config resolves it
         output_dir = os.path.join(config.output_dir, "sweep", _cell_name(assignment))
-        cell_cfg = _cell_config(config, assignment).replace(output_dir=output_dir)
+        cell_cfg = _cell_config(config, assignment, output_dir)
         cell_dir = cell_cfg.resolved_output_dir()
         error = None
         if not os.path.exists(os.path.join(cell_dir, REPORT_FILE)):

@@ -15,7 +15,7 @@ that is what makes checkpoint resume bit-exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,19 +132,6 @@ class FederatedState:
     server: ServerOptState
     round: int = 0
     stopped_early: bool = False
-
-    @property
-    def params(self) -> DenoiserParams:
-        return DenoiserParams.from_flat(self.global_flat, self.manifest)
-
-
-@dataclass
-class TrainResult:
-    params: DenoiserParams
-    audit: list
-    rounds_completed: int
-    epsilons: dict
-    stopped_early: bool
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +366,10 @@ def init_state(init_params: DenoiserParams, datasets: list, fed_cfg: FedConfig,
     """Fresh training state: zero moments, calibrated per-client noise.
 
     Calibration runs once per distinct (delta, q): clients with equal shard
-    sizes share the bisection's result.
+    sizes share the bisection's result. The state holds a copy of
+    ``init_params``, so a caller that keeps no reference to them frees their
+    P-vector on return. Raises ``PrivacyBudgetError`` when no client's budget
+    covers one round.
     """
     if not datasets:
         raise ValidationError("train needs at least one client shard")
@@ -402,32 +392,25 @@ def init_state(init_params: DenoiserParams, datasets: list, fed_cfg: FedConfig,
             accountant = RdpAccountant()
         clients.append(ClientState(cid, AdamState.zeros(flat.size, fed_cfg.learning_rate),
                                    accountant, sigma, delta, data.n_samples))
+    if not any(_budget_allows(c, fed_cfg, dp_cfg) for c in clients):
+        raise PrivacyBudgetError(
+            f"epsilon target {dp_cfg.epsilon} cannot cover even one "
+            f"round of {fed_cfg.local_steps} local steps")
     return FederatedState(flat, init_params.manifest(), clients,
                           ServerOptState(np.zeros(flat.size), np.zeros(flat.size)))
 
 
-def train(datasets: list, init_params: DenoiserParams, schedule: NoiseSchedule,
+def train(state: FederatedState, datasets: list, schedule: NoiseSchedule,
           fed_cfg: FedConfig, dp_cfg: DpConfig, seed: int,
-          state: FederatedState | None = None,
-          stop_after_round: int | None = None,
-          round_callback=None) -> tuple:
-    """Run the federated loop; returns (TrainResult, FederatedState).
+          stop_after_round: int | None = None, round_callback=None) -> list:
+    """Advance ``state`` in place round by round; returns this session's audit lines.
 
-    Pass a previously saved ``state`` to resume; ``stop_after_round`` halts
-    the session once that many total rounds are complete (for interruption
-    tests and staged runs). ``round_callback(state, audit_lines)`` fires after
-    every round, e.g. to write periodic checkpoints. The state holds a copy
-    of ``init_params``: a caller that keeps no reference to them frees their
-    P-vector before the first round.
+    Training stops after ``fed_cfg.rounds`` rounds in all, when no client's
+    budget covers another round (``state.stopped_early``), or once
+    ``stop_after_round`` rounds in all are complete (for interruption tests
+    and staged runs). ``round_callback(state, audit_lines)`` fires after
+    every round, e.g. to write periodic checkpoints.
     """
-    if state is None:
-        state = init_state(init_params, datasets, fed_cfg, dp_cfg)
-        if dp_cfg.accounting_active:
-            if not any(_budget_allows(c, fed_cfg, dp_cfg) for c in state.clients):
-                raise PrivacyBudgetError(
-                    f"epsilon target {dp_cfg.epsilon} cannot cover even one "
-                    f"round of {fed_cfg.local_steps} local steps")
-    del init_params
     audit: list = []
     limit = fed_cfg.rounds if stop_after_round is None else min(
         fed_cfg.rounds, stop_after_round)
@@ -438,8 +421,4 @@ def train(datasets: list, init_params: DenoiserParams, schedule: NoiseSchedule,
         audit.extend(lines)
         if round_callback is not None:
             round_callback(state, lines)
-    epsilons = {c.client_id: c.current_epsilon() for c in state.clients
-                if c.accountant is not None}
-    result = TrainResult(state.params, audit, state.round,
-                         epsilons, state.stopped_early)
-    return result, state
+    return audit

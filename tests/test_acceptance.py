@@ -20,8 +20,7 @@ import pytest
 
 from fedsynth.data import write_csv
 from fedsynth.diffusion import generate, linear_schedule
-from fedsynth.dp import (DpConfig, RdpAccountant, calibrate_sigma, clip,
-                         epsilon_after)
+from fedsynth.dp import DpConfig, RdpAccountant, calibrate_sigma, epsilon_after
 from fedsynth.experiment import (OUTPUT_ROOT_ENV, cmd_evaluate, cmd_generate,
                                  cmd_prepare, cmd_train, desk_preset,
                                  run_pipeline)
@@ -32,6 +31,7 @@ from fedsynth.fixtures import gaussian_mixture_table, independent_table
 from fedsynth.metrics import evaluate_tables
 from fedsynth.nn import (AdamState, DenoiserParams, TrainingSample, forward,
                          init_denoiser, per_sample_grads)
+from test_dp import clip
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:

@@ -13,7 +13,7 @@ from scipy.special import gammaln, logsumexp
 
 from fedsynth import dp
 from fedsynth.dp import (DEFAULT_ORDERS, DpConfig, RdpAccountant,
-                         calibrate_sigma, clip, clip_scales, epsilon_after,
+                         calibrate_sigma, clip_scales, epsilon_after,
                          privatize, rdp_subsampled_gaussian)
 from fedsynth.errors import CalibrationError, ValidationError
 from fedsynth.nn import (BLOCK, PerSampleGrads, TrainingSample, init_denoiser,
@@ -79,6 +79,29 @@ def test_dpconfig_rejects_bad_values():
 
 # ---------------------------------------------------------------------------
 # Clipping
+
+
+def clip(grad: np.ndarray, clip_norm: float) -> np.ndarray:
+    """Rescale one gradient vector onto the L2 ball of radius ``clip_norm``.
+
+    The per-vector oracle that ``privatize``'s scaled clipping is checked
+    against; the program itself clips through ``dp.clip_scales``.
+    """
+    if not clip_norm > 0.0:
+        raise ValidationError("clip norm must be positive")
+    if not np.all(np.isfinite(grad)):
+        raise ValidationError("cannot clip a non-finite gradient")
+    norm = float(np.linalg.norm(grad))
+    if norm <= clip_norm:
+        return grad
+    values = grad * (clip_norm / norm)
+    # a single float rescale can land one ulp outside the ball; contract
+    # until the recomputed norm honours the bound
+    actual = float(np.linalg.norm(values))
+    while actual > clip_norm:
+        values = values * (clip_norm / actual)
+        actual = float(np.linalg.norm(values))
+    return values
 
 
 def test_clip_three_four_five():

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import struct
+import weakref
 import zipfile
 
 import numpy as np
@@ -321,6 +322,53 @@ def test_resume_rewrites_a_manifest_the_final_checkpoint_outran(workspace):
         for key in ("config_digest", "pipeline_digest", "rounds_completed",
                     "stopped_early", "epsilons", "versions"):
             assert rebuilt[key] == final[key], key
+
+
+def test_resume_reads_the_checkpoint_once_and_builds_no_initial_model(
+        staged_dp_run, monkeypatch):
+    """Resuming an unfinished run, and rebuilding a finished run's lost
+    manifest, each read checkpoint.npz once and build no initial model."""
+    reads, inits = [], []
+    load_arrays_, init_denoiser_ = experiment.load_arrays, experiment.init_denoiser
+
+    def counting_load(*args, **kwargs):
+        reads.append(args[0])
+        return load_arrays_(*args, **kwargs)
+
+    def counting_init(*args, **kwargs):
+        inits.append(args)
+        return init_denoiser_(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "load_arrays", counting_load)
+    monkeypatch.setattr(experiment, "init_denoiser", counting_init)
+    final = cmd_train(staged_dp_run, resume=True)
+    assert final["rounds_completed"] == staged_dp_run.federation.rounds
+    assert reads == [_checkpoint(staged_dp_run)] and inits == []
+    reads.clear()
+    os.remove(os.path.join(staged_dp_run.resolved_output_dir(), "manifest.json"))
+    assert cmd_train(staged_dp_run, resume=True)["epsilons"] == final["epsilons"]
+    assert reads == [_checkpoint(staged_dp_run)] and inits == []
+
+
+def test_resume_frees_the_checkpoint_model_once_round_1_replaces_it(
+        staged_dp_run, monkeypatch):
+    refs, alive = [], []
+    read_state, run_round = experiment._read_state, federation.run_round
+
+    def tracked_read(path):
+        state, meta = read_state(path)
+        refs.append(weakref.ref(state.global_flat))
+        return state, meta
+
+    def tracked_round(*args):
+        lines = run_round(*args)
+        alive.append(refs[0]() is not None)
+        return lines
+
+    monkeypatch.setattr(experiment, "_read_state", tracked_read)
+    monkeypatch.setattr(federation, "run_round", tracked_round)
+    cmd_train(staged_dp_run, resume=True)
+    assert alive == [False]
 
 
 def test_generate_deterministic_and_in_domain(workspace):
@@ -692,6 +740,18 @@ def test_cli_removed_setting_exits_1(workspace, capsys, setting):
     path = _write_cfg(workspace, _fast_config(workspace), "removed.json")
     assert cli.main(["prepare", "-c", path, "-s", setting]) == 1
     assert setting.split(".")[1].split("=")[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, setting", [
+    ("prepare", "test_fraction=1.5"), ("prepare", "test_fraction=0"),
+    ("sweep", 'test_fraction="abc"'), ("sweep", "sweep=5")])
+def test_cli_bad_test_fraction_or_sweep_exits_1_before_any_stage(workspace, capsys,
+                                                                command, setting):
+    cfg = _fast_config(workspace, out="bad_setting").replace(sweep={"seed": [0]})
+    path = _write_cfg(workspace, cfg, "bad_setting.json")
+    assert cli.main([command, "-c", path, "-s", setting]) == 1
+    assert setting.split("=")[0] in capsys.readouterr().err
+    assert not os.path.exists(cfg.resolved_output_dir())
 
 
 def test_config_rejects_nonpositive_n_attacks(workspace):

@@ -1,5 +1,4 @@
 import math
-import sys
 import tracemalloc
 import weakref
 
@@ -229,20 +228,18 @@ def test_run_round_frees_each_client_vector_before_the_next_update(monkeypatch, 
     assert all(ref() is None for ref in refs)
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11),
-                    reason="older CPython keeps call arguments on the caller's stack")
-def test_train_frees_initial_params_passed_without_a_reference():
+def test_init_state_frees_initial_params_passed_without_a_reference():
     """The state copies the initial parameters; passed inline, as cmd_train
     does, their P-vector is gone before the first round."""
     datasets, params, schedule = _tiny_setup()
     ref = weakref.ref(params.flat)
     holder = [params]
     del params
-    alive = []
-    train(datasets, holder.pop(), schedule,
-          FedConfig(n_clients=2, rounds=2, local_steps=1), DpConfig(), seed=0,
-          round_callback=lambda state, lines: alive.append(ref() is not None))
-    assert alive == [False, False]
+    fed_cfg = FedConfig(n_clients=2, rounds=2, local_steps=1)
+    state = init_state(holder.pop(), datasets, fed_cfg, DpConfig())
+    assert ref() is None
+    train(state, datasets, schedule, fed_cfg, DpConfig(), seed=0)
+    assert state.round == 2
 
 
 def test_aggregation_allocates_less_than_two_parameter_vectors():
@@ -465,7 +462,8 @@ def test_train_deterministic_and_seed_sensitive():
     fed_cfg = FedConfig(n_clients=2, rounds=3, local_steps=2, batch_size=8)
     runs = []
     for seed in (5, 5, 6):
-        res, st = train(datasets, params, schedule, fed_cfg, DpConfig(), seed)
+        st = init_state(params, datasets, fed_cfg, DpConfig())
+        train(st, datasets, schedule, fed_cfg, DpConfig(), seed)
         runs.append(st.global_flat)
     np.testing.assert_array_equal(runs[0], runs[1])
     assert not np.array_equal(runs[0], runs[2])
@@ -477,7 +475,8 @@ def test_fedprox_zero_mu_bit_equal_to_fedavg():
     for strat, mu in (("fedavg", 0.01), ("fedprox", 0.0)):
         cfg = FedConfig(n_clients=2, rounds=3, local_steps=2, batch_size=8,
                         strategy=strat, prox_mu=mu)
-        _, st = train(datasets, params, schedule, cfg, DpConfig(), 7)
+        st = init_state(params, datasets, cfg, DpConfig())
+        train(st, datasets, schedule, cfg, DpConfig(), 7)
         out[strat] = st.global_flat
     np.testing.assert_array_equal(out["fedavg"], out["fedprox"])
 
@@ -488,7 +487,8 @@ def test_fedprox_positive_mu_changes_result():
     for mu in (0.0, 0.5):
         cfg = FedConfig(n_clients=2, rounds=2, local_steps=3, batch_size=8,
                         strategy="fedprox", prox_mu=mu)
-        _, st = train(datasets, params, schedule, cfg, DpConfig(), 7)
+        st = init_state(params, datasets, cfg, DpConfig())
+        train(st, datasets, schedule, cfg, DpConfig(), 7)
         out[mu] = st.global_flat
     assert not np.array_equal(out[0.0], out[0.5])
 
@@ -498,18 +498,20 @@ def test_all_strategies_run_and_stay_finite(strategy):
     datasets, params, schedule = _tiny_setup()
     cfg = FedConfig(n_clients=2, rounds=3, local_steps=2, batch_size=8,
                     strategy=strategy, clients_per_round=2)
-    res, st = train(datasets, params, schedule, cfg, DpConfig(), 11)
-    assert res.rounds_completed == 3
+    st = init_state(params, datasets, cfg, DpConfig())
+    audit = train(st, datasets, schedule, cfg, DpConfig(), 11)
+    assert st.round == 3
     assert np.all(np.isfinite(st.global_flat))
-    assert len(res.audit) == 6  # two clients per round
+    assert len(audit) == 6  # two clients per round
 
 
 def test_single_client_loss_decreases():
     datasets, params, schedule = _tiny_setup(n_clients=1, n_per=60)
     cfg = FedConfig(n_clients=1, rounds=30, local_steps=5, batch_size=16,
                     learning_rate=1e-3)
-    res, _ = train(datasets, params, schedule, cfg, DpConfig(), 3)
-    losses = [a["loss"] for a in res.audit]
+    audit = train(init_state(params, datasets, cfg, DpConfig()), datasets, schedule,
+                  cfg, DpConfig(), 3)
+    losses = [a["loss"] for a in audit]
     head = float(np.mean(losses[:5]))
     tail = float(np.mean(losses[-5:]))
     assert tail < head
@@ -518,9 +520,10 @@ def test_single_client_loss_decreases():
 def test_audit_records_shape():
     datasets, params, schedule = _tiny_setup()
     cfg = FedConfig(n_clients=2, rounds=2, local_steps=2, batch_size=8)
-    res, _ = train(datasets, params, schedule, cfg, DpConfig(), 1)
-    assert len(res.audit) == 2  # one client per round by default
-    rec = res.audit[0]
+    audit = train(init_state(params, datasets, cfg, DpConfig()), datasets, schedule,
+                  cfg, DpConfig(), 1)
+    assert len(audit) == 2  # one client per round by default
+    rec = audit[0]
     assert rec["round"] == 1 and rec["client"] in (0, 1)
     assert set(rec) >= {"loss", "grad_norm_pre", "grad_norm_post", "steps",
                         "q", "sigma", "epsilon"}
@@ -530,7 +533,8 @@ def test_audit_records_shape():
 def test_client_adam_state_persists_across_rounds():
     datasets, params, schedule = _tiny_setup(n_clients=1)
     cfg = FedConfig(n_clients=1, rounds=4, local_steps=3, batch_size=8)
-    _, st = train(datasets, params, schedule, cfg, DpConfig(), 2)
+    st = init_state(params, datasets, cfg, DpConfig())
+    train(st, datasets, schedule, cfg, DpConfig(), 2)
     assert st.clients[0].adam.t == 4 * 3
 
 
@@ -538,9 +542,10 @@ def test_round_selection_uses_round_seeded_stream():
     datasets, params, schedule = _tiny_setup(n_clients=4, n_per=20)
     cfg = FedConfig(n_clients=4, rounds=6, local_steps=1, batch_size=8,
                     clients_per_round=2)
-    res, _ = train(datasets, params, schedule, cfg, DpConfig(), 13)
+    audit = train(init_state(params, datasets, cfg, DpConfig()), datasets, schedule,
+                  cfg, DpConfig(), 13)
     by_round = {}
-    for rec in res.audit:
+    for rec in audit:
         by_round.setdefault(rec["round"], []).append(rec["client"])
     for r, clients in by_round.items():
         assert clients == sorted(clients)
@@ -558,10 +563,11 @@ def test_accountant_counts_local_steps():
     cfg = FedConfig(n_clients=2, rounds=4, local_steps=3, batch_size=8,
                     clients_per_round=1)
     dp = DpConfig(epsilon=50.0)  # roomy: no early stop
-    res, st = train(datasets, params, schedule, cfg, dp, 21)
+    st = init_state(params, datasets, cfg, dp)
+    audit = train(st, datasets, schedule, cfg, dp, 21)
     total_steps = sum(c.accountant.steps for c in st.clients)
     assert total_steps == 4 * 3
-    participations = {rec["client"] for rec in res.audit}
+    participations = {rec["client"] for rec in audit}
     for c in st.clients:
         if c.client_id in participations:
             assert c.accountant.steps > 0
@@ -571,23 +577,25 @@ def test_budget_early_stop_matches_projection():
     datasets, params, schedule = _tiny_setup(n_clients=1, n_per=200)
     cfg = FedConfig(n_clients=1, rounds=60, local_steps=2, batch_size=16)
     dp = DpConfig(epsilon=2.0, noise_multiplier=1.0)
-    res, st = train(datasets, params, schedule, cfg, dp, 17)
+    st = init_state(params, datasets, cfg, dp)
+    train(st, datasets, schedule, cfg, dp, 17)
     q = 16 / 200
     delta = 1 / 200
     k = 0
     while epsilon_after(q, 1.0, (k + 1) * 2, delta) <= 2.0:
         k += 1
-    assert res.rounds_completed == k
-    assert res.stopped_early and st.stopped_early
-    assert 0 < res.epsilons[0] <= 2.0
+    assert st.round == k
+    assert st.stopped_early
+    assert 0 < st.clients[0].current_epsilon() <= 2.0
 
 
 def test_budget_exhausted_before_first_round_raises():
-    datasets, params, schedule = _tiny_setup(n_clients=1, n_per=20)
+    """init_state refuses a budget that no client can spend on one round."""
+    datasets, params, _ = _tiny_setup(n_clients=1, n_per=20)
     cfg = FedConfig(n_clients=1, rounds=5, local_steps=10, batch_size=32)
     dp = DpConfig(epsilon=0.05, noise_multiplier=0.5)
     with pytest.raises(PrivacyBudgetError):
-        train(datasets, params, schedule, cfg, dp, 0)
+        init_state(params, datasets, cfg, dp)
 
 
 def test_calibrated_full_run_lands_just_under_target():
@@ -595,10 +603,12 @@ def test_calibrated_full_run_lands_just_under_target():
     cfg = FedConfig(n_clients=2, rounds=4, local_steps=5, batch_size=16,
                     clients_per_round=2)
     dp = DpConfig(epsilon=1.0)
-    res, st = train(datasets, params, schedule, cfg, dp, 29)
-    assert res.rounds_completed == 4
-    for cid, eps in res.epsilons.items():
-        assert 0.9 < eps <= 1.0, f"client {cid} ended at epsilon {eps}"
+    st = init_state(params, datasets, cfg, dp)
+    train(st, datasets, schedule, cfg, dp, 29)
+    assert st.round == 4
+    for c in st.clients:
+        eps = c.current_epsilon()
+        assert 0.9 < eps <= 1.0, f"client {c.client_id} ended at epsilon {eps}"
 
 
 def test_init_state_calibrates_once_per_distinct_shard(monkeypatch):
@@ -623,31 +633,34 @@ def test_init_state_calibrates_once_per_distinct_shard(monkeypatch):
 def test_dp_noise_changes_trajectory():
     datasets, params, schedule = _tiny_setup()
     cfg = FedConfig(n_clients=2, rounds=2, local_steps=2, batch_size=8)
-    _, noisy = train(datasets, params, schedule, cfg,
-                     DpConfig(noise_multiplier=1.0), 31)
-    _, clean = train(datasets, params, schedule, cfg,
-                     DpConfig(noise_multiplier=0.0), 31)
-    assert not np.array_equal(noisy.global_flat, clean.global_flat)
+    flats = []
+    for sigma in (1.0, 0.0):
+        dp = DpConfig(noise_multiplier=sigma)
+        st = init_state(params, datasets, cfg, dp)
+        train(st, datasets, schedule, cfg, dp, 31)
+        flats.append(st.global_flat)
+    assert not np.array_equal(*flats)
 
 
 def test_stop_after_round_halts_midway():
     datasets, params, schedule = _tiny_setup()
     cfg = FedConfig(n_clients=2, rounds=10, local_steps=2, batch_size=8)
-    res, st = train(datasets, params, schedule, cfg, DpConfig(), 37,
-                    stop_after_round=4)
-    assert res.rounds_completed == 4 and st.round == 4
-    assert not res.stopped_early
+    st = init_state(params, datasets, cfg, DpConfig())
+    audit = train(st, datasets, schedule, cfg, DpConfig(), 37, stop_after_round=4)
+    assert st.round == 4 and [line["round"] for line in audit] == [1, 2, 3, 4]
+    assert not st.stopped_early
 
 
 def test_resume_equals_straight_run():
     datasets, params, schedule = _tiny_setup()
     cfg = FedConfig(n_clients=2, rounds=6, local_steps=2, batch_size=8)
-    _, straight = train(datasets, params, schedule, cfg, DpConfig(), 41)
-    _, part = train(datasets, params, schedule, cfg, DpConfig(), 41,
-                    stop_after_round=3)
-    _, resumed = train(datasets, params, schedule, cfg, DpConfig(), 41,
-                       state=part)
-    np.testing.assert_array_equal(straight.global_flat, resumed.global_flat)
+    straight = init_state(params, datasets, cfg, DpConfig())
+    train(straight, datasets, schedule, cfg, DpConfig(), 41)
+    staged = init_state(params, datasets, cfg, DpConfig())
+    train(staged, datasets, schedule, cfg, DpConfig(), 41, stop_after_round=3)
+    audit = train(staged, datasets, schedule, cfg, DpConfig(), 41)
+    assert [line["round"] for line in audit] == [4, 5, 6]
+    np.testing.assert_array_equal(straight.global_flat, staged.global_flat)
 
 
 # ---------------------------------------------------------------------------
