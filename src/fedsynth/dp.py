@@ -143,17 +143,19 @@ def clip_scales(per_sample: PerSampleGrads, clip_norm: float) -> np.ndarray:
 
 
 def privatize(per_sample: PerSampleGrads, clip_norm: float, sigma: float,
-              rng) -> np.ndarray:
+              rng, out: np.ndarray | None = None) -> np.ndarray:
     """Clipped, noised batch gradient as one float64 P-vector.
 
     Mechanism: (1/B) [sum_i s_i g_i + N(0, (sigma*C)^2 I)], with s_i from
     ``clip_scales``. With sigma = 0 no draw is made, so the RNG is untouched.
+    The result is written into ``out`` when given (see
+    ``PerSampleGrads.weighted_sum``).
     """
     if not per_sample:
         raise ValidationError("privatize needs a non-empty batch")
     if sigma < 0.0:
         raise ValidationError("sigma must be >= 0")
-    total = per_sample.weighted_sum(clip_scales(per_sample, clip_norm))
+    total = per_sample.weighted_sum(clip_scales(per_sample, clip_norm), out)
     if sigma > 0.0:
         # drawn block by block into one scratch: the same N(0, 1) stream as
         # one P-sized draw, with no P-sized noise buffer

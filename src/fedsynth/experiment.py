@@ -662,6 +662,9 @@ def cmd_sweep(config: ExperimentConfig) -> list:
             raise ValidationError(f"sweep axis {key!r} must be a non-empty list")
         values = [math.inf if isinstance(v, str) and v.lower() == "inf" else v
                   for v in values]
+        if key == "seed":  # _cell_config derives the data and attack seeds from it
+            for value in values:
+                require_int(value, "sweep axis 'seed' value", 0)
         axes.append((key, values))
     assignments = [dict(zip([k for k, _ in axes], combo))
                    for combo in itertools.product(*[v for _, v in axes])]

@@ -85,10 +85,18 @@ class PerSampleGrads:
     def __iter__(self):
         return (self[i] for i in range(len(self)))
 
-    def weighted_sum(self, weights: np.ndarray) -> np.ndarray:
-        """sum_i weights[i] * g_i as one P-vector in ``_layout`` order."""
+    def weighted_sum(self, weights: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """sum_i weights[i] * g_i as one P-vector in ``_layout`` order.
+
+        Written into ``out``, a contiguous float64 P-vector whose every
+        element is overwritten, when given; else into a new vector.
+        """
         weights = np.asarray(weights, dtype=np.float64)[:, None]
-        out = np.empty(self.size)
+        if out is None:
+            out = np.empty(self.size)
+        elif (out.shape != (self.size,) or out.dtype != np.float64
+              or not out.flags.c_contiguous):
+            raise ValidationError(f"out must be a contiguous float64 ({self.size},) vector")
         end = 0
         for a, d in self.factors:
             start, end = end, end + a.shape[1] * d.shape[1]

@@ -20,7 +20,8 @@ import pytest
 
 from fedsynth.data import write_csv
 from fedsynth.diffusion import generate, linear_schedule
-from fedsynth.dp import DpConfig, RdpAccountant, calibrate_sigma, epsilon_after
+from fedsynth.dp import (DpConfig, RdpAccountant, calibrate_sigma, clip_scales,
+                         epsilon_after)
 from fedsynth.experiment import (OUTPUT_ROOT_ENV, cmd_evaluate, cmd_generate,
                                  cmd_prepare, cmd_train, desk_preset,
                                  run_pipeline)
@@ -167,6 +168,29 @@ def test_criterion_3_dp_mechanism_properties():
         if float(np.linalg.norm(clip(g, c))) > c:
             overshoots += 1
 
+    # the same bound on the path the mechanism runs: per_sample_grads, then
+    # clip_scales, then weighted_sum, checked on each sample's contribution
+    path_overshoots = contributions = clipped = 0
+    for _ in range(300):
+        params, _, _ = _random_net_and_sample(rng)
+        scale = 10 ** rng.uniform(-1, 2)
+        batch = [TrainingSample(
+            rng.normal(size=params.d_enc) * scale, int(rng.integers(1, 20)),
+            rng.normal(size=params.d_enc) * scale,
+            emb_rows=np.array([rng.integers(0, e.shape[0]) for e in params.embeddings])
+            if params.embeddings else None, emb_coeff=0.73)
+            for _ in range(int(rng.integers(1, 9)))]
+        grads, _ = per_sample_grads(params, batch)
+        c = 10 ** rng.uniform(-2, 2)
+        scales = clip_scales(grads, c)
+        clipped += int(np.sum(scales < 1.0))
+        for i, s_i in enumerate(scales):
+            weights = np.zeros(len(batch))
+            weights[i] = s_i
+            contributions += 1
+            if float(np.linalg.norm(grads.weighted_sum(weights))) > c:
+                path_overshoots += 1
+
     # composing the same steps in different chunkings must give the same
     # epsilon, bit for bit
     one = RdpAccountant()
@@ -187,9 +211,12 @@ def test_criterion_3_dp_mechanism_properties():
         landings.append(f"{target}→{eps:.4f}")
         calibrated = calibrated and (0.95 * target < eps <= target)
     elapsed = time.time() - started
-    _verdict(3, overshoots == 0 and additive and calibrated and elapsed < 60.0,
-             f"clip overshoots {overshoots}/5000, additivity exact: {additive}, "
-             f"calibration landings {landings} ({elapsed:.1f}s)")
+    _verdict(3, overshoots == 0 and path_overshoots == 0 and 0 < clipped < contributions
+             and additive and calibrated and elapsed < 60.0,
+             f"clip overshoots {overshoots}/5000, on the mechanism's path "
+             f"{path_overshoots}/{contributions} ({clipped} clipped), "
+             f"additivity exact: {additive}, calibration landings {landings} "
+             f"({elapsed:.1f}s)")
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,23 @@ def test_privatize_matches_loop_oracle_and_bounds_every_row(n_tables, size,
         assert np.linalg.norm(s_i * g.values) <= c
 
 
+@pytest.mark.parametrize("sigma", [0.0, 0.7])
+def test_privatize_into_out_bit_equals_a_new_vector(sigma):
+    """Written into a reused buffer holding stale values, the result is the
+    same bytes as a fresh one; a buffer of the wrong shape, dtype or layout
+    is refused."""
+    rng = np.random.default_rng(4)
+    grads = PerSampleGrads([(rng.normal(size=(3, 300)), rng.normal(size=(3, 250)))])
+    expected = privatize(grads, 1.0, sigma, np.random.default_rng(9))
+    out = np.full(grads.size, np.nan)
+    got = privatize(grads, 1.0, sigma, np.random.default_rng(9), out)
+    assert got is out and got.tobytes() == expected.tobytes()
+    for bad in (np.empty(grads.size + 1), np.empty(grads.size, dtype=np.float32),
+                np.empty(2 * grads.size)[::2]):
+        with pytest.raises(ValidationError):
+            privatize(grads, 1.0, sigma, np.random.default_rng(9), bad)
+
+
 def test_privatize_blocked_noise_bit_equals_one_whole_draw():
     """The noise drawn block by block is the stream of one P-sized draw."""
     rng = np.random.default_rng(4)

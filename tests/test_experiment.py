@@ -640,6 +640,14 @@ def test_sweep_rejects_empty_axis(workspace):
         cmd_sweep(cfg)
 
 
+@pytest.mark.parametrize("seeds", [["a"], [0, "a"], [0, None], [0.5]])
+def test_sweep_rejects_non_integer_seed_axis_before_any_cell(workspace, seeds):
+    cfg = _fast_config(workspace, out="bad_seed").replace(sweep={"seed": seeds})
+    with pytest.raises(ValidationError, match="seed"):
+        cmd_sweep(cfg)
+    assert not os.path.exists(cfg.resolved_output_dir())
+
+
 def test_sweep_rejects_unknown_axis(workspace):
     cfg = _fast_config(workspace).replace(sweep={"warp": [1]})
     with pytest.raises(ValidationError):
@@ -744,7 +752,8 @@ def test_cli_removed_setting_exits_1(workspace, capsys, setting):
 
 @pytest.mark.parametrize("command, setting", [
     ("prepare", "test_fraction=1.5"), ("prepare", "test_fraction=0"),
-    ("sweep", 'test_fraction="abc"'), ("sweep", "sweep=5")])
+    ("sweep", 'test_fraction="abc"'), ("sweep", "sweep=5"),
+    ("sweep", 'sweep={"seed": ["a"]}')])
 def test_cli_bad_test_fraction_or_sweep_exits_1_before_any_stage(workspace, capsys,
                                                                 command, setting):
     cfg = _fast_config(workspace, out="bad_setting").replace(sweep={"seed": [0]})

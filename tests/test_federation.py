@@ -1,4 +1,8 @@
+import json
 import math
+import sys
+import threading
+import time
 import tracemalloc
 import weakref
 
@@ -203,10 +207,19 @@ def test_streamed_aggregation_bit_equals_the_list_oracle(strategy):
         g = out
 
 
+def _force_workers(monkeypatch, n_cpus):
+    """Make run_round see ``n_cpus`` CPUs and treat every model as large
+    enough for worker threads, so W = min(clients, n_cpus)."""
+    monkeypatch.setattr(federation, "CONCURRENT_MIN_PARAMS", 0)
+    monkeypatch.setattr(federation, "_usable_cpus", lambda: n_cpus)
+
+
 @pytest.mark.parametrize("strategy", ["fedavg", "fedadam"])
 def test_run_round_frees_each_client_vector_before_the_next_update(monkeypatch, strategy):
-    """Client k's updated vector is garbage once client k + 1's update starts,
-    so a round holds one client vector at a time, not one per client."""
+    """A round holds at most W client vectors, never one per client. With
+    W = 1 client k's updated vector is garbage once client k + 1's update
+    starts, and the round runs on the calling thread."""
+    _force_workers(monkeypatch, 1)
     datasets, params, schedule = _tiny_setup(n_clients=3)
     fed_cfg = FedConfig(n_clients=3, rounds=2, local_steps=2, clients_per_round=3,
                         strategy=strategy)
@@ -214,9 +227,12 @@ def test_run_round_frees_each_client_vector_before_the_next_update(monkeypatch, 
     state = init_state(params, datasets, fed_cfg, dp_cfg)
     local_update = federation.client_local_update
     refs, alive_at_start = [], []
+    threads_before = threading.active_count()
 
     def tracked(*args):
         alive_at_start.append([ref() is not None for ref in refs])
+        assert threading.current_thread() is threading.main_thread()
+        assert threading.active_count() == threads_before
         flat, stats = local_update(*args)
         refs.append(weakref.ref(flat))
         return flat, stats
@@ -226,6 +242,179 @@ def test_run_round_frees_each_client_vector_before_the_next_update(monkeypatch, 
     assert [line["client"] for line in audit] == [0, 1, 2]
     assert alive_at_start == [[], [False], [False, False]]
     assert all(ref() is None for ref in refs)
+
+
+@pytest.mark.parametrize("strategy", ["fedavg", "fedadam"])
+def test_run_round_holds_at_most_w_client_updates_when_concurrent(monkeypatch, strategy):
+    """With W = 2 of 4 clients, clients 0 and 1 run at once (a barrier only
+    they can pass proves it), and client k + 2 starts only after client k's
+    vector and gradient buffer are garbage."""
+    _force_workers(monkeypatch, 2)
+    datasets, params, schedule = _tiny_setup(n_clients=4)
+    fed_cfg = FedConfig(n_clients=4, rounds=2, local_steps=2, clients_per_round=4,
+                        strategy=strategy)
+    dp_cfg = DpConfig(noise_multiplier=1.0)
+    state = init_state(params, datasets, fed_cfg, dp_cfg)
+    local_update = federation.client_local_update
+    refs, alive_at_start, lock = {}, {}, threading.Lock()
+    first_two = threading.Barrier(2, timeout=10)
+
+    def tracked(*args):
+        cid = args[2].client_id
+        assert threading.current_thread() is not threading.main_thread()
+        with lock:
+            alive_at_start[cid] = {k: all(r() is not None for r in pair)
+                                   for k, pair in refs.items()}
+        if cid < 2:
+            first_two.wait()
+        flat, stats = local_update(*args)
+        with lock:
+            refs[cid] = (weakref.ref(flat), weakref.ref(args[8][1]))
+        return flat, stats
+
+    monkeypatch.setattr(federation, "client_local_update", tracked)
+    audit = run_round(state, datasets, schedule, fed_cfg, dp_cfg, seed=3)
+    assert [line["client"] for line in audit] == [0, 1, 2, 3]
+    assert alive_at_start[0] == alive_at_start[1] == {}
+    for cid in (2, 3):
+        assert set(alive_at_start[cid]) >= set(range(cid - 1))
+        assert not any(alive for k, alive in alive_at_start[cid].items()
+                       if k <= cid - 2)
+    assert all(r() is None for pair in refs.values() for r in pair)
+
+
+def _round_state_bytes(state, audit) -> dict:
+    """Every array and record a round leaves behind, as bytes."""
+    out = {"global": state.global_flat.tobytes(),
+           "server": (state.server.m.tobytes(), state.server.v.tobytes(),
+                      state.server.updates),
+           "audit": json.dumps(audit)}
+    for c in state.clients:
+        ledger = None if c.accountant is None else sorted(c.accountant.groups.items())
+        out[f"client {c.client_id}"] = (c.adam.m.tobytes(), c.adam.v.tobytes(),
+                                        c.adam.t, ledger)
+    return out
+
+
+@pytest.mark.parametrize("dp_cfg", [DpConfig(), DpConfig(epsilon=50.0, noise_multiplier=1.0)],
+                         ids=["no-dp", "dp"])
+@pytest.mark.parametrize("strategy", ["fedavg", "fedprox", "fedadam", "fedyogi"])
+def test_concurrent_rounds_bit_equal_inline_rounds(monkeypatch, strategy, dp_cfg):
+    """Two rounds of 3 clients on 2 worker threads leave the same bytes as
+    the same rounds run inline: global vector, server moments, every
+    client's Adam moments and ledger, and the audit lines."""
+    datasets, params, schedule = _tiny_setup(n_clients=3)
+    fed_cfg = FedConfig(n_clients=3, rounds=2, local_steps=3, clients_per_round=3,
+                        strategy=strategy, batch_size=8)
+    local_update = federation.client_local_update
+    results = {}
+    for n_cpus in (1, 2):
+        _force_workers(monkeypatch, n_cpus)
+        on_main = []
+
+        def tracked(*args):
+            on_main.append(threading.current_thread() is threading.main_thread())
+            return local_update(*args)
+
+        monkeypatch.setattr(federation, "client_local_update", tracked)
+        state = init_state(params, datasets, fed_cfg, dp_cfg)
+        audit = train(state, datasets, schedule, fed_cfg, dp_cfg, seed=11)
+        assert on_main == [n_cpus == 1] * 6
+        results[n_cpus] = _round_state_bytes(state, audit)
+    assert results[2] == results[1]
+
+
+def test_concurrent_round_with_more_workers_than_cores_bit_equal_inline(monkeypatch):
+    """Six clients on six workers, with the interpreter switching threads
+    every microsecond, still leave the inline round's bytes."""
+    datasets, params, schedule = _tiny_setup(n_clients=6, n_per=20)
+    fed_cfg = FedConfig(n_clients=6, rounds=1, local_steps=4, clients_per_round=6,
+                        strategy="fedyogi", batch_size=8)
+    dp_cfg = DpConfig(epsilon=50.0, noise_multiplier=1.0)
+    results = {}
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for n_cpus in (1, 6):
+            _force_workers(monkeypatch, n_cpus)
+            state = init_state(params, datasets, fed_cfg, dp_cfg)
+            results[n_cpus] = _round_state_bytes(
+                state, train(state, datasets, schedule, fed_cfg, dp_cfg, seed=5))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results[6] == results[1]
+
+
+def _failing_update(local_update, behaviour):
+    """A client_local_update whose client ``cid`` runs ``behaviour[cid]()``
+    first; that call may raise."""
+    def update(*args):
+        behaviour.get(args[2].client_id, lambda: None)()
+        return local_update(*args)
+    return update
+
+
+def test_diverging_client_raises_its_own_error_after_in_flight_work_ends(monkeypatch):
+    """Client 0 fails while client 1 is still running: run_round raises
+    client 0's own DivergenceError, only after client 1 has finished, and
+    starts no further client."""
+    _force_workers(monkeypatch, 2)
+    datasets, params, schedule = _tiny_setup(n_clients=3)
+    fed_cfg = FedConfig(n_clients=3, rounds=1, local_steps=2, clients_per_round=3)
+    dp_cfg = DpConfig()
+    state = init_state(params, datasets, fed_cfg, dp_cfg)
+    client1_running, client0_raised = threading.Event(), threading.Event()
+    client1_done, started = threading.Event(), []
+    error = DivergenceError("client 0 diverged at local step 0")
+
+    def client0():
+        assert client1_running.wait(10)
+        client0_raised.set()
+        raise error
+
+    def client1():
+        client1_running.set()
+        assert client0_raised.wait(10)
+        time.sleep(0.05)
+        client1_done.set()
+
+    behaviour = {0: client0, 1: client1, 2: lambda: started.append(2)}
+    monkeypatch.setattr(federation, "client_local_update",
+                        _failing_update(federation.client_local_update, behaviour))
+    with pytest.raises(DivergenceError) as info:
+        run_round(state, datasets, schedule, fed_cfg, dp_cfg, seed=0)
+    assert info.value is error
+    assert client1_done.is_set()
+    assert started == []
+
+
+def test_failing_clients_raise_in_client_order(monkeypatch):
+    """Client 1 fails first, client 0 after it: client 0's error is raised.
+    A client that fails after an earlier client succeeded raises its own."""
+    _force_workers(monkeypatch, 2)
+    datasets, params, schedule = _tiny_setup(n_clients=2)
+    fed_cfg = FedConfig(n_clients=2, rounds=1, local_steps=1, clients_per_round=2)
+    dp_cfg = DpConfig()
+    client1_raised = threading.Event()
+    errors = [DivergenceError("client 0"), DivergenceError("client 1")]
+
+    def client0():
+        assert client1_raised.wait(10)
+        raise errors[0]
+
+    def client1():
+        client1_raised.set()
+        raise errors[1]
+
+    local_update = federation.client_local_update
+    for behaviour, expected in (({0: client0, 1: client1}, errors[0]),
+                                ({1: client1}, errors[1])):
+        state = init_state(params, datasets, fed_cfg, dp_cfg)
+        monkeypatch.setattr(federation, "client_local_update",
+                            _failing_update(local_update, behaviour))
+        with pytest.raises(DivergenceError) as info:
+            run_round(state, datasets, schedule, fed_cfg, dp_cfg, seed=0)
+        assert info.value is expected
 
 
 def test_init_state_frees_initial_params_passed_without_a_reference():
@@ -399,6 +588,35 @@ def test_two_step_dp_update_peaks_within_one_block_of_one_step():
             tracemalloc.stop()
         assert stats["loss"] is not None
     assert peaks[2] <= peaks[1] + BLOCK * 8
+
+
+def test_local_update_into_given_buffers_allocates_no_parameter_vector():
+    """With the two P-vectors passed in, as run_round passes them from its
+    own thread, a DP FedProx update allocates less than half a parameter
+    vector, and trains in place in the first buffer."""
+    datasets, _, schedule = _tiny_setup(n_clients=1, n_per=30)
+    params = init_denoiser(3, hidden_width=512, n_hidden=3, time_dim=8,
+                           rng=np.random.default_rng(5))
+    fed_cfg = FedConfig(n_clients=1, rounds=1, local_steps=2, batch_size=8,
+                        strategy="fedprox", prox_mu=0.1)
+    dp_cfg = DpConfig(noise_multiplier=1.0)
+    state = init_state(params, datasets, fed_cfg, dp_cfg)
+    expected, _ = client_local_update(state.global_flat, state.manifest,
+                                      init_state(params, datasets, fed_cfg, dp_cfg).clients[0],
+                                      datasets[0], schedule, fed_cfg, dp_cfg,
+                                      np.random.default_rng([7, 1, 0]))
+    buffers = federation.client_buffers(state.global_flat.size)
+    tracemalloc.start()
+    try:
+        flat, _ = client_local_update(state.global_flat, state.manifest, state.clients[0],
+                                      datasets[0], schedule, fed_cfg, dp_cfg,
+                                      np.random.default_rng([7, 1, 0]), buffers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert flat is buffers[0]
+    assert np.array_equal(flat, expected)
+    assert peak < state.global_flat.nbytes / 2
 
 
 def test_local_update_feeds_the_benchmark_probes(monkeypatch):
