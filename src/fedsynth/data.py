@@ -26,6 +26,7 @@ _KINDS = (KIND_NUMERIC, KIND_CATEGORICAL)
 EMBED_DIM = 2
 EMBED_INIT_STD = 1.0 / math.sqrt(2.0)
 DEFAULT_N_QUANTILES = 1000
+CSV_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -141,12 +142,13 @@ class RawTable:
 def load_csv(path, schema: TabularSchema) -> RawTable:
     """Parse a UTF-8, comma-delimited CSV with a header row against ``schema``.
 
-    Column order in the file is free; the result follows schema order. Any
+    Column order in the file is free; the result follows schema order. A
+    leading byte-order mark, as spreadsheet programs write, is skipped. Any
     missing/extra header, unparseable numeric cell, or empty cell is an error
     (missing values are out of scope).
     """
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise CsvFormatError(f"cannot open CSV {path!r}: {exc}") from exc
     with fh:
@@ -201,20 +203,28 @@ def load_csv(path, schema: TabularSchema) -> RawTable:
 
 
 def write_csv(path, table: RawTable) -> None:
-    """Write a RawTable back to CSV in schema column order."""
+    """Write a RawTable back to CSV in schema column order.
+
+    Cells are converted one block of ``CSV_BLOCK_ROWS`` rows at a time, column
+    by column: numerics as the ``repr`` of their float64 value, categoricals
+    through ``str``. The strings held at once are bounded by the block, not
+    by the table.
+    """
+    names = table.schema.names
+    kinds = table.schema.kinds
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(table.schema.names)
-        kinds = table.schema.kinds
-        cols = [table.columns[name] for name in table.schema.names]
-        for i in range(table.n_rows):
-            row = []
-            for name, col in zip(table.schema.names, cols):
+        writer.writerow(names)
+        for start in range(0, table.n_rows, CSV_BLOCK_ROWS):
+            block = slice(start, start + CSV_BLOCK_ROWS)
+            cells = []
+            for name in names:
+                col = table.columns[name][block]
                 if kinds[name] == KIND_NUMERIC:
-                    row.append(repr(float(col[i])))
+                    cells.append(map(repr, np.asarray(col, dtype=np.float64).tolist()))
                 else:
-                    row.append(str(col[i]))
-            writer.writerow(row)
+                    cells.append(map(str, col))
+            writer.writerows(zip(*cells))
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +277,47 @@ def fit_quantile_map(values, n_quantiles: int = DEFAULT_N_QUANTILES) -> Quantile
         raise ValidationError("n_quantiles must be >= 2")
     n_q = min(int(n_quantiles), values.size)
     if n_q == 1:
-        quantiles = np.array([values[0]])
-    else:
-        quantiles = np.quantile(values, np.linspace(0.0, 1.0, n_q))
-    return QuantileMap(quantiles)
+        return QuantileMap(np.array([values[0]]))
+    levels = np.linspace(0.0, 1.0, n_q)
+    zero_signs = np.signbit(values[values == 0.0])
+    if zero_signs.any() and not zero_signs.all():
+        # A sort and np.quantile's partition place -0.0 and +0.0 differently
+        # (NumPy's vectorised sort may even rewrite one into the other), which
+        # can flip the sign of a zero quantile; keep np.quantile's.
+        return QuantileMap(np.quantile(values, levels))
+    return QuantileMap(_linear_quantiles(np.sort(values), levels))
+
+
+def _linear_quantiles(ordered: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """``np.quantile(values, levels)`` (method 'linear') from sorted values.
+
+    These are the steps of NumPy 2.4's ``_quantile`` and ``_lerp`` for the
+    'linear' method, in the same order: virtual index (n - 1) q, its floor
+    and floor + 1 with both clamped to the last element at or above n - 1
+    (and to the first below 0), gamma against the clamped floor, then
+    a + (b - a) gamma, or b - (b - a)(1 - gamma) where gamma >= 0.5. So the
+    result is bit-equal to ``np.quantile``, which instead partitions the
+    column at about two indices per level and costs far more than one sort.
+    """
+    n = ordered.size
+    virtual = (n - 1) * levels
+    previous = np.floor(virtual)
+    following = previous + 1
+    above = virtual >= n - 1
+    previous[above] = -1
+    following[above] = -1
+    below = virtual < 0
+    previous[below] = 0
+    following[below] = 0
+    previous = previous.astype(np.intp)
+    following = following.astype(np.intp)
+    gamma = virtual - previous
+    a, b = ordered[previous], ordered[following]
+    diff = b - a
+    out = a + diff * gamma
+    upper = gamma >= 0.5
+    out[upper] = b[upper] - diff[upper] * (1 - gamma[upper])
+    return out
 
 
 # ---------------------------------------------------------------------------

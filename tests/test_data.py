@@ -1,9 +1,13 @@
+import csv
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedsynth.data import (EMBED_DIM, CategoryCodec, ClientPartition,
+from fedsynth.data import (CSV_BLOCK_ROWS, EMBED_DIM, KIND_CATEGORICAL,
+                           KIND_NUMERIC, CategoryCodec, ClientPartition,
                            EncodingPipeline, QuantileMap, RawTable,
                            TabularSchema, first_occurrence_codes,
                            fit_category_codec, fit_quantile_map, load_csv,
@@ -66,6 +70,74 @@ def test_csv_roundtrip_is_byte_stable(tmp_path):
     write_csv(p1, table)
     write_csv(p2, load_csv(p1, table.schema))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _row_loop_write_csv(path, table):
+    """Reference writer: converts and writes one cell, then one row, at a time."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(table.schema.names)
+        kinds = table.schema.kinds
+        cols = [table.columns[name] for name in table.schema.names]
+        for i in range(table.n_rows):
+            row = []
+            for name, col in zip(table.schema.names, cols):
+                if kinds[name] == KIND_NUMERIC:
+                    row.append(repr(float(col[i])))
+                else:
+                    row.append(str(col[i]))
+            writer.writerow(row)
+
+
+_WRITER_SCHEMA = TabularSchema(columns=(
+    ("x", KIND_NUMERIC), ("label", KIND_CATEGORICAL), ("count", KIND_NUMERIC),
+    ("note", KIND_CATEGORICAL)))
+
+
+def _writer_table(n_rows, seed=0):
+    rng = np.random.default_rng(seed)
+    specials = np.array([-0.0, 5e-324, 1e16, 0.1 + 0.2, 7.0, -3.0, 0.0, -1e300])
+    x = np.where(rng.random(n_rows) < 0.5, rng.choice(specials, n_rows),
+                 rng.normal(size=n_rows) * 10.0 ** rng.integers(-20, 20, n_rows))
+    labels = np.array(["a,b", 'say "hi"', "two\nlines", "crème brûlée", "日本",
+                       "plain", " padded ", ""], dtype=object)
+    return RawTable(_WRITER_SCHEMA, {
+        "x": x,
+        "label": rng.choice(labels[:-1], n_rows),
+        "count": rng.integers(-5, 5, n_rows),  # integer dtype, integer values
+        "note": rng.choice(labels, n_rows)})
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
+                                    CSV_BLOCK_ROWS + 1, 3 * CSV_BLOCK_ROWS + 7])
+def test_write_csv_bytes_equal_the_row_loop(tmp_path, n_rows):
+    table = _writer_table(n_rows, seed=n_rows)
+    write_csv(tmp_path / "blocks.csv", table)
+    _row_loop_write_csv(tmp_path / "rows.csv", table)
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_write_csv_memory_is_bounded_by_the_block(tmp_path):
+    peaks = []
+    for n_rows in (20_000, 200_000):
+        table = _writer_table(n_rows)
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "t.csv", table)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        del table
+    assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+def test_load_csv_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("x,y,segment\n1.0,2.0,s0\n", encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    table = load_csv(path, MIXTURE_SCHEMA)
+    assert table.column("x").tolist() == [1.0]
+    assert table.column("segment").tolist() == ["s0"]
 
 
 def test_load_csv_missing_column_named(tmp_path):
@@ -163,6 +235,49 @@ def test_quantile_map_outputs_unit_interval(raw):
     qm = fit_quantile_map(values)
     out = qm.transform(values)
     assert np.all(out >= 0.0) and np.all(out <= 1.0)
+
+
+def _quantile_column(data, kind, n, pool):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if kind == "pool":  # ties; a one-value pool is a constant column
+        return rng.choice(np.asarray(pool, dtype=np.float64), n)
+    if kind == "integers":
+        return rng.integers(-20, 20, n).astype(np.float64)
+    scale = data.draw(st.sampled_from([1e-310, 1e-5, 1.0, 1e16, 1e300]))
+    return rng.normal(size=n) * scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_quantile_fit_bit_equals_np_quantile(data):
+    n = data.draw(st.integers(1, 5000) | st.integers(1, 40))
+    kind = data.draw(st.sampled_from(["pool", "integers", "normal"]))
+    # st.floats yields subnormals, huge magnitudes and both signed zeros.
+    pool = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False,
+                                        width=64), min_size=1, max_size=6)
+                     | st.lists(st.sampled_from([-0.0, 0.0, 1.5]), min_size=2))
+    values = _quantile_column(data, kind, n, pool)
+    n_q = data.draw(st.sampled_from([2, n, 1000, n + data.draw(st.integers(1, 50))]))
+    if n_q < 2:
+        return
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = fit_quantile_map(values, n_q).quantiles
+        want = np.quantile(values, np.linspace(0.0, 1.0, min(n_q, n)))
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("pool", [
+    [-0.0, 0.0, -1.0, 2.5],  # both zeros: the np.quantile branch
+    [-0.0, -1.0],            # maximum -0.0: np.quantile returns +0.0 there
+    [-0.0],
+    [0.0, -2.0]])
+def test_quantile_fit_keeps_np_quantile_zero_signs(pool, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.choice(pool, int(rng.integers(2, 4000)))
+    levels = np.linspace(0.0, 1.0, min(1000, values.size))
+    got = fit_quantile_map(values).quantiles
+    assert got.view(np.uint64).tolist() == np.quantile(values, levels).view(np.uint64).tolist()
 
 
 # ---------------------------------------------------------------------------
