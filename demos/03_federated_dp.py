@@ -42,7 +42,7 @@ print("rounds completed:", manifest["rounds_completed"],
       " stopped early:", manifest["stopped_early"])
 print("epsilon spent per client (budget 1.0):")
 for cid, eps in sorted(manifest["epsilons"].items()):
-    print("  client %s: %.4f" % (cid, eps))
+    print("  client %s: %s" % (cid, "not trained" if eps is None else "%.4f" % eps))
 
 # the audit log has one record per (round, selected client)
 audit_path = os.path.join(config.resolved_output_dir(), "audit.jsonl")

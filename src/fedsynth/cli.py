@@ -87,7 +87,8 @@ def _dispatch(args: argparse.Namespace) -> int:
                              stop_after_round=args.stop_after)
         eps = manifest["epsilons"]
         eps_note = "" if not eps else "  epsilon: " + ", ".join(
-            f"client {k}: {v:.4f}" for k, v in sorted(eps.items()))
+            f"client {k}: " + ("not trained" if v is None else f"{v:.4f}")
+            for k, v in sorted(eps.items()))
         print(f"trained {manifest['rounds_completed']} rounds in "
               f"{manifest['wall_time_s']}s{eps_note}")
     elif args.command == "generate":

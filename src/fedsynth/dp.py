@@ -110,10 +110,10 @@ class DpConfig:
             raise ValidationError("epsilon target must be positive")
         if self.delta is not None and not 0.0 < self.delta < 1.0:
             raise ValidationError("delta must lie in (0, 1)")
-        if not self.clip_norm > 0.0:
-            raise ValidationError("clip norm must be positive")
-        if self.noise_multiplier is not None and self.noise_multiplier < 0.0:
-            raise ValidationError("noise multiplier must be >= 0")
+        if not 0.0 < self.clip_norm < math.inf:
+            raise ValidationError("clip norm must be positive and finite")
+        if self.noise_multiplier is not None and not 0.0 <= self.noise_multiplier < math.inf:
+            raise ValidationError("noise multiplier must be >= 0 and finite")
 
     @property
     def mechanism_active(self) -> bool:

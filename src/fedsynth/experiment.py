@@ -13,8 +13,6 @@ relative output directories.
 from __future__ import annotations
 
 import dataclasses
-import functools
-import importlib.metadata
 import itertools
 import json
 import math
@@ -329,15 +327,6 @@ def _read_state(path) -> tuple:
     return state, meta
 
 
-def load_checkpoint(path) -> tuple:
-    """The full training state of an unfinished run's checkpoint, and its meta."""
-    state, meta = _read_state(path)
-    if state.server is None:
-        raise CheckpointError(f"{path!r} is a finished run's checkpoint; "
-                              "it holds no optimizer state to resume from")
-    return state, meta
-
-
 # ---------------------------------------------------------------------------
 # Stage commands
 
@@ -413,13 +402,6 @@ def _keep_audit_through(path: str, last_round: int) -> None:
         fh.writelines(kept)
 
 
-@functools.cache
-def _scipy_version() -> str:
-    """The installed SciPy's version, read once per process (about 10 ms a
-    read) and without importing SciPy."""
-    return importlib.metadata.version("scipy")
-
-
 def _manifest(config: ExperimentConfig, pipeline_digest: str, state: FederatedState,
               started: float) -> dict:
     return {
@@ -431,7 +413,7 @@ def _manifest(config: ExperimentConfig, pipeline_digest: str, state: FederatedSt
                      if c.accountant is not None},
         "wall_time_s": round(time.time() - started, 3),
         "versions": {"python": platform.python_version(),
-                     "numpy": np.__version__, "scipy": _scipy_version()},
+                     "numpy": np.__version__},
     }
 
 

@@ -23,8 +23,8 @@ from __future__ import annotations
 import functools
 import math
 import os
-import threading
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,10 +73,10 @@ class FedConfig:
                 f"unknown strategy {self.strategy!r}; pick one of {STRATEGIES}")
         if self.clients_per_round > self.n_clients:
             raise ValidationError("need 1 <= clients_per_round <= n_clients")
-        if self.learning_rate <= 0 or self.server_lr <= 0:
-            raise ValidationError("learning rates must be positive")
-        if self.prox_mu < 0:
-            raise ValidationError("prox_mu must be non-negative")
+        if not (0.0 < self.learning_rate < math.inf and 0.0 < self.server_lr < math.inf):
+            raise ValidationError("learning rates must be positive and finite")
+        if not 0.0 <= self.prox_mu < math.inf:
+            raise ValidationError("prox_mu must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -352,30 +352,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-class _Worker(threading.Thread):
-    """Runs ``fn()`` once on its own thread. Calling the worker waits for it
-    and returns what ``fn`` returned or raises what it raised."""
-
-    def __init__(self, fn):
-        super().__init__(name="fedsynth-client")
-        self._fn, self._out, self._exc = fn, None, None
-        self.start()
-
-    def run(self):
-        try:
-            self._out = self._fn()
-        except BaseException as exc:  # re-raised by the caller, in client order
-            self._exc = exc
-        finally:
-            self._fn = None  # drop the call's arguments before the thread ends
-
-    def __call__(self):
-        self.join()
-        if self._exc is not None:
-            raise self._exc
-        return self._out
-
-
 def run_round(state: FederatedState, datasets: list, schedule: NoiseSchedule,
               fed_cfg: FedConfig, dp_cfg: DpConfig, seed: int) -> list | None:
     """Execute one communication round in place.
@@ -383,14 +359,15 @@ def run_round(state: FederatedState, datasets: list, schedule: NoiseSchedule,
     Returns the audit records for the round, or None when every client's
     remaining budget is too small for another local pass (early stop).
 
-    The chosen clients train on W = min(clients, usable CPUs) worker threads
-    when the model has at least ``CONCURRENT_MIN_PARAMS`` parameters, and
-    inline, with no thread, otherwise (W = 1). At most W client updates are
-    alive at once, running or waiting for the aggregate: the next client
-    starts once the aggregate has added the oldest one's vector and freed
-    it. Each client's two P-vectors are allocated here, in this thread.
-    Vectors, audit lines and errors are read in client order; a client's
-    error is raised once the other running clients have finished.
+    The chosen clients train on a pool of W = min(clients, usable CPUs)
+    threads, made for the round, when the model has at least
+    ``CONCURRENT_MIN_PARAMS`` parameters, and inline, with no thread,
+    otherwise (W = 1). At most W client updates are alive at once, running
+    or waiting for the aggregate: the next client starts once the aggregate
+    has added the oldest one's vector and freed it. Each client's two
+    P-vectors are allocated here, in this thread. Vectors, audit lines and
+    errors are read in client order; a client's error is raised once the
+    other running clients have finished.
     """
     r = state.round
     eligible = [c.client_id for c in state.clients
@@ -405,36 +382,32 @@ def run_round(state: FederatedState, datasets: list, schedule: NoiseSchedule,
 
     window = (1 if state.global_flat.size < CONCURRENT_MIN_PARAMS
               else min(take, _usable_cpus()))
+    pool = (ThreadPoolExecutor(max_workers=window, thread_name_prefix="fedsynth-client")
+            if window > 1 else None)
     audit = []
 
     def start(cid):
         """Client ``cid``'s update as a call that returns it: run inline when
-        called if W = 1, else already running on its own thread."""
+        called if W = 1, else already submitted to the pool."""
         update = functools.partial(
             client_local_update, state.global_flat, state.manifest,
             state.clients[cid], datasets[cid], schedule, fed_cfg, dp_cfg,
             np.random.default_rng([seed, 1 + cid, r]),
             client_buffers(state.global_flat.size))
-        return update if window == 1 else _Worker(update)
+        return update if pool is None else pool.submit(update).result
 
     def updates():
         """Each chosen client's update, in client order, as the aggregate reads it."""
-        pending = deque()
-        try:
-            pending.extend(start(cid) for cid in chosen[:window])
-            for i, cid in enumerate(chosen):
-                flat, stats = pending.popleft()()
-                client = state.clients[cid]
-                audit.append({"round": r + 1, "client": cid,
-                              "epsilon": client.current_epsilon(), **stats})
-                yield flat, client.n_samples
-                del flat  # the aggregate has added it; free it before the next client
-                if i + window < len(chosen):
-                    pending.append(start(chosen[i + window]))
-        finally:
-            for job in pending:  # running clients finish before an error leaves
-                if isinstance(job, _Worker):
-                    job.join()
+        pending = deque(start(cid) for cid in chosen[:window])
+        for i, cid in enumerate(chosen):
+            flat, stats = pending.popleft()()
+            client = state.clients[cid]
+            audit.append({"round": r + 1, "client": cid,
+                          "epsilon": client.current_epsilon(), **stats})
+            yield flat, client.n_samples
+            del flat  # the aggregate has added it; free it before the next client
+            if i + window < len(chosen):
+                pending.append(start(chosen[i + window]))
 
     stream = updates()
     try:
@@ -445,6 +418,8 @@ def run_round(state: FederatedState, datasets: list, schedule: NoiseSchedule,
             state.global_flat = fedavg_aggregate(stream)
     finally:
         stream.close()
+        if pool is not None:
+            pool.shutdown()  # running clients finish before an error leaves
     state.round += 1
     return audit
 
@@ -461,7 +436,7 @@ def init_state(init_params: DenoiserParams, datasets: list, fed_cfg: FedConfig,
     """
     if not datasets:
         raise ValidationError("train needs at least one client shard")
-    flat = init_params.flatten().copy()
+    flat = init_params.flat.copy()
     clients = []
     calibrated: dict = {}
     for cid, data in enumerate(datasets):

@@ -19,7 +19,6 @@ from .classifiers import accuracy, builtin_classifiers
 from .data import (KIND_CATEGORICAL, KIND_NUMERIC, RawTable, first_occurrence_codes,
                    fit_quantile_map)
 from .errors import ValidationError
-from .store import canonical_json
 
 DEFAULT_N_ATTACKS = 500
 DEFAULT_TEST_FRACTION = 0.2
@@ -253,9 +252,6 @@ class MetricsReport:
     def to_dict(self) -> dict:
         return {"fidelity": self.fidelity, "utility": self.utility,
                 "privacy": self.privacy, "metadata": self.metadata}
-
-    def to_json(self) -> str:
-        return canonical_json(self.to_dict())
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricsReport":

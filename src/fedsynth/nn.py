@@ -147,7 +147,7 @@ class DenoiserParams:
     """All trainable state as views into one float64 buffer ``flat``.
 
     ``weights`` ((fan_in, fan_out) each), ``biases`` and ``embeddings`` tables
-    are views laid out by ``_layout``; writing through one changes ``flatten()``.
+    are views laid out by ``_layout``; writing through one changes ``flat``.
     """
 
     flat: np.ndarray
@@ -163,13 +163,6 @@ class DenoiserParams:
     @property
     def n_numeric(self) -> int:
         return self.d_enc - sum(e.shape[1] for e in self.embeddings)
-
-    @property
-    def size(self) -> int:
-        return self.flat.size
-
-    def flatten(self) -> np.ndarray:
-        return self.flat
 
     def manifest(self) -> dict:
         return {

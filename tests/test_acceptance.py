@@ -116,7 +116,7 @@ def test_criterion_1_per_sample_gradients_match_finite_differences():
         params, sample, proto = _random_net_and_sample(rng)
         grads, _ = per_sample_grads(params, [sample])
         g = grads[0].values
-        flat = params.flatten()
+        flat = params.flat
         manifest = params.manifest()
         probe = rng.choice(flat.size, size=min(25, flat.size), replace=False)
         for idx in probe:
@@ -244,10 +244,10 @@ def test_criterion_4_aggregation_algebra():
     for strategy in ("fedavg", "fedprox"):
         cfg = FedConfig(n_clients=1, rounds=1, local_steps=6, batch_size=8,
                         strategy=strategy, prox_mu=0.0)
-        client = ClientState(0, AdamState.zeros(params.size, cfg.learning_rate),
+        client = ClientState(0, AdamState.zeros(params.flat.size, cfg.learning_rate),
                              None, None, None, 30)
         flats[strategy], _ = client_local_update(
-            params.flatten(), params.manifest(), client, data, schedule,
+            params.flat, params.manifest(), client, data, schedule,
             cfg, DpConfig(), np.random.default_rng(9))
     prox_equal = np.array_equal(flats["fedavg"], flats["fedprox"])
 

@@ -77,6 +77,16 @@ def test_dpconfig_rejects_bad_values():
         DpConfig(noise_multiplier=-0.1)
 
 
+@pytest.mark.parametrize("setting", [{"noise_multiplier": math.nan},
+                                     {"noise_multiplier": math.inf},
+                                     {"clip_norm": math.inf},
+                                     {"delta": math.nan}])
+def test_dpconfig_rejects_non_finite_values(setting):
+    """A NaN sigma would switch the mechanism on and then add no noise."""
+    with pytest.raises(ValidationError, match="finite|delta"):
+        DpConfig(**setting)
+
+
 # ---------------------------------------------------------------------------
 # Clipping
 
@@ -237,7 +247,7 @@ def test_privatize_peak_memory_stays_below_eight_parameter_vectors():
     """No (B, P) matrix: at B = 64 the whole DP step peaks under 8 P-vectors."""
     rng = np.random.default_rng(0)
     params = init_denoiser(4, hidden_width=320, rng=rng)
-    assert params.size >= 200_000
+    assert params.flat.size >= 200_000
     batch = [TrainingSample(rng.normal(size=4), int(t), rng.normal(size=4))
              for t in rng.integers(1, 100, size=64)]
     tracemalloc.start()
@@ -247,7 +257,7 @@ def test_privatize_peak_memory_stays_below_eight_parameter_vectors():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * params.size * 8
+    assert peak < 8 * params.flat.size * 8
 
 
 # ---------------------------------------------------------------------------

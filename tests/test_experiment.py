@@ -279,8 +279,9 @@ def test_finished_checkpoint_keeps_only_the_model_and_ledgers(workspace):
     cmd_train(staged, resume=True)
     assert _members(_checkpoint(staged)) == sorted(
         ["global_flat.npy", "meta.json"] + ledgers)
-    with pytest.raises(CheckpointError, match="finished"):
-        experiment.load_checkpoint(_checkpoint(staged))
+    state, _ = experiment._read_state(_checkpoint(staged))
+    assert state.server is None
+    assert all(c.adam is None for c in state.clients)
 
 
 def _run_files(cfg):
@@ -438,7 +439,7 @@ def _other_pipeline(arrays, meta):
 def _wider_model(arrays, meta):
     d_enc = meta["manifest"]["weights"][-1][1]
     wider = init_denoiser(d_enc + 1, hidden_width=16, n_hidden=2, time_dim=8)
-    arrays["global_flat"], meta["manifest"] = wider.flatten(), wider.manifest()
+    arrays["global_flat"], meta["manifest"] = wider.flat, wider.manifest()
 
 
 @pytest.mark.parametrize("edit", [_foreign_format, _other_pipeline, _wider_model])
@@ -527,7 +528,7 @@ def test_generate_rebuilds_no_accountant(staged_dp_run, monkeypatch):
     monkeypatch.setattr(RdpAccountant, "account_step", spy)
     cmd_generate(staged_dp_run)
     assert calls == []
-    experiment.load_checkpoint(_checkpoint(staged_dp_run))  # the spy does see a rebuild
+    experiment._read_state(_checkpoint(staged_dp_run))  # the spy does see a rebuild
     assert calls
 
 
@@ -736,6 +737,34 @@ def test_cli_bad_integer_setting_exits_1(workspace, capsys, setting):
     assert cli.main(["prepare", "-c", path, "-s", setting]) == 1
     err = capsys.readouterr().err
     assert setting.split("=")[0] in err and "integer" in err
+
+
+@pytest.mark.parametrize("setting", ["federation.server_lr=Infinity",
+                                     "federation.server_lr=NaN",
+                                     "federation.learning_rate=NaN",
+                                     "federation.learning_rate=Infinity",
+                                     "federation.prox_mu=NaN",
+                                     "federation.prox_mu=Infinity",
+                                     "dp.noise_multiplier=NaN",
+                                     "dp.noise_multiplier=Infinity",
+                                     "dp.clip_norm=Infinity"])
+def test_cli_non_finite_setting_exits_1(workspace, capsys, setting):
+    path = _write_cfg(workspace, _fast_config(workspace), "non_finite.json")
+    assert cli.main(["prepare", "-c", path, "-s", setting]) == 1
+    assert "finite" in capsys.readouterr().err
+
+
+def test_cli_train_reports_clients_that_never_trained(workspace, capsys):
+    """With one client a round, one round leaves two clients with no ε."""
+    cfg = _fast_config(workspace, out="untrained", **{
+        "federation.n_clients": 3, "federation.rounds": 1,
+        "federation.clients_per_round": 1, "dp.epsilon": 5.0})
+    path = _write_cfg(workspace, cfg, "untrained.json")
+    assert cli.main(["prepare", "-c", path]) == 0
+    assert cli.main(["train", "-c", path]) == 0
+    epsilons = read_json(os.path.join(cfg.resolved_output_dir(), "manifest.json"))["epsilons"]
+    assert sorted(v is None for v in epsilons.values()) == [False, True, True]
+    assert capsys.readouterr().out.count("not trained") == 2
 
 
 @pytest.mark.parametrize("setting", ["federation.server_beta1=0.9",

@@ -417,6 +417,66 @@ def test_failing_clients_raise_in_client_order(monkeypatch):
         assert info.value is expected
 
 
+def _client_threads() -> list:
+    return [t for t in threading.enumerate() if t.name.startswith("fedsynth-client")]
+
+
+def test_aggregate_error_raises_after_running_clients_return(monkeypatch):
+    """The aggregate fails after reading client 0's vector while client 1 is
+    still running: run_round raises the aggregate's error only after client
+    1 has returned, and leaves no worker thread behind."""
+    _force_workers(monkeypatch, 2)
+    datasets, params, schedule = _tiny_setup(n_clients=3)
+    fed_cfg = FedConfig(n_clients=3, rounds=1, local_steps=2, clients_per_round=3)
+    dp_cfg = DpConfig()
+    state = init_state(params, datasets, fed_cfg, dp_cfg)
+    aggregate_raised, client1_returned = threading.Event(), threading.Event()
+    error = ValidationError("aggregate failed")
+    local_update = federation.client_local_update
+
+    def tracked(*args):
+        if args[2].client_id == 1:
+            assert aggregate_raised.wait(10)
+            time.sleep(0.05)
+        out = local_update(*args)
+        if args[2].client_id == 1:
+            client1_returned.set()
+        return out
+
+    def failing_aggregate(updates):
+        next(iter(updates))
+        aggregate_raised.set()
+        raise error
+
+    monkeypatch.setattr(federation, "client_local_update", tracked)
+    monkeypatch.setattr(federation, "fedavg_aggregate", failing_aggregate)
+    with pytest.raises(ValidationError) as info:
+        run_round(state, datasets, schedule, fed_cfg, dp_cfg, seed=0)
+    assert info.value is error
+    assert client1_returned.is_set()
+    assert _client_threads() == []
+
+
+def test_concurrent_round_leaves_no_worker_thread(monkeypatch):
+    _force_workers(monkeypatch, 2)
+    datasets, params, schedule = _tiny_setup(n_clients=3)
+    fed_cfg = FedConfig(n_clients=3, rounds=1, local_steps=2, clients_per_round=3)
+    dp_cfg = DpConfig()
+    state = init_state(params, datasets, fed_cfg, dp_cfg)
+    on_main = []
+    local_update = federation.client_local_update
+
+    def tracked(*args):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return local_update(*args)
+
+    monkeypatch.setattr(federation, "client_local_update", tracked)
+    audit = run_round(state, datasets, schedule, fed_cfg, dp_cfg, seed=0)
+    assert [line["client"] for line in audit] == [0, 1, 2]
+    assert on_main == [False] * 3
+    assert _client_threads() == []
+
+
 def test_init_state_frees_initial_params_passed_without_a_reference():
     """The state copies the initial parameters; passed inline, as cmd_train
     does, their P-vector is gone before the first round."""
@@ -530,7 +590,7 @@ def test_fedprox_local_update_bit_equals_whole_vector_proximal_term():
     datasets, _, schedule = _tiny_setup(n_clients=1, n_per=30)
     params = init_denoiser(3, hidden_width=256, n_hidden=2, time_dim=8,
                            rng=np.random.default_rng(5))
-    assert params.size > 2 * BLOCK
+    assert params.flat.size > 2 * BLOCK
     fed_cfg = FedConfig(n_clients=1, rounds=1, local_steps=4, batch_size=8,
                         learning_rate=1e-2, strategy="fedprox", prox_mu=0.3)
     dp_cfg = DpConfig(noise_multiplier=1.0, clip_norm=1.0)

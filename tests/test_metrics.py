@@ -16,6 +16,7 @@ from fedsynth.metrics import (MetricsReport, _encode_features, column_fidelity,
                               evaluate_tables, js_similarity, row_fidelity, theil_u,
                               utility_score, wasserstein_similarity)
 from fedsynth.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+from fedsynth.store import canonical_json
 
 # Frozen oracle: 1 - JS2((1/2, 1/2), (1, 0)) with base-2 logs.
 JS_HALF_VS_POINT = 0.6887218755408672
@@ -370,14 +371,14 @@ def test_evaluate_deterministic_given_seed():
     syn = gaussian_mixture_table(150, seed=20)
     r1 = evaluate_tables(real, syn, seed=5, n_attacks=40)
     r2 = evaluate_tables(real, syn, seed=5, n_attacks=40)
-    assert r1.to_json() == r2.to_json()
+    assert canonical_json(r1.to_dict()) == canonical_json(r2.to_dict())
 
 
 def test_report_json_roundtrip():
     real = gaussian_mixture_table(120, seed=21)
     report = evaluate_tables(real, real, seed=2, n_attacks=20)
-    back = MetricsReport.from_dict(json.loads(report.to_json()))
-    assert back.to_json() == report.to_json()
+    back = MetricsReport.from_dict(json.loads(canonical_json(report.to_dict())))
+    assert canonical_json(back.to_dict()) == canonical_json(report.to_dict())
     assert back.omega == report.omega
     assert back.privacy_risk == report.privacy_risk
 

@@ -51,17 +51,18 @@ def _tiny_net(rng_seed=0, d_enc=5, emb_shapes=((3,), (4,)), emb_dim=2):
 
 def test_flatten_from_flat_roundtrip():
     params = _tiny_net()
-    flat = params.flatten()
-    assert flat.size == params.size
+    flat = params.flat
+    assert flat.size == (sum(w.size + b.size for w, b in zip(params.weights, params.biases))
+                         + sum(e.size for e in params.embeddings))
     back = DenoiserParams.from_flat(flat, params.manifest())
-    np.testing.assert_array_equal(back.flatten(), flat)
+    np.testing.assert_array_equal(back.flat, flat)
     for w1, w2 in zip(params.weights, back.weights):
         np.testing.assert_array_equal(w1, w2)
     for e1, e2 in zip(params.embeddings, back.embeddings):
         np.testing.assert_array_equal(e1, e2)
-    # the layers are views of the one buffer: a write shows up in flatten()
+    # the layers are views of the one buffer: a write shows up in flat
     back.weights[0][0, 0] = 123.0
-    assert back.flatten()[0] == 123.0 and flat[0] == 123.0
+    assert back.flat[0] == 123.0 and flat[0] == 123.0
     back.embeddings[-1][-1, -1] = -7.0
     assert flat[-1] == -7.0
     with pytest.raises(ValidationError):
@@ -284,7 +285,7 @@ def test_per_sample_gradient_matches_finite_differences(seed):
     rng = np.random.default_rng(seed)
     params = _tiny_net(rng_seed=seed)
     sample, proto = _make_sample(params, rng)
-    flat = params.flatten()
+    flat = params.flat
     manifest = params.manifest()
     grads, _ = per_sample_grads(params, [sample])
     g = grads[0].values
@@ -304,7 +305,7 @@ def test_per_sample_gradient_matches_finite_differences_wide_tables():
     params = _tiny_net(rng_seed=11, d_enc=7, emb_dim=3)
     assert params.n_numeric == 1
     sample, proto = _make_sample(params, rng)
-    flat, manifest = params.flatten(), params.manifest()
+    flat, manifest = params.flat, params.manifest()
     g = per_sample_grads(params, [sample])[0][0].values
     n_net = flat.size - sum(e.size for e in params.embeddings)
     probe = list(rng.choice(n_net, size=40, replace=False))
@@ -320,7 +321,7 @@ def test_embedding_gradient_zero_for_unused_rows():
     sample, _ = _make_sample(params, rng)
     grads, _ = per_sample_grads(params, [sample])
     g = grads[0].values
-    n_net = params.size - sum(e.size for e in params.embeddings)
+    n_net = params.flat.size - sum(e.size for e in params.embeddings)
     pos = n_net
     for j, e in enumerate(params.embeddings):
         table_grad = g[pos: pos + e.size].reshape(e.shape)
@@ -344,7 +345,7 @@ def test_mean_per_sample_grad_matches_batch_fd():
         protos.append(p)
     grads, mean_loss = per_sample_grads(params, batch)
     mean_grad = np.mean([g.values for g in grads], axis=0)
-    flat, manifest = params.flatten(), params.manifest()
+    flat, manifest = params.flat, params.manifest()
     diff = (forward(params, np.stack([s.x_in for s in batch]), [s.t for s in batch])
             - np.stack([s.target for s in batch]))
     assert mean_loss == pytest.approx(np.mean(diff * diff), rel=1e-12)
