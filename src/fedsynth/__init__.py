@@ -10,10 +10,9 @@ metrics round out the workflow.
 
 from .attacks import (adjusted_risk, gower_distances, inference_risk,
                       linkability_risk, privacy_score, singling_out_risk)
-from .data import (CategoryCodec, ClientPartition, EncodingPipeline,
-                   QuantileMap, RawTable, TabularSchema, fit_category_codec,
-                   fit_quantile_map, load_csv, load_partitions, partition_iid,
-                   partition_noniid, save_partitions, write_csv)
+from .data import (ClientPartition, EncodingPipeline, QuantileMap, RawTable,
+                   TabularSchema, fit_quantile_map, load_csv, load_partitions,
+                   partition_iid, partition_noniid, save_partitions, write_csv)
 from .diffusion import (NoiseSchedule, generate, linear_schedule,
                         make_training_example, p_sample_step, q_sample, respace)
 from .dp import (DEFAULT_ORDERS, DpConfig, RdpAccountant, calibrate_sigma,
@@ -40,7 +39,7 @@ from .nn import (AdamState, DenoiserParams, adam_step, forward,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamState", "CalibrationError", "CategoryCodec", "CheckpointError",
+    "AdamState", "CalibrationError", "CheckpointError",
     "ClientDataset", "ClientPartition", "ClientState", "CsvFormatError",
     "DEFAULT_ORDERS", "DenoiserParams", "DiffusionConfig", "DivergenceError",
     "DpConfig", "EncodingPipeline", "ExperimentConfig", "FedConfig",
@@ -51,7 +50,7 @@ __all__ = [
     "adam_step", "adjusted_risk", "calibrate_sigma",
     "cmd_evaluate", "cmd_generate", "cmd_prepare", "cmd_sweep", "cmd_train",
     "column_fidelity", "desk_preset", "epsilon_after", "evaluate_tables",
-    "fedavg_aggregate", "fit_category_codec", "fit_quantile_map", "forward",
+    "fedavg_aggregate", "fit_quantile_map", "forward",
     "gaussian_mixture_table", "generate", "gower_distances",
     "independent_table", "inference_risk", "init_denoiser", "init_state",
     "js_similarity",

@@ -321,7 +321,7 @@ def _linear_quantiles(ordered: np.ndarray, levels: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Categorical codec
+# Categorical coding
 
 
 def first_occurrence_codes(*columns) -> tuple:
@@ -342,66 +342,10 @@ def first_occurrence_codes(*columns) -> tuple:
     return vocab, np.split(codes, bounds)
 
 
-@dataclass(frozen=True)
-class CategoryCodec:
-    """Vocabulary plus the seeded initial 2-d embedding rows for one column.
-
-    Embeddings are only *initialized* here; training happens wherever the
-    tables are treated as model parameters. Decoding maps a 2-d vector to the
-    nearest row (Euclidean), ties to the lowest index.
-    """
-
-    vocabulary: tuple
-    init_table: np.ndarray
-
-    def __post_init__(self):
-        if len(self.vocabulary) == 0:
-            raise ValidationError("empty vocabulary")
-        if len(set(self.vocabulary)) != len(self.vocabulary):
-            raise ValidationError("vocabulary entries must be unique")
-        table = np.asarray(self.init_table, dtype=np.float64)
-        if table.shape != (len(self.vocabulary), EMBED_DIM):
-            raise ValidationError(
-                f"embedding table shape {table.shape} != ({len(self.vocabulary)}, {EMBED_DIM})")
-        object.__setattr__(self, "init_table", table)
-
-    @classmethod
-    def seeded(cls, vocabulary: tuple, rng_seed) -> "CategoryCodec":
-        """Codec whose table rows are drawn i.i.d. from N(0, 1/2) with ``rng_seed``."""
-        rng = np.random.default_rng(rng_seed)
-        return cls(vocabulary, rng.normal(0.0, EMBED_INIT_STD,
-                                          size=(len(vocabulary), EMBED_DIM)))
-
-    @property
-    def size(self) -> int:
-        return len(self.vocabulary)
-
-    def indices_of(self, values, column: str = "?") -> np.ndarray:
-        vocab, (_, codes) = first_occurrence_codes(self.vocabulary, values)
-        unseen = np.flatnonzero(codes >= self.size)
-        if unseen.size:
-            raise ValidationError(f"unseen category {vocab[codes[unseen[0]]]!r} "
-                                  f"in column {column!r}")
-        return codes
-
-    def decode_vectors(self, slices: np.ndarray, table: np.ndarray | None = None) -> np.ndarray:
-        table = self.init_table if table is None else table
-        # (N, V) squared distances; argmin returns the lowest index on ties.
-        d2 = ((slices[:, None, :] - table[None, :, :]) ** 2).sum(axis=2)
-        idx = np.argmin(d2, axis=1)
-        vocab = np.asarray(self.vocabulary, dtype=object)
-        return vocab[idx]
-
-
-def fit_category_codec(values, rng_seed) -> CategoryCodec:
-    """Build a codec with vocabulary in first-occurrence order.
-
-    ``rng_seed`` may be an int or a seed sequence; the embedding rows are
-    drawn i.i.d. from N(0, 1/2) (std 1/sqrt(2)).
-    """
-    if len(values) == 0:
-        raise ValidationError("cannot fit a codec on an empty column")
-    return CategoryCodec.seeded(tuple(first_occurrence_codes(values)[0]), rng_seed)
+def encoded_rows(numeric: np.ndarray, cat_rows: np.ndarray, embeddings) -> np.ndarray:
+    """Encoded rows: the numeric block, then for each categorical column ``j``
+    its embedding row ``embeddings[j][cat_rows[:, j]]``, EMBED_DIM wide."""
+    return np.hstack([numeric] + [e[r] for e, r in zip(embeddings, cat_rows.T)])
 
 
 # ---------------------------------------------------------------------------
@@ -413,13 +357,28 @@ PIPELINE_FORMAT = "fedsynth-pipeline-v1"
 
 @dataclass
 class EncodingPipeline:
-    """Fitted, immutable encode/decode state for one schema."""
+    """Fitted, immutable encode/decode state for one schema.
+
+    ``vocabularies`` maps each categorical column to its values in order of
+    first occurrence. The initial embedding table of the ``pos``-th
+    categorical column is drawn i.i.d. from N(0, 1/2) (std 1/sqrt(2)) with
+    seed ``[embed_seed, pos]``; training happens wherever the tables are
+    treated as model parameters. Decoding maps each 2-d slice to the nearest
+    table row (Euclidean), ties to the lowest index.
+    """
 
     schema: TabularSchema
     quantile_maps: dict
-    codecs: dict
+    vocabularies: dict
     n_quantiles: int
     embed_seed: int
+
+    def __post_init__(self):
+        for name, vocab in self.vocabularies.items():
+            if len(vocab) == 0:
+                raise ValidationError(f"empty vocabulary for column {name!r}")
+            if len(set(vocab)) != len(vocab):
+                raise ValidationError(f"vocabulary entries of column {name!r} must be unique")
 
     @property
     def encoded_width(self) -> int:
@@ -431,14 +390,14 @@ class EncodingPipeline:
         schema = table.schema
         qmaps = {name: fit_quantile_map(table.column(name), n_quantiles)
                  for name in schema.numeric_names}
-        codecs = {}
-        for pos, name in enumerate(schema.categorical_names):
-            codecs[name] = fit_category_codec(table.column(name), [embed_seed, pos])
-        return cls(schema, qmaps, codecs, n_quantiles, embed_seed)
+        vocabs = {name: tuple(first_occurrence_codes(table.column(name))[0])
+                  for name in schema.categorical_names}
+        return cls(schema, qmaps, vocabs, n_quantiles, embed_seed)
 
     def initial_embeddings(self) -> list:
-        return [self.codecs[name].init_table.copy()
-                for name in self.schema.categorical_names]
+        return [np.random.default_rng([self.embed_seed, pos]).normal(
+                    0.0, EMBED_INIT_STD, (len(self.vocabularies[name]), EMBED_DIM))
+                for pos, name in enumerate(self.schema.categorical_names)]
 
     def encode_numeric(self, table: RawTable) -> np.ndarray:
         """Numeric block only, in [-1, 1], shape (N, #numeric)."""
@@ -450,8 +409,15 @@ class EncodingPipeline:
 
     def category_indices(self, table: RawTable) -> np.ndarray:
         """Vocabulary index matrix, shape (N, #categorical), dtype int64."""
-        cols = [self.codecs[name].indices_of(table.column(name), name)
-                for name in self.schema.categorical_names]
+        cols = []
+        for name in self.schema.categorical_names:
+            vocab = self.vocabularies[name]
+            values, (_, codes) = first_occurrence_codes(vocab, table.column(name))
+            unseen = np.flatnonzero(codes >= len(vocab))
+            if unseen.size:
+                raise ValidationError(f"unseen category {values[codes[unseen[0]]]!r} "
+                                      f"in column {name!r}")
+            cols.append(codes)
         if not cols:
             return np.zeros((table.n_rows, 0), dtype=np.int64)
         return np.column_stack(cols)
@@ -460,11 +426,8 @@ class EncodingPipeline:
         """Full encoded matrix: numerics first, then 2-d embedding slices."""
         if embeddings is None:
             embeddings = self.initial_embeddings()
-        blocks = [self.encode_numeric(table)]
-        idx = self.category_indices(table)
-        for j in range(idx.shape[1]):
-            blocks.append(embeddings[j][idx[:, j]])
-        out = np.hstack(blocks)
+        out = encoded_rows(self.encode_numeric(table), self.category_indices(table),
+                           embeddings)
         if not np.all(np.isfinite(out)):
             raise ValidationError("encoded matrix contains non-finite values")
         return out
@@ -483,7 +446,10 @@ class EncodingPipeline:
             columns[name] = self.quantile_maps[name].inverse(u)
         for j, name in enumerate(self.schema.categorical_names):
             sl = encoded[:, n_num + EMBED_DIM * j: n_num + EMBED_DIM * (j + 1)]
-            columns[name] = self.codecs[name].decode_vectors(sl, embeddings[j])
+            # (N, V) squared distances; argmin returns the lowest index on ties.
+            d2 = ((sl[:, None, :] - embeddings[j][None, :, :]) ** 2).sum(axis=2)
+            vocab = np.asarray(self.vocabularies[name], dtype=object)
+            columns[name] = vocab[np.argmin(d2, axis=1)]
         return RawTable(self.schema, columns)
 
     # -- persistence --------------------------------------------------------
@@ -496,8 +462,8 @@ class EncodingPipeline:
             "embed_seed": self.embed_seed,
             "quantiles": {name: qm.quantiles.tolist()
                           for name, qm in self.quantile_maps.items()},
-            "vocabularies": {name: list(codec.vocabulary)
-                             for name, codec in self.codecs.items()},
+            "vocabularies": {name: list(vocab)
+                             for name, vocab in self.vocabularies.items()},
         }
 
     @property
@@ -506,23 +472,29 @@ class EncodingPipeline:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EncodingPipeline":
-        if d.get("format") != PIPELINE_FORMAT:
-            raise ValidationError(f"unsupported pipeline format {d.get('format')!r}")
-        schema = TabularSchema.from_dict(d["schema"])
-        qmaps = {name: QuantileMap(np.asarray(vals, dtype=np.float64))
-                 for name, vals in d["quantiles"].items()}
-        embed_seed = int(d["embed_seed"])
-        codecs = {name: CategoryCodec.seeded(tuple(d["vocabularies"][name]),
-                                             [embed_seed, pos])
-                  for pos, name in enumerate(schema.categorical_names)}
-        return cls(schema, qmaps, codecs, int(d["n_quantiles"]), embed_seed)
+        fmt = d.get("format") if isinstance(d, dict) else None
+        if fmt != PIPELINE_FORMAT:
+            raise ValidationError(f"unsupported pipeline format {fmt!r}")
+        try:
+            schema = TabularSchema.from_dict(d["schema"])
+            qmaps = {name: QuantileMap(np.asarray(d["quantiles"][name], dtype=np.float64))
+                     for name in schema.numeric_names}
+            vocabs = {name: tuple(d["vocabularies"][name])
+                      for name in schema.categorical_names}
+            return cls(schema, qmaps, vocabs, int(d["n_quantiles"]), int(d["embed_seed"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed pipeline: {exc!r}") from exc
 
     def save(self, path) -> None:
         write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path) -> "EncodingPipeline":
-        return cls.from_dict(read_json(path))
+        try:
+            d = read_json(path)
+        except ValueError as exc:
+            raise ValidationError(f"pipeline file {path!r} is not valid JSON: {exc}") from exc
+        return cls.from_dict(d)
 
 
 # ---------------------------------------------------------------------------

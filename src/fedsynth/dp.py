@@ -320,7 +320,7 @@ class RdpAccountant:
     @classmethod
     def from_state_arrays(cls, qs, sigmas, counts) -> "RdpAccountant":
         acc = cls()
-        for q, sigma, count in zip(qs, sigmas, counts):
+        for q, sigma, count in zip(qs, sigmas, counts, strict=True):
             acc.account_step(float(q), float(sigma), int(count))
         return acc
 

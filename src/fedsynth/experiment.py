@@ -121,6 +121,11 @@ class ExperimentConfig:
         if not isinstance(self.sweep, dict):
             raise ValidationError(
                 f"sweep must map axis names to value lists, got {self.sweep!r}")
+        try:  # the digest hashes the sweep, so it must be writable as JSON
+            canonical_json(self.to_dict()["sweep"])
+        except ValueError:
+            raise ValidationError(
+                f"sweep values must be finite or +inf, got {self.sweep!r}") from None
 
     # -- serialization -------------------------------------------------------
 
@@ -128,14 +133,18 @@ class ExperimentConfig:
         d = dataclasses.asdict(self)
         if math.isinf(d["dp"]["epsilon"]):
             d["dp"]["epsilon"] = "inf"
+        # cmd_sweep reads the string "inf" as +inf
+        d["sweep"] = {axis: ["inf" if v == math.inf else v for v in values]
+                      if isinstance(values, list) else values
+                      for axis, values in d["sweep"].items()}
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = dict(d)
-        subs = {name: d.pop(name, {}) for name in ("seeds", "model", "diffusion",
-                                                   "federation")}
-        dp_dict = dict(d.pop("dp", {}))
+        d = dict(_object(d, "config"))
+        subs = {name: _object(d.pop(name, {}), f"config {name!r}")
+                for name in ("seeds", "model", "diffusion", "federation", "dp")}
+        dp_dict = dict(subs["dp"])
         if isinstance(dp_dict.get("epsilon"), str):
             if dp_dict["epsilon"].lower() not in ("inf", "infinity"):
                 raise ValidationError(f"bad epsilon value {dp_dict['epsilon']!r}")
@@ -198,16 +207,22 @@ class ExperimentConfig:
         return out
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValidationError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
 def _set_dotted(raw: dict, key: str, value) -> dict:
     """Copy of the config dict ``raw`` with ``value`` at the dotted path ``key``.
 
     Only the dicts along the path are copied; missing ones are created.
     """
     *parents, leaf = key.split(".")
-    out = dict(raw)
+    out = dict(_object(raw, "config"))
     node = out
     for part in parents:
-        node[part] = dict(node.get(part, {}))
+        node[part] = dict(_object(node.get(part, {}), f"config {part!r}"))
         node = node[part]
     node[leaf] = value
     return out
@@ -311,10 +326,13 @@ def _read_state(path) -> tuple:
             adam = AdamState(arrays[f"adam_m_{cid}"], arrays[f"adam_v_{cid}"],
                              t=int(cm["adam_t"]), lr=float(cm["adam_lr"]))
         if cm["has_accountant"]:
-            accountant = RdpAccountant.from_state_arrays(
-                arrays.get(f"acc_q_{cid}", np.zeros(0)),
-                arrays.get(f"acc_sigma_{cid}", np.zeros(0)),
-                arrays.get(f"acc_count_{cid}", np.zeros(0, dtype=np.int64)))
+            try:
+                accountant = RdpAccountant.from_state_arrays(
+                    arrays[f"acc_q_{cid}"], arrays[f"acc_sigma_{cid}"],
+                    arrays[f"acc_count_{cid}"])
+            except (KeyError, ValueError) as exc:
+                raise CheckpointError(
+                    f"client {cid}'s privacy ledger in {path!r} is damaged: {exc!r}") from exc
         clients.append(fed.ClientState(cid, adam, accountant, cm["sigma"],
                                        cm["delta"], int(cm["n_samples"])))
     server = None

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import encoded_rows
 from .diffusion import NoiseSchedule, make_training_example
 from .dp import DpConfig, RdpAccountant, calibrate_sigma, privatize
 from .errors import (DivergenceError, PrivacyBudgetError, ValidationError,
@@ -292,8 +293,7 @@ def client_local_update(global_flat: np.ndarray, manifest: dict,
         if idx.size == 0:
             continue
         cat_rows = data.cat_rows[idx]
-        x0 = np.hstack([data.numeric[idx]]
-                       + [e[r] for e, r in zip(params.embeddings, cat_rows.T)])
+        x0 = encoded_rows(data.numeric[idx], cat_rows, params.embeddings)
         batch = []
         for x0_i, rows_i in zip(x0, cat_rows):
             x_t, t, eps_vec = make_training_example(x0_i, rng, schedule)

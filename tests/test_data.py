@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsynth.data import (CSV_BLOCK_ROWS, EMBED_DIM, KIND_CATEGORICAL,
-                           KIND_NUMERIC, CategoryCodec, ClientPartition,
-                           EncodingPipeline, QuantileMap, RawTable,
-                           TabularSchema, first_occurrence_codes,
-                           fit_category_codec, fit_quantile_map, load_csv,
+                           KIND_NUMERIC, ClientPartition, EncodingPipeline,
+                           QuantileMap, RawTable, TabularSchema, encoded_rows,
+                           first_occurrence_codes, fit_quantile_map, load_csv,
                            load_partitions, partition_iid, partition_noniid,
                            save_partitions, write_csv)
 from fedsynth.errors import CsvFormatError, SchemaError, ValidationError
@@ -307,52 +306,66 @@ def test_first_occurrence_codes_matches_dict_oracle(columns):
                 == [[x == y for y in columns[1]] for x in columns[0]])
 
 
+def _one_column_pipeline(values, embed_seed=0, name="c"):
+    """Pipeline fitted on a table whose one column ``name`` is categorical."""
+    schema = TabularSchema(((name, KIND_CATEGORICAL),))
+    table = RawTable(schema, {name: np.asarray(values, dtype=object)})
+    return EncodingPipeline.fit(table, embed_seed=embed_seed)
+
+
 def test_codec_vocabulary_first_occurrence_order():
-    values = np.array(["pear", "apple", "pear", "fig", "apple"], dtype=object)
-    codec = fit_category_codec(values, rng_seed=[0, 0])
-    assert codec.vocabulary == ("pear", "apple", "fig")
+    pipe = _one_column_pipeline(["pear", "apple", "pear", "fig", "apple"])
+    assert pipe.vocabularies["c"] == ("pear", "apple", "fig")
 
 
 def test_codec_deterministic_embeddings():
-    values = np.array(["a", "b", "c"], dtype=object)
-    c1 = fit_category_codec(values, rng_seed=[5, 1])
-    c2 = fit_category_codec(values, rng_seed=[5, 1])
-    np.testing.assert_array_equal(c1.init_table, c2.init_table)
-    c3 = fit_category_codec(values, rng_seed=[6, 1])
-    assert not np.array_equal(c1.init_table, c3.init_table)
+    values = ["a", "b", "c"]
+    (t1,) = _one_column_pipeline(values, embed_seed=5).initial_embeddings()
+    (t2,) = _one_column_pipeline(values, embed_seed=5).initial_embeddings()
+    np.testing.assert_array_equal(t1, t2)
+    (t3,) = _one_column_pipeline(values, embed_seed=6).initial_embeddings()
+    assert not np.array_equal(t1, t3)
 
 
 def test_codec_embedding_init_scale():
     # Marginal std of the initial embedding table is 1/sqrt(EMBED_DIM), so a
     # fresh embedding row has unit expected squared norm.
-    vocab = np.array([f"v{i}" for i in range(4000)], dtype=object)
-    codec = fit_category_codec(vocab, rng_seed=[1, 0])
-    std = float(codec.init_table.std())
-    assert std == pytest.approx(1.0 / np.sqrt(EMBED_DIM), rel=0.05)
-    norms = np.sum(codec.init_table**2, axis=1)
+    pipe = _one_column_pipeline([f"v{i}" for i in range(4000)], embed_seed=1)
+    (table,) = pipe.initial_embeddings()
+    assert float(table.std()) == pytest.approx(1.0 / np.sqrt(EMBED_DIM), rel=0.05)
+    norms = np.sum(table**2, axis=1)
     assert float(norms.mean()) == pytest.approx(1.0, rel=0.1)
 
 
 def test_codec_large_vocabulary():
-    values = np.array([f"lvl{i % 58}" for i in range(580)], dtype=object)
-    codec = fit_category_codec(values, rng_seed=[0, 0])
-    assert len(codec.vocabulary) == 58
-    assert codec.init_table.shape == (58, EMBED_DIM)
+    pipe = _one_column_pipeline([f"lvl{i % 58}" for i in range(580)])
+    assert len(pipe.vocabularies["c"]) == 58
+    assert pipe.initial_embeddings()[0].shape == (58, EMBED_DIM)
 
 
 def test_codec_unseen_category_message():
-    codec = fit_category_codec(np.array(["a"], dtype=object), [0, 0])
+    pipe = _one_column_pipeline(["a"], name="dept")
+    unseen = RawTable(pipe.schema, {"dept": np.array(["zzz"], dtype=object)})
     with pytest.raises(ValidationError, match="'zzz'.*'dept'"):
-        codec.indices_of(np.array(["zzz"], dtype=object), column="dept")
+        pipe.category_indices(unseen)
 
 
 def test_codec_decode_nearest_and_tie_lowest_index():
-    codec = CategoryCodec(vocabulary=("u", "v", "w"),
-                          init_table=np.zeros((3, EMBED_DIM)))
+    pipe = _one_column_pipeline(["u", "v", "w"])
     table = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 1.0]])
     # point equidistant from rows 0 and 1 -> lowest index wins
-    picks = codec.decode_vectors(np.array([[1.0, 0.0], [1.9, 0.1]]), table)
-    assert list(picks) == ["u", "v"]
+    picks = pipe.decode(np.array([[1.0, 0.0], [1.9, 0.1]]), embeddings=[table])
+    assert list(picks.column("c")) == ["u", "v"]
+
+
+def test_encoded_rows_puts_numerics_first_then_each_columns_embedding_row():
+    numeric = np.array([[0.5], [-0.5]])
+    cat_rows = np.array([[1, 0], [0, 2]])
+    tables = [np.array([[1.0, 2.0], [3.0, 4.0]]),
+              np.array([[5.0, 6.0], [7.0, 8.0], [9.0, 10.0]])]
+    np.testing.assert_array_equal(encoded_rows(numeric, cat_rows, tables),
+                                  [[0.5, 3.0, 4.0, 5.0, 6.0],
+                                   [-0.5, 1.0, 2.0, 9.0, 10.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +409,30 @@ def test_pipeline_digest_differs_with_seed():
     p1 = EncodingPipeline.fit(table, embed_seed=3)
     p2 = EncodingPipeline.fit(table, embed_seed=4)
     assert p1.digest != p2.digest
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.pop("vocabularies"),
+    lambda d: d.pop("quantiles"),
+    lambda d: d.pop("embed_seed"),
+    lambda d: d.pop("schema"),
+    lambda d: d["vocabularies"].pop("segment"),
+    lambda d: d["quantiles"].pop("x"),
+    lambda d: d.update(vocabularies=["a", "b"]),
+    lambda d: d.update(n_quantiles="many"),
+    lambda d: d["quantiles"].update(x=["a"]),
+    lambda d: d["vocabularies"].update(segment=[]),
+    lambda d: d["vocabularies"].update(segment=["a", "a"]),
+    lambda d: d["vocabularies"].update(segment=[["a"], ["b"]]),
+], ids=["no-vocabularies", "no-quantiles", "no-embed-seed", "no-schema",
+        "no-column-vocabulary", "no-column-quantiles", "vocabularies-list",
+        "n-quantiles-text", "quantile-text", "empty-vocabulary",
+        "duplicate-vocabulary", "unhashable-vocabulary"])
+def test_pipeline_from_dict_rejects_malformed_input(edit):
+    d = EncodingPipeline.fit(gaussian_mixture_table(50, seed=4)).to_dict()
+    edit(d)
+    with pytest.raises(ValidationError):
+        EncodingPipeline.from_dict(d)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import json
 import math
 import os
 import struct
+import subprocess
+import sys
 import weakref
 import zipfile
 
@@ -19,6 +21,8 @@ from fedsynth.experiment import (OUTPUT_ROOT_ENV, ExperimentConfig, Seeds,
 from fedsynth.fixtures import gaussian_mixture_table
 from fedsynth.nn import DenoiserParams, forward, init_denoiser
 from fedsynth.store import load_arrays, read_json, save_arrays, write_json
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 @pytest.fixture()
@@ -452,6 +456,22 @@ def test_generate_rejects_checkpoint_it_cannot_sample(dp_run, edit):
         cmd_generate(dp_run, checkpoint_path=edited)
 
 
+@pytest.mark.parametrize("member", ["acc_q_1", "acc_sigma_1", "acc_count_1", "shorter"])
+def test_resume_refuses_a_checkpoint_with_a_damaged_ledger(staged_dp_run, member):
+    """A missing or short ledger array would restore too few steps and so
+    under-report ε; resume refuses the checkpoint instead. (Client 1 trained
+    in round 1, so its ledger has one group.)"""
+    path = _checkpoint(staged_dp_run)
+    arrays, meta = load_arrays(path)
+    if member == "shorter":
+        arrays["acc_sigma_1"] = arrays["acc_sigma_1"][:0]
+    else:
+        del arrays[member]
+    save_arrays(path, arrays, meta)
+    with pytest.raises(CheckpointError, match="ledger"):
+        cmd_train(staged_dp_run, resume=True)
+
+
 def test_generate_rejects_nonpositive_row_count(dp_run):
     for n_rows in (0, -3):  # before any layer buffer is allocated
         with pytest.raises(ValidationError):
@@ -790,6 +810,44 @@ def test_cli_bad_test_fraction_or_sweep_exits_1_before_any_stage(workspace, caps
     assert cli.main([command, "-c", path, "-s", setting]) == 1
     assert setting.split("=")[0] in capsys.readouterr().err
     assert not os.path.exists(cfg.resolved_output_dir())
+
+
+@pytest.mark.parametrize("config, overrides", [
+    ('{"dp": null}', []), ('{"dp": 5}', []), ('{"seeds": [1]}', []),
+    ("[1, 2]", []), ('{"dp": null}', ["dp.epsilon=1"]),
+    ('{"sweep": {"epsilon": [NaN]}}', []),
+    ('{"sweep": {"epsilon": [1, -Infinity]}}', [])])
+def test_cli_malformed_config_exits_1_without_a_traceback(workspace, config, overrides):
+    path = workspace["tmp"] / "malformed.json"
+    path.write_text(config)
+    argv = ["prepare", "-c", str(path)] + [f"--set={item}" for item in overrides]
+    out = subprocess.run([sys.executable, "-m", "fedsynth.cli", *argv],
+                         cwd=workspace["tmp"], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=SRC), timeout=120)
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
+
+
+def test_config_writes_an_infinite_sweep_value_as_inf(workspace):
+    cfg = _fast_config(workspace).replace(sweep={"epsilon": [1.0, math.inf]})
+    assert cfg.to_dict()["sweep"] == {"epsilon": [1.0, "inf"]}
+    assert cfg.digest == cfg.replace(sweep={"epsilon": [1.0, "inf"]}).digest
+
+
+def test_cli_train_with_a_malformed_pipeline_exits_1(workspace, capsys):
+    cfg = _fast_config(workspace, out="bad_pipeline")
+    path = _write_cfg(workspace, cfg, "bad_pipeline.json")
+    assert cli.main(["prepare", "-c", path]) == 0
+    pipeline_path = os.path.join(cfg.resolved_output_dir(), "pipeline.json")
+    pipeline = read_json(pipeline_path)
+    del pipeline["vocabularies"]
+    write_json(pipeline_path, pipeline)
+    assert cli.main(["train", "-c", path]) == 1
+    assert "vocabularies" in capsys.readouterr().err
+    with open(pipeline_path, "a", encoding="utf-8") as fh:
+        fh.write("{")
+    assert cli.main(["train", "-c", path]) == 1
+    assert "not valid JSON" in capsys.readouterr().err
 
 
 def test_config_rejects_nonpositive_n_attacks(workspace):

@@ -23,3 +23,14 @@ def test_runtime_dependencies_match_the_imports():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
     assert imported - set(sys.stdlib_module_names) - {"fedsynth"} == names
+
+
+def test_public_names_resolve_and_are_the_imported_names():
+    """``fedsynth.__all__`` lists each name ``__init__.py`` imports, once,
+    and nothing else, so a deleted export cannot linger in either."""
+    import fedsynth
+    tree = ast.parse((ROOT / "src" / "fedsynth" / "__init__.py").read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert all(hasattr(fedsynth, name) for name in fedsynth.__all__)
+    assert sorted(fedsynth.__all__) == sorted(imported)
