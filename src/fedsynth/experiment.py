@@ -12,6 +12,7 @@ relative output directories.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -25,8 +26,8 @@ import numpy as np
 
 from . import diffusion as diff
 from . import federation as fed
-from .data import (ClientPartition, EncodingPipeline, RawTable, TabularSchema,
-                   load_csv, load_partitions, partition_iid, partition_noniid,
+from .data import (EncodingPipeline, RawTable, TabularSchema, load_csv,
+                   load_partitions, partition_iid, partition_noniid,
                    save_partitions, write_csv)
 from .dp import DpConfig, RdpAccountant
 from .errors import CheckpointError, FedsynthError, ValidationError, require_int
@@ -302,6 +303,15 @@ def save_checkpoint(path, state: FederatedState, config_digest: str,
     save_arrays(path, arrays, meta)
 
 
+@contextlib.contextmanager
+def _intact(what: str):
+    """Report a field missing or malformed in the block as CheckpointError about ``what``."""
+    try:
+        yield
+    except (LookupError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{what} is damaged: {exc!r}") from exc
+
+
 def _read_checkpoint(path, names=None) -> tuple:
     """``load_arrays`` of a training checkpoint, optionally of some arrays only."""
     arrays, meta = load_arrays(path, names)
@@ -318,30 +328,28 @@ def _read_state(path) -> tuple:
     not train.
     """
     arrays, meta = _read_checkpoint(path)
-    clients = []
-    for cm in meta["clients"]:
-        cid = cm["client_id"]
-        adam = accountant = None
-        if f"adam_m_{cid}" in arrays:
-            adam = AdamState(arrays[f"adam_m_{cid}"], arrays[f"adam_v_{cid}"],
-                             t=int(cm["adam_t"]), lr=float(cm["adam_lr"]))
-        if cm["has_accountant"]:
-            try:
-                accountant = RdpAccountant.from_state_arrays(
-                    arrays[f"acc_q_{cid}"], arrays[f"acc_sigma_{cid}"],
-                    arrays[f"acc_count_{cid}"])
-            except (KeyError, ValueError) as exc:
-                raise CheckpointError(
-                    f"client {cid}'s privacy ledger in {path!r} is damaged: {exc!r}") from exc
-        clients.append(fed.ClientState(cid, adam, accountant, cm["sigma"],
-                                       cm["delta"], int(cm["n_samples"])))
-    server = None
-    if "server_m" in arrays:
-        server = fed.ServerOptState(arrays["server_m"], arrays["server_v"],
-                                    int(meta["server_updates"]))
-    state = FederatedState(arrays["global_flat"], meta["manifest"], clients, server,
-                           round=int(meta["round"]),
-                           stopped_early=bool(meta["stopped_early"]))
+    with _intact(f"checkpoint {path!r}"):
+        clients = []
+        for cm in meta["clients"]:
+            cid = cm["client_id"]
+            adam = accountant = None
+            if f"adam_m_{cid}" in arrays:
+                adam = AdamState(arrays[f"adam_m_{cid}"], arrays[f"adam_v_{cid}"],
+                                 t=int(cm["adam_t"]), lr=float(cm["adam_lr"]))
+            if cm["has_accountant"]:
+                with _intact(f"client {cid}'s privacy ledger in {path!r}"):
+                    accountant = RdpAccountant.from_state_arrays(
+                        arrays[f"acc_q_{cid}"], arrays[f"acc_sigma_{cid}"],
+                        arrays[f"acc_count_{cid}"])
+            clients.append(fed.ClientState(cid, adam, accountant, cm["sigma"],
+                                           cm["delta"], int(cm["n_samples"])))
+        server = None
+        if "server_m" in arrays:
+            server = fed.ServerOptState(arrays["server_m"], arrays["server_v"],
+                                        int(meta["server_updates"]))
+        state = FederatedState(arrays["global_flat"], meta["manifest"], clients, server,
+                               round=int(meta["round"]),
+                               stopped_early=bool(meta["stopped_early"]))
     return state, meta
 
 
@@ -380,9 +388,7 @@ def cmd_prepare(config: ExperimentConfig) -> dict:
     pipeline.save(paths["pipeline"])
 
     n_clients = config.federation.n_clients
-    if n_clients == 1:
-        partitions = [ClientPartition(0, np.arange(table.n_rows))]
-    elif config.partition == "iid":
+    if config.partition == "iid" or n_clients == 1:
         partitions = partition_iid(table, n_clients, config.seeds.data)
     else:
         if table.schema.partition_column is None:
@@ -394,7 +400,7 @@ def cmd_prepare(config: ExperimentConfig) -> dict:
     summary = {
         "n_rows": table.n_rows,
         "partition": config.partition,
-        "counts": {str(p.client_id): p.n_samples for p in partitions},
+        "counts": {str(cid): rows.size for cid, rows in enumerate(partitions)},
         "config_digest": config.digest,
     }
     write_json(paths["summary"], summary)
@@ -414,7 +420,7 @@ def _keep_audit_through(path: str, last_round: int) -> None:
     """
     kept = []
     if last_round > 0 and os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh, _intact(f"audit log {path!r}"):
             kept = [line for line in fh if json.loads(line)["round"] <= last_round]
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(kept)
@@ -478,18 +484,24 @@ def cmd_train(config: ExperimentConfig, resume: bool = False,
         # _read_state keeps no name for the checkpoint's arrays, so the
         # state's first global vector is freed once round 1 replaces it
         state, meta = _read_state(paths["checkpoint"])
-        if meta["config_digest"] != config.digest:
+        if meta.get("config_digest") != config.digest:
             raise CheckpointError(
                 "checkpoint was produced by a different config; refusing to resume")
-        if meta["pipeline_digest"] != pipeline.digest:
+        if meta.get("pipeline_digest") != pipeline.digest:
             raise CheckpointError("checkpoint does not match the fitted pipeline")
         if finished(state):
             return _finished_manifest(config, paths, pipeline.digest, state)
+    done = state.round if resume else 0
+    if stop_after_round is not None and stop_after_round <= done:
+        raise ValidationError(f"stop_after_round {stop_after_round} is not past round {done}")
     table = _load_inputs(config)
-    partitions = load_partitions(paths["partitions"])
+    partitions = load_partitions(paths["partitions"], table.n_rows,
+                                 config.federation.n_clients)
     datasets = make_client_datasets(pipeline, table, partitions)
+    if resume and [c.n_samples for c in state.clients] != [d.n_samples for d in datasets]:
+        raise CheckpointError(f"checkpoint's shard sizes differ from {PARTITIONS_FILE}'s")
     schedule = config.diffusion.schedule()
-    _keep_audit_through(paths["audit"], state.round if resume else 0)
+    _keep_audit_through(paths["audit"], done)
 
     def round_cb(st, lines):
         with open(paths["audit"], "a", encoding="utf-8") as fh:
@@ -532,9 +544,10 @@ def cmd_generate(config: ExperimentConfig, checkpoint_path: str | None = None,
     pipeline = EncodingPipeline.load(paths["pipeline"])
     # sampling reads only the global model: no client state, no accountant
     arrays, meta = _read_checkpoint(checkpoint_path, names=("global_flat",))
-    if meta["pipeline_digest"] != pipeline.digest:
+    if meta.get("pipeline_digest") != pipeline.digest:
         raise CheckpointError("checkpoint does not match the fitted pipeline")
-    params = DenoiserParams.from_flat(arrays["global_flat"], meta["manifest"])
+    with _intact(f"checkpoint {checkpoint_path!r}"):
+        params = DenoiserParams.from_flat(arrays["global_flat"], meta["manifest"])
     if params.d_enc != pipeline.encoded_width:
         raise CheckpointError("checkpoint width does not match the pipeline schema")
 

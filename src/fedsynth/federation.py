@@ -88,10 +88,8 @@ class ClientDataset:
     cat_rows: np.ndarray
 
     def __post_init__(self):
-        numeric = np.atleast_2d(np.asarray(self.numeric, dtype=np.float64))
+        numeric = np.asarray(self.numeric, dtype=np.float64)
         cat_rows = np.asarray(self.cat_rows, dtype=np.int64)
-        if cat_rows.ndim != 2:
-            cat_rows = cat_rows.reshape(numeric.shape[0], -1)
         if numeric.shape[0] != cat_rows.shape[0]:
             raise ValidationError("numeric and categorical row counts differ")
         if numeric.shape[0] == 0:
@@ -105,11 +103,10 @@ class ClientDataset:
 
 
 def make_client_datasets(pipeline, table, partitions) -> list:
-    """Slice an encoded table into per-client shards following a partition."""
+    """Slice an encoded table into per-client shards, one per row-index array."""
     numeric = pipeline.encode_numeric(table)
     cat_rows = pipeline.category_indices(table)
-    return [ClientDataset(numeric[p.indices], cat_rows[p.indices])
-            for p in partitions]
+    return [ClientDataset(numeric[rows], cat_rows[rows]) for rows in partitions]
 
 
 @dataclass

@@ -313,12 +313,9 @@ def evaluate_tables(real: RawTable, syn: RawTable, seed: int = 0,
         "pi": pi,
         "protection": 1.0 - pi,
         "n_attacks": n_attacks,
-        "singling_out": {"risk": sor["risk"], "ci": list(sor["ci"]),
-                         "raw": sor["raw"], "baseline": sor["baseline"],
-                         "warning": sor["warning"]},
-        "linkability": {"risk": lr["risk"], "raw": lr["raw"],
-                        "baseline": lr["baseline"]},
-        "inference": {"risk": ir["risk"], "per_column": ir["per_column"]},
+        "singling_out": dict(sor, ci=list(sor["ci"])),
+        "linkability": lr,
+        "inference": ir,
     }
 
     meta = {"seed": seed, "n_real": real.n_rows, "n_syn": syn.n_rows}

@@ -18,7 +18,6 @@ params they are given, so sampling runs the denoiser on a float32 copy
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -109,19 +108,12 @@ class PerSampleGrads:
 
 
 class SampleGradient:
-    """Sample i of a PerSampleGrads: ``norm`` at once, ``values`` built on first read.
-
-    Readers of the norm alone, such as clip-fraction counters, then build no
-    P-vector.
-    """
+    """Sample i of a PerSampleGrads as its norm alone, so readers such as
+    clip-fraction counters build no P-vector; ``PerSampleGrads.row(i)`` is
+    its values."""
 
     def __init__(self, grads: PerSampleGrads, i: int):
-        self._grads, self._i = grads, i
         self.norm = float(grads.norms[i])
-
-    @functools.cached_property
-    def values(self) -> np.ndarray:
-        return self._grads.row(self._i)
 
 
 def _layout(flat: np.ndarray, manifest: dict) -> tuple:

@@ -115,7 +115,7 @@ def test_criterion_1_per_sample_gradients_match_finite_differences():
     for _ in range(100):
         params, sample, proto = _random_net_and_sample(rng)
         grads, _ = per_sample_grads(params, [sample])
-        g = grads[0].values
+        g = grads.row(0)
         flat = params.flat
         manifest = params.manifest()
         probe = rng.choice(flat.size, size=min(25, flat.size), replace=False)

@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsynth.data import (CSV_BLOCK_ROWS, EMBED_DIM, KIND_CATEGORICAL,
-                           KIND_NUMERIC, ClientPartition, EncodingPipeline,
-                           QuantileMap, RawTable, TabularSchema, encoded_rows,
+                           KIND_NUMERIC, EncodingPipeline, QuantileMap,
+                           RawTable, TabularSchema, encoded_rows,
                            first_occurrence_codes, fit_quantile_map, load_csv,
                            load_partitions, partition_iid, partition_noniid,
                            save_partitions, write_csv)
 from fedsynth.errors import CsvFormatError, SchemaError, ValidationError
 from fedsynth.fixtures import MIXTURE_SCHEMA, gaussian_mixture_table
+from fedsynth.store import read_json
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +441,7 @@ def test_pipeline_from_dict_rejects_malformed_input(edit):
 
 
 def _coverage_ok(parts, n_rows):
-    seen = np.concatenate([p.indices for p in parts])
+    seen = np.concatenate(parts)
     return len(seen) == n_rows and set(seen.tolist()) == set(range(n_rows))
 
 
@@ -449,8 +450,9 @@ def test_partition_iid_covers_all_rows():
     parts = partition_iid(table, n_clients=4, rng_seed=1)
     assert len(parts) == 4
     assert _coverage_ok(parts, 101)
-    sizes = sorted(len(p.indices) for p in parts)
+    sizes = sorted(len(p) for p in parts)
     assert sizes == [25, 25, 25, 26]
+    assert all(p.dtype == np.int64 and np.all(np.diff(p) > 0) for p in parts)
 
 
 def test_partition_iid_deterministic():
@@ -458,7 +460,7 @@ def test_partition_iid_deterministic():
     p1 = partition_iid(table, 3, rng_seed=7)
     p2 = partition_iid(table, 3, rng_seed=7)
     for a, b in zip(p1, p2):
-        np.testing.assert_array_equal(a.indices, b.indices)
+        np.testing.assert_array_equal(a, b)
 
 
 def test_partition_noniid_groups_by_column():
@@ -468,7 +470,7 @@ def test_partition_noniid_groups_by_column():
     labels = table.column("segment")
     # with 3 groups and 3 clients the greedy pass gives one group per client
     for p in parts:
-        assert len(set(labels[p.indices].tolist())) == 1
+        assert len(set(labels[p].tolist())) == 1
 
 
 def test_partition_noniid_more_clients_than_groups():
@@ -476,22 +478,31 @@ def test_partition_noniid_more_clients_than_groups():
     parts = partition_noniid(table, "segment", n_clients=5, rng_seed=0)
     assert len(parts) == 5
     assert _coverage_ok(parts, 600)
-    assert all(len(p.indices) > 0 for p in parts)
+    assert all(len(p) > 0 for p in parts)
 
 
-def test_partition_rejects_empty_client():
-    with pytest.raises(ValidationError):
-        ClientPartition(0, np.array([], dtype=np.int64))
+def test_partition_rejects_empty_client(tmp_path):
+    path = tmp_path / "parts.json"
+    save_partitions(path, [np.arange(5), np.array([], dtype=np.int64)])
+    with pytest.raises(ValidationError, match="client 1 has no rows"):
+        load_partitions(path, 5, 2)
 
 
 def test_partition_save_load_roundtrip(tmp_path):
     parts = partition_iid(gaussian_mixture_table(50, seed=0), 3, rng_seed=2)
     path = tmp_path / "parts.json"
     save_partitions(path, parts)
-    back = load_partitions(path)
+    assert [c["client_id"] for c in read_json(path)["clients"]] == [0, 1, 2]
+    back = load_partitions(path, 50, 3)
     for a, b in zip(parts, back):
-        assert a.client_id == b.client_id
-        np.testing.assert_array_equal(a.indices, b.indices)
+        assert b.dtype == np.int64
+        np.testing.assert_array_equal(a, b)
+
+
+def test_partition_iid_of_one_client_is_every_row_in_order():
+    parts = partition_iid(gaussian_mixture_table(30, seed=0), 1, rng_seed=5)
+    assert len(parts) == 1
+    np.testing.assert_array_equal(parts[0], np.arange(30))
 
 
 def test_raw_table_select():

@@ -262,6 +262,35 @@ def test_periodic_checkpointing_writes_each_round_once(workspace, monkeypatch,
     assert rounds == list(range(1, writes + 1))
 
 
+@pytest.mark.parametrize("stop_after", ["0", "-2"])
+def test_cli_train_that_would_train_nothing_exits_1_and_writes_nothing(
+        workspace, capsys, stop_after):
+    cfg = _fast_config(workspace, out="train_nothing")
+    path = _write_cfg(workspace, cfg, "train_nothing.json")
+    assert cli.main(["prepare", "-c", path]) == 0
+    assert cli.main(["train", "-c", path, "--stop-after", stop_after]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(os.listdir(cfg.resolved_output_dir())) == [
+        "partition_summary.json", "partitions.json", "pipeline.json"]
+
+
+def test_cli_resume_must_stop_after_the_checkpoints_round(workspace, capsys):
+    cfg = _fast_config(workspace, out="resume_stop", **{"federation.rounds": 3})
+    path = _write_cfg(workspace, cfg, "resume_stop.json")
+    assert cli.main(["prepare", "-c", path]) == 0
+    assert cli.main(["train", "-c", path, "--stop-after", "2"]) == 0
+    files = _run_files(cfg)
+    for stop_after in ("1", "2"):
+        assert cli.main(["train", "-c", path, "--resume", "--stop-after", stop_after]) == 1
+        assert "round 2" in capsys.readouterr().err
+    assert _run_files(cfg) == files
+    assert cli.main(["train", "-c", path, "--resume", "--stop-after", "3"]) == 0
+    files = _run_files(cfg)
+    # a finished run's resume stays a no-op, whatever it asks for
+    assert cli.main(["train", "-c", path, "--resume", "--stop-after", "1"]) == 0
+    assert _run_files(cfg) == files
+
+
 def _members(path):
     with zipfile.ZipFile(path) as zf:
         return sorted(zf.namelist())
@@ -446,7 +475,16 @@ def _wider_model(arrays, meta):
     arrays["global_flat"], meta["manifest"] = wider.flat, wider.manifest()
 
 
-@pytest.mark.parametrize("edit", [_foreign_format, _other_pipeline, _wider_model])
+def _no_manifest(arrays, meta):
+    del meta["manifest"]
+
+
+def _no_model(arrays, meta):
+    del arrays["global_flat"]
+
+
+@pytest.mark.parametrize("edit", [_foreign_format, _other_pipeline, _wider_model,
+                                  _no_manifest, _no_model])
 def test_generate_rejects_checkpoint_it_cannot_sample(dp_run, edit):
     arrays, meta = load_arrays(_checkpoint(dp_run))
     edit(arrays, meta)
@@ -469,6 +507,31 @@ def test_resume_refuses_a_checkpoint_with_a_damaged_ledger(staged_dp_run, member
         del arrays[member]
     save_arrays(path, arrays, meta)
     with pytest.raises(CheckpointError, match="ledger"):
+        cmd_train(staged_dp_run, resume=True)
+
+
+def _no_round(run_dir, arrays, meta):
+    del meta["round"]
+
+
+def _bad_sample_count(run_dir, arrays, meta):
+    meta["clients"][1]["n_samples"] = "x"
+
+
+def _garbage_audit_line(run_dir, arrays, meta):
+    with open(os.path.join(run_dir, "audit.jsonl"), "a", encoding="utf-8") as fh:
+        fh.write("not json\n")
+
+
+@pytest.mark.parametrize("edit", [_no_round, _bad_sample_count, _garbage_audit_line])
+def test_resume_refuses_a_damaged_checkpoint_or_audit_log(staged_dp_run, edit):
+    run_dir = staged_dp_run.resolved_output_dir()
+    path = _checkpoint(staged_dp_run)
+    arrays, meta = load_arrays(path)
+    edit(run_dir, arrays, meta)
+    save_arrays(path, arrays, meta)
+    damaged = "audit.jsonl" if edit is _garbage_audit_line else "checkpoint.npz"
+    with pytest.raises(CheckpointError, match=damaged):
         cmd_train(staged_dp_run, resume=True)
 
 
@@ -850,6 +913,72 @@ def test_cli_train_with_a_malformed_pipeline_exits_1(workspace, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+def _reversed(clients):
+    clients.reverse()
+
+
+def _rows_of_client_0(clients):
+    clients[1]["indices"] = clients[0]["indices"]
+
+
+def _row_twice(clients):
+    clients[0]["indices"].append(clients[0]["indices"][0])
+
+
+def _first_row(value):
+    def edit(clients):
+        clients[0]["indices"][0] = value
+    edit.__name__ = f"_first_row_{value!r}"
+    return edit
+
+
+def _one_client(clients):
+    del clients[1]
+
+
+def _row_past_the_table(clients):
+    clients[0]["indices"].append(240)
+
+
+def _no_indices(clients):
+    del clients[0]["indices"]
+
+
+def _empty_shard(clients):
+    clients[1]["indices"] = []
+
+
+@pytest.mark.parametrize("edit", [
+    _reversed, _rows_of_client_0, _row_twice, _first_row(-1), _first_row(1.5),
+    _first_row("3"), _one_client, _row_past_the_table, _no_indices, _empty_shard,
+    "top-level array"], ids=lambda edit: getattr(edit, "__name__", edit))
+def test_cli_train_with_malformed_partitions_exits_1(workspace, capsys, edit):
+    """Each edit breaks what training assumes: entry i is client i's shard of
+    distinct rows of the table, so that client i's ε bounds exactly those rows."""
+    cfg = _fast_config(workspace, out="bad_partitions")
+    path = _write_cfg(workspace, cfg, "bad_partitions.json")
+    assert cli.main(["prepare", "-c", path]) == 0
+    parts_path = os.path.join(cfg.resolved_output_dir(), "partitions.json")
+    parts = read_json(parts_path)
+    if edit == "top-level array":
+        parts = parts["clients"]
+    else:
+        edit(parts["clients"])
+    write_json(parts_path, parts)
+    assert cli.main(["train", "-c", path]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not os.path.exists(_checkpoint(cfg))
+
+
+def test_resume_refuses_shards_of_another_size(staged_dp_run):
+    parts_path = os.path.join(staged_dp_run.resolved_output_dir(), "partitions.json")
+    parts = read_json(parts_path)
+    parts["clients"][0]["indices"].append(parts["clients"][1]["indices"].pop())
+    write_json(parts_path, parts)
+    with pytest.raises(CheckpointError, match="partitions.json"):
+        cmd_train(staged_dp_run, resume=True)
+
+
 def test_config_rejects_nonpositive_n_attacks(workspace):
     with pytest.raises(ValidationError):
         _fast_config(workspace, n_attacks=0)
@@ -889,3 +1018,11 @@ def test_cli_report_renders_both_shapes(workspace, capsys, tmp_path):
     assert cli.main(["report", rep_path]) == 0
     assert "fidelity" in capsys.readouterr().out
     assert cli.main(["report", "/missing.json"]) == 1
+
+
+@pytest.mark.parametrize("payload", ["{}", "[1, 2]"])
+def test_cli_report_of_a_malformed_file_exits_1(tmp_path, capsys, payload):
+    path = tmp_path / "report.json"
+    path.write_text(payload)
+    assert cli.main(["report", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")

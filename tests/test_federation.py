@@ -953,9 +953,9 @@ def test_make_client_datasets_slices_consistently():
     assert sum(s.n_samples for s in shards) == 90
     full_numeric = pipe.encode_numeric(table)
     full_cats = pipe.category_indices(table)
-    for part, shard in zip(parts, shards):
-        np.testing.assert_array_equal(shard.numeric, full_numeric[part.indices])
-        np.testing.assert_array_equal(shard.cat_rows, full_cats[part.indices])
+    for rows, shard in zip(parts, shards):
+        np.testing.assert_array_equal(shard.numeric, full_numeric[rows])
+        np.testing.assert_array_equal(shard.cat_rows, full_cats[rows])
 
 
 def test_client_dataset_rejects_empty():

@@ -288,7 +288,7 @@ def test_per_sample_gradient_matches_finite_differences(seed):
     flat = params.flat
     manifest = params.manifest()
     grads, _ = per_sample_grads(params, [sample])
-    g = grads[0].values
+    g = grads.row(0)
     # probe 40 random coordinates plus every embedding coordinate
     n_net = flat.size - sum(e.size for e in params.embeddings)
     probe = list(rng.choice(n_net, size=40, replace=False))
@@ -306,7 +306,7 @@ def test_per_sample_gradient_matches_finite_differences_wide_tables():
     assert params.n_numeric == 1
     sample, proto = _make_sample(params, rng)
     flat, manifest = params.flat, params.manifest()
-    g = per_sample_grads(params, [sample])[0][0].values
+    g = per_sample_grads(params, [sample])[0].row(0)
     n_net = flat.size - sum(e.size for e in params.embeddings)
     probe = list(rng.choice(n_net, size=40, replace=False))
     probe += list(range(n_net, flat.size))
@@ -320,7 +320,7 @@ def test_embedding_gradient_zero_for_unused_rows():
     rng = np.random.default_rng(4)
     sample, _ = _make_sample(params, rng)
     grads, _ = per_sample_grads(params, [sample])
-    g = grads[0].values
+    g = grads.row(0)
     n_net = params.flat.size - sum(e.size for e in params.embeddings)
     pos = n_net
     for j, e in enumerate(params.embeddings):
@@ -344,7 +344,7 @@ def test_mean_per_sample_grad_matches_batch_fd():
         batch.append(s)
         protos.append(p)
     grads, mean_loss = per_sample_grads(params, batch)
-    mean_grad = np.mean([g.values for g in grads], axis=0)
+    mean_grad = np.mean([grads.row(i) for i in range(len(grads))], axis=0)
     flat, manifest = params.flat, params.manifest()
     diff = (forward(params, np.stack([s.x_in for s in batch]), [s.t for s in batch])
             - np.stack([s.target for s in batch]))
@@ -408,13 +408,13 @@ def test_per_sample_grads_batch_matches_single_sample_calls(n_tables, size, seed
     grads, mean_loss = per_sample_grads(params, batch)
     assert len(grads) == size
     losses = []
-    for sample, g in zip(batch, grads):
+    for i, (sample, g) in enumerate(zip(batch, grads)):
         single, loss = per_sample_grads(params, [sample])
-        ref = single[0].values
+        ref = single.row(0)
         scale = _abs_grad_norm(params, sample)
         assert np.linalg.norm(ref) <= scale
         tol = 1e-12 * max(np.linalg.norm(ref), 1e-2 * scale)
-        assert np.linalg.norm(g.values - ref) <= tol
+        assert np.linalg.norm(grads.row(i) - ref) <= tol
         assert abs(g.norm - single[0].norm) <= tol
         losses.append(loss)
     assert mean_loss == pytest.approx(np.mean(losses), rel=1e-12)

@@ -10,8 +10,9 @@ workload scores, evaluate) in its own subprocess, importing its own
 inputs and config, with BLAS on one thread as in the benchmark. The script
 then prints:
 
-- whether ``pipeline.json`` and ``audit.jsonl`` are byte-identical, and
-  whether the manifest's per-client ε are equal;
+- whether ``pipeline.json``, ``partitions.json``, ``partition_summary.json``
+  and ``audit.jsonl`` are byte-identical, and whether the manifest's
+  per-client ε are equal;
 - for ``checkpoint.npz``, each tree's file size in bytes, whether each
   ``.npy`` member is byte-identical, and which top-level keys of its
   ``meta.json`` differ (a config change moves only ``config_digest``);
@@ -49,7 +50,7 @@ import tempfile
 import zipfile
 
 TOOLS = os.path.dirname(os.path.abspath(__file__))
-FILES = ("pipeline.json", "audit.jsonl")
+FILES = ("pipeline.json", "partitions.json", "partition_summary.json", "audit.jsonl")
 HEADLINE = (("fidelity", "omega"), ("utility", "phi"), ("privacy", "pi"))
 RSS_FILE = "peak_rss.json"
 STAGES = ("import", "setup", "train", "generate", "evaluate")
