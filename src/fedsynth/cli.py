@@ -51,8 +51,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="sample synthetic rows from a checkpoint")
     _add_config_args(p)
     p.add_argument("--checkpoint", default=None, help="checkpoint path override")
-    p.add_argument("--rows", type=int, default=None, help="row count override")
-    p.add_argument("--seed", type=int, default=None, help="sampling seed override")
+    p.add_argument("--rows", type="n_rows={}".format, action="append", dest="overrides",
+                   metavar="N", help="row count: --set n_rows=N")
+    p.add_argument("--seed", type="seeds.model={}".format, action="append",
+                   dest="overrides", metavar="S", help="sampling seed: --set seeds.model=S")
     p.add_argument("--out", default=None, help="output CSV path override")
 
     p = sub.add_parser("evaluate", help="score synthetic data against real data")
@@ -93,8 +95,7 @@ def _dispatch(args: argparse.Namespace) -> int:
               f"{manifest['wall_time_s']}s{eps_note}")
     elif args.command == "generate":
         config = ExperimentConfig.from_file(args.config, args.overrides)
-        out = cmd_generate(config, checkpoint_path=args.checkpoint,
-                           n_rows=args.rows, seed=args.seed, out_path=args.out)
+        out = cmd_generate(config, checkpoint_path=args.checkpoint, out_path=args.out)
         print(f"wrote {out}")
     elif args.command == "evaluate":
         report = cmd_evaluate(args.real, args.syn, args.schema, seed=args.seed,

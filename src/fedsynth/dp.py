@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CalibrationError, ValidationError
+from .errors import CalibrationError, ValidationError, require_number
 from .nn import PerSampleGrads, blocks
 
 DEFAULT_CLIP_NORM = 1.0
@@ -106,6 +106,9 @@ class DpConfig:
     noise_multiplier: float | None = None
 
     def __post_init__(self):
+        for name in ("epsilon", "delta", "clip_norm", "noise_multiplier"):
+            if getattr(self, name) is not None:
+                require_number(getattr(self, name), f"dp.{name}")
         if not self.epsilon > 0.0:
             raise ValidationError("epsilon target must be positive")
         if self.delta is not None and not 0.0 < self.delta < 1.0:

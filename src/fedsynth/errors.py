@@ -38,10 +38,17 @@ class CalibrationError(PrivacyBudgetError):
     """No noise multiplier in the search bracket meets the epsilon target."""
 
 
+def require_number(value, name: str) -> None:
+    """Raise ValidationError unless ``value`` is an int or a float. A bool is
+    an int to Python, but JSON's true and false are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+
+
 def require_int(value, name: str, minimum: int, maximum: int | None = None) -> None:
-    """Raise ValidationError unless ``value`` is an integer >= ``minimum``
-    (and <= ``maximum`` if given)."""
-    if not isinstance(value, int) or value < minimum:
+    """Raise ValidationError unless ``value`` is an integer (not a bool) >=
+    ``minimum`` (and <= ``maximum`` if given)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
     if maximum is not None and value > maximum:
         raise ValidationError(f"{name} must be an integer <= {maximum}, got {value!r}")

@@ -30,7 +30,8 @@ from .data import (EncodingPipeline, RawTable, TabularSchema, load_csv,
                    load_partitions, partition_iid, partition_noniid,
                    save_partitions, write_csv)
 from .dp import DpConfig, RdpAccountant
-from .errors import CheckpointError, FedsynthError, ValidationError, require_int
+from .errors import (CheckpointError, FedsynthError, ValidationError, require_int,
+                     require_number)
 from .federation import FedConfig, FederatedState, make_client_datasets
 from .metrics import DEFAULT_N_ATTACKS, DEFAULT_TEST_FRACTION, MetricsReport, evaluate_tables
 from .nn import (DEFAULT_HIDDEN, DEFAULT_N_HIDDEN, DEFAULT_TIME_DIM, AdamState, DenoiserParams,
@@ -115,8 +116,8 @@ class ExperimentConfig:
         require_int(self.n_rows, "n_rows", 1)
         require_int(self.n_attacks, "n_attacks", 1)
         require_int(self.checkpoint_every, "checkpoint_every", 0)
-        if not (isinstance(self.test_fraction, (int, float))
-                and 0 < self.test_fraction < 1):
+        require_number(self.test_fraction, "test_fraction")
+        if not 0 < self.test_fraction < 1:
             raise ValidationError(
                 f"test_fraction must be a number in (0, 1), got {self.test_fraction!r}")
         if not isinstance(self.sweep, dict):
@@ -188,24 +189,17 @@ class ExperimentConfig:
             return os.path.join(root, self.output_dir)
         return self.output_dir
 
-    def replace(self, **kwargs) -> "ExperimentConfig":
-        """Return a copy with fields replaced.
+    def replace(self, **settings) -> "ExperimentConfig":
+        """Return a copy with ``settings`` applied, as ``--set`` applies them.
 
-        Keys may use dotted paths into sub-configs, e.g.
-        ``replace(**{"federation.rounds": 10})``.
+        Keys are field names or dotted paths into sub-configs, e.g.
+        ``replace(n_rows=10, **{"federation.rounds": 10})``; values are
+        JSON-like, and the copy is validated as a config file is.
         """
-        dotted = {k: v for k, v in kwargs.items() if "." in k}
-        plain = {k: v for k, v in kwargs.items() if "." not in k}
-        try:
-            out = dataclasses.replace(self, **plain) if plain else self
-        except TypeError as exc:  # an unknown key
-            raise ValidationError(f"malformed config: {exc}") from exc
-        if dotted:
-            raw = out.to_dict()
-            for key, value in dotted.items():
-                raw = _set_dotted(raw, key, value)
-            out = ExperimentConfig.from_dict(raw)
-        return out
+        raw = self.to_dict()
+        for key, value in settings.items():
+            raw = _set_dotted(raw, key, value)
+        return ExperimentConfig.from_dict(raw)
 
 
 def _object(value, what: str) -> dict:
@@ -229,44 +223,44 @@ def _set_dotted(raw: dict, key: str, value) -> dict:
     return out
 
 
-def _parse_override_value(text: str):
-    try:
-        return json.loads(text)
-    except ValueError:
-        return text
-
-
 def _apply_override(raw: dict, item: str) -> dict:
     if "=" not in item:
         raise ValidationError(f"override {item!r} must look like key=value")
-    key, value = item.split("=", 1)
-    return _set_dotted(raw, key.strip(), _parse_override_value(value.strip()))
+    key, text = (part.strip() for part in item.split("=", 1))
+    try:
+        value = json.loads(text)
+    except ValueError:
+        value = text
+    return _set_dotted(raw, key, value)
 
 
-def desk_preset(**kwargs) -> ExperimentConfig:
-    """Laptop-friendly profile: small net, short federated schedule."""
-    base = dict(
+def desk_preset(**settings) -> ExperimentConfig:
+    """Laptop-friendly profile (small net, short federated schedule) with ``settings``."""
+    return ExperimentConfig(
         model=ModelConfig(hidden_width=128),
         federation=FedConfig(n_clients=3, rounds=50, local_steps=20),
-    )
-    base.update(kwargs)
-    return ExperimentConfig(**base)
+    ).replace(**settings)
 
 
 # ---------------------------------------------------------------------------
 # Checkpointing
 
 
-def save_checkpoint(path, state: FederatedState, config_digest: str,
-                    pipeline_digest: str, seeds: Seeds, finished: bool = False) -> None:
-    """Write ``state`` to ``path``.
+def _finished(state: FederatedState, config: ExperimentConfig) -> bool:
+    """True once the run can train no further: every round done, or the budget stopped it."""
+    return state.stopped_early or state.round >= config.federation.rounds
+
+
+def save_checkpoint(path, state: FederatedState, config: ExperimentConfig,
+                    pipeline_digest: str) -> None:
+    """Write ``state`` of a run of ``config`` to ``path``.
 
     An unfinished run's checkpoint holds everything ``--resume`` needs: the
     global model, the server's and every client's optimizer moments, and the
-    accountant ledgers. A ``finished`` run can train no further, so its
-    checkpoint keeps only the model and the ledgers (two P-vectors fewer per
-    client, and the server's two).
+    accountant ledgers. A finished run's checkpoint keeps only the model and
+    the ledgers (two P-vectors fewer per client, and the server's two).
     """
+    finished = _finished(state, config)
     arrays = {"global_flat": state.global_flat}
     if not finished:
         arrays.update(server_m=state.server.m, server_v=state.server.v)
@@ -296,9 +290,9 @@ def save_checkpoint(path, state: FederatedState, config_digest: str,
         "server_updates": state.server.updates,
         "stopped_early": state.stopped_early,
         "clients": client_meta,
-        "config_digest": config_digest,
+        "config_digest": config.digest,
         "pipeline_digest": pipeline_digest,
-        "seeds": dataclasses.asdict(seeds),
+        "seeds": dataclasses.asdict(config.seeds),
     }
     save_arrays(path, arrays, meta)
 
@@ -474,10 +468,6 @@ def cmd_train(config: ExperimentConfig, resume: bool = False,
     _require(paths["pipeline"], "prepare")
     _require(paths["partitions"], "prepare")
     pipeline = EncodingPipeline.load(paths["pipeline"])
-
-    def finished(st: FederatedState) -> bool:
-        return st.stopped_early or st.round >= config.federation.rounds
-
     state = None
     if resume:
         _require(paths["checkpoint"], "train (nothing to resume)")
@@ -489,7 +479,7 @@ def cmd_train(config: ExperimentConfig, resume: bool = False,
                 "checkpoint was produced by a different config; refusing to resume")
         if meta.get("pipeline_digest") != pipeline.digest:
             raise CheckpointError("checkpoint does not match the fitted pipeline")
-        if finished(state):
+        if _finished(state, config):
             return _finished_manifest(config, paths, pipeline.digest, state)
     done = state.round if resume else 0
     if stop_after_round is not None and stop_after_round <= done:
@@ -510,8 +500,7 @@ def cmd_train(config: ExperimentConfig, resume: bool = False,
         # the save after fed.train writes the session's last round
         last = st.round in (config.federation.rounds, stop_after_round)
         if every > 0 and st.round % every == 0 and not last:
-            save_checkpoint(paths["checkpoint"], st, config.digest,
-                            pipeline.digest, config.seeds)
+            save_checkpoint(paths["checkpoint"], st, config, pipeline.digest)
 
     started = time.time()
     if state is None:
@@ -526,17 +515,16 @@ def cmd_train(config: ExperimentConfig, resume: bool = False,
     fed.train(state, datasets, schedule, config.federation, config.dp,
               config.seeds.model, stop_after_round=stop_after_round,
               round_callback=round_cb)
-    save_checkpoint(paths["checkpoint"], state, config.digest, pipeline.digest,
-                    config.seeds, finished=finished(state))
+    save_checkpoint(paths["checkpoint"], state, config, pipeline.digest)
     manifest = _manifest(config, pipeline.digest, state, started)
     write_json(paths["manifest"], manifest)
     return manifest
 
 
 def cmd_generate(config: ExperimentConfig, checkpoint_path: str | None = None,
-                 n_rows: int | None = None, seed: int | None = None,
                  out_path: str | None = None) -> str:
-    """Sample synthetic rows from a checkpoint and decode them to CSV."""
+    """Sample ``config.n_rows`` synthetic rows from a checkpoint, seeded by
+    ``config.seeds.model``, and decode them to CSV."""
     paths = _paths(config)
     checkpoint_path = checkpoint_path or paths["checkpoint"]
     _require(paths["pipeline"], "prepare")
@@ -551,13 +539,7 @@ def cmd_generate(config: ExperimentConfig, checkpoint_path: str | None = None,
     if params.d_enc != pipeline.encoded_width:
         raise CheckpointError("checkpoint width does not match the pipeline schema")
 
-    n_rows = n_rows if n_rows is not None else config.n_rows
-    seed = seed if seed is not None else config.seeds.model
-    if seed < 0:
-        raise ValidationError("seed must be non-negative")
-    if n_rows < 1:
-        raise ValidationError("n_rows must be >= 1")
-    rng = np.random.default_rng([seed, 0])  # block 0; blocks would be [seed, b]
+    rng = np.random.default_rng([config.seeds.model, 0])  # block 0; blocks would be [seed, b]
     # The denoiser runs on a float32 copy, and the chain on a respaced
     # schedule of diff.SAMPLE_STEPS steps (sampling is post-processing, so
     # neither touches ε); the chain's update, its noise and decode stay
@@ -565,10 +547,10 @@ def cmd_generate(config: ExperimentConfig, checkpoint_path: str | None = None,
     # was trained on the original steps, so respaced step i asks it about
     # step tau[i - 1].
     sampler = params.astype(np.float32)
-    buffers = layer_buffers(sampler, n_rows)
+    buffers = layer_buffers(sampler, config.n_rows)
     schedule, tau = diff.respace(config.diffusion.schedule(), diff.SAMPLE_STEPS)
     encoded = diff.generate(lambda x, i: forward(sampler, x, int(tau[i - 1]), buffers),
-                            n_rows, params.d_enc, schedule, rng)
+                            config.n_rows, params.d_enc, schedule, rng)
     table = pipeline.decode(encoded, embeddings=params.embeddings)
     out_path = out_path or paths["synthetic"]
     write_csv(out_path, table)

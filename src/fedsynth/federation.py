@@ -33,7 +33,7 @@ from .data import encoded_rows
 from .diffusion import NoiseSchedule, make_training_example
 from .dp import DpConfig, RdpAccountant, calibrate_sigma, privatize
 from .errors import (DivergenceError, PrivacyBudgetError, ValidationError,
-                     require_int)
+                     require_int, require_number)
 from .nn import (BLOCK, DEFAULT_LEARNING_RATE, AdamState, DenoiserParams, TrainingSample,
                  adam_step, blocks, per_sample_grads)
 
@@ -74,6 +74,8 @@ class FedConfig:
                 f"unknown strategy {self.strategy!r}; pick one of {STRATEGIES}")
         if self.clients_per_round > self.n_clients:
             raise ValidationError("need 1 <= clients_per_round <= n_clients")
+        for name in ("learning_rate", "server_lr", "prox_mu"):
+            require_number(getattr(self, name), f"federation.{name}")
         if not (0.0 < self.learning_rate < math.inf and 0.0 < self.server_lr < math.inf):
             raise ValidationError("learning rates must be positive and finite")
         if not 0.0 <= self.prox_mu < math.inf:

@@ -206,7 +206,7 @@ def utility_score(syn_train: RawTable, real_test: RawTable, seed: int = 0) -> di
 
     accuracies: dict = {}
     skipped: list = []
-    if np.unique(y_train).size < 2:
+    if np.all(y_train == y_train[:1]):  # one class, or no rows
         skipped = [name for name, _ in builtin_classifiers(seed)]
     else:
         for name, model in builtin_classifiers(seed):
@@ -272,6 +272,8 @@ def evaluate_tables(real: RawTable, syn: RawTable, seed: int = 0,
     """
     if syn.schema.columns != real.schema.columns:
         raise ValidationError("real and synthetic tables must share a schema")
+    if len(real.schema.names) < 2:
+        raise ValidationError("evaluation needs a table of at least two columns")
     if not 0.0 < test_fraction < 1.0:
         raise ValidationError("test_fraction must lie in (0, 1)")
     if n_attacks < 1:
@@ -280,10 +282,7 @@ def evaluate_tables(real: RawTable, syn: RawTable, seed: int = 0,
         raise ValidationError("seed must be non-negative")
 
     omega_col, per_column = column_fidelity(real, syn)
-    if len(real.schema.names) >= 2:
-        row = row_fidelity(real, syn)
-    else:
-        row = {"omega_row": None, "pairs_evaluated": 0, "pairs_skipped": 0}
+    row = row_fidelity(real, syn)
     omega_row = row["omega_row"]
     omega = omega_col if omega_row is None else (omega_col + omega_row) / 2.0
     fidelity = {"omega": omega, "omega_col": omega_col, "omega_row": omega_row,

@@ -112,11 +112,10 @@ def test_headline_table_has_a_row_per_seed_and_tree_then_medians():
         "median  new   0.5000      n/a   0.2500"]
 
 
-def test_main_compares_each_seed_then_prints_the_table(tmp_path, monkeypatch, capsys):
-    """Each seed runs both trees (the subprocess is stubbed here: the run's
-    omega is the seed over 1000, plus 0.1 on the new tree, and its peak RSS
-    after evaluate is the seed, less 40 MB on the new tree) and prints their
-    peak-RSS rows, before the one Ω/Φ/Π table."""
+def _fake_subprocess_run(new_omega_shift):
+    """Stands in for a tree's run: its omega is the seed over 1000, plus
+    ``new_omega_shift`` on the new tree, and its peak RSS after evaluate is
+    the seed, less 40 MB on the new tree; every other output is the same."""
     def fake_subprocess_run(cmd, env, check):
         tree, workload, seed, work = cmd[-4:]
         run = pathlib.Path(work) / "run"
@@ -128,15 +127,21 @@ def test_main_compares_each_seed_then_prints_the_table(tmp_path, monkeypatch, ca
             (run / name).write_text("same")
         (run / "manifest.json").write_text(json.dumps({"epsilons": [1.0]}))
         save_arrays(str(run / "checkpoint.npz"), {"global_flat": np.zeros(2)}, {"format": "x"})
-        omega = int(seed) / 1000 + (0.1 if tree == "NEW" else 0.0)
+        omega = int(seed) / 1000 + (new_omega_shift if tree == "NEW" else 0.0)
         (run / "report.json").write_text(json.dumps(_report(omega, 0.5, 0.25)))
         rss = {"import": 30.0, "setup": 40.0, "train": 50.0, "generate": 60.0,
                "evaluate": int(seed) - (40.0 if tree == "NEW" else 0.0)}
         (run.parent / compare_outputs.RSS_FILE).write_text(json.dumps(rss))
+    return fake_subprocess_run
 
-    monkeypatch.setattr(compare_outputs.subprocess, "run", fake_subprocess_run)
+
+def test_main_compares_each_seed_then_prints_the_table(tmp_path, monkeypatch, capsys):
+    """Each seed runs both trees (the subprocess is stubbed, the new tree's
+    omega 0.1 higher) and prints their peak-RSS rows, before the one Ω/Φ/Π
+    table and the verdict: two reports differ, so the status is 1."""
+    monkeypatch.setattr(compare_outputs.subprocess, "run", _fake_subprocess_run(0.1))
     argv = ["OLD", "NEW", "--workload", "w", "--seed", "101", "102", "--work", str(tmp_path)]
-    assert compare_outputs.main(argv) == 0
+    assert compare_outputs.main(argv) == 1
     out = capsys.readouterr().out.splitlines()
     assert [line for line in out if line.startswith("w seed")] == ["w seed 101", "w seed 102"]
     for name in ("pipeline.json", "audit.jsonl", "synthetic.csv"):
@@ -153,7 +158,33 @@ def test_main_compares_each_seed_then_prints_the_table(tmp_path, monkeypatch, ca
         "   102  old   0.1020   0.5000   0.2500",
         "   102  new   0.2020   0.5000   0.2500",
         "median  old   0.1015   0.5000   0.2500",
-        "median  new   0.2015   0.5000   0.2500"]
+        "median  new   0.2015   0.5000   0.2500",
+        "outputs DIFFERENT: 2 items differ"]
     for seed in (101, 102):
         for side in ("old", "new"):
             assert (tmp_path / f"seed{seed}" / side / "run" / "report.json").exists()
+
+
+def test_main_of_trees_writing_the_same_bytes_says_identical_and_exits_0(
+        tmp_path, monkeypatch, capsys):
+    """Peak RSS differs between the trees, and is not judged."""
+    monkeypatch.setattr(compare_outputs.subprocess, "run", _fake_subprocess_run(0.0))
+    argv = ["OLD", "NEW", "--workload", "w", "--seed", "101", "--work", str(tmp_path)]
+    assert compare_outputs.main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "report.json: identical" in out and "DIFFERENT" not in "\n".join(out)
+    assert out[-1] == "outputs identical"
+
+
+def test_compare_counts_each_checkpoint_member_and_meta_key_that_differs(tmp_path):
+    fake, runs = _fake_subprocess_run(0.0), []
+    for tree in ("OLD", "NEW"):
+        (tmp_path / tree).mkdir()
+        fake([tree, "w", "101", str(tmp_path / tree)], env=None, check=True)
+        runs.append(str(tmp_path / tree / "run"))
+    save_arrays(os.path.join(runs[1], "checkpoint.npz"), {"global_flat": np.ones(2)},
+                {"format": "y", "round": 1})
+    lines, differing = compare_outputs.compare(*runs, SCHEMA)
+    assert "  global_flat.npy: DIFFERENT" in lines
+    assert "  meta.json keys that differ: format, round" in lines
+    assert differing == 3

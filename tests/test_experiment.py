@@ -106,6 +106,47 @@ def test_config_digest_insensitive_to_key_order(workspace, tmp_path):
     assert ExperimentConfig.from_dict(scrambled).digest == cfg.digest
 
 
+README_RUN_JSON = {
+    "dataset": "data.csv", "schema": "schema.json", "output_dir": "runs/demo",
+    "partition": "noniid", "n_rows": 5000,
+    "federation": {"n_clients": 3, "rounds": 50, "local_steps": 20},
+    "dp": {"epsilon": 1.0},
+    "sweep": {"epsilon": ["inf", 5.0, 1.0, 0.2], "seed": [0, 1, 2]}}
+
+# Digests written by earlier releases. A checkpoint resumes, and a sweep cell
+# counts as done, only under an equal digest, so none of these may move.
+GOLDEN_DIGESTS = [
+    (lambda: ExperimentConfig(),
+     "8c3648b40d8d47a32ed4f92732a3ecb1c186a7501d15172ce9196911a8abc8a3"),
+    (lambda: desk_preset(),
+     "c7269e337c1b7609b5dc3f4d8810958787314437353e003864cb37d9518ae348"),
+    (lambda: desk_preset(dataset="d.csv", n_rows=300, n_attacks=100),
+     "5b5685e378b198a49db9d11bb58b9c1658e40a8f86e65b440be2b8885a74becf"),
+    (lambda: ExperimentConfig().replace(n_rows=7, output_dir="runs/x", **{
+        "federation.rounds": 10, "dp.epsilon": 2.0, "seeds.model": 5}),
+     "cb213e51516bf4fe37de0438adc1ce96f69c5970a1869acaa05c297dbfd76e53"),
+    (lambda: ExperimentConfig(sweep={"epsilon": ["inf", 1.0]}),
+     "283dfc547b5921fbf6149549ef83cab4996da86c4d399c0427b6813fe4291b14"),
+    (lambda: ExperimentConfig(sweep={"epsilon": ["INF", 1.0]}),
+     "3746a6a1160ba702d6b61548169b8da28dbe1024e25b359d5187ffbf73439589"),
+    (lambda: ExperimentConfig(sweep={"epsilon": [math.inf, 1.0]}),
+     "283dfc547b5921fbf6149549ef83cab4996da86c4d399c0427b6813fe4291b14"),
+    (lambda: experiment._cell_config(
+        desk_preset(sweep={"epsilon": ["inf", 5.0], "seed": [0, 1]}),
+        {"epsilon": math.inf, "seed": 1}, "runs/run/sweep/cell"),
+     "d23ebc502748aa9c91fd4a684f8aa200289e8a870f174f62bc6ff52ff617e275"),
+    (lambda: ExperimentConfig.from_dict(README_RUN_JSON),
+     "53d8c8994597dcf38d842d8ebdc2265f896cb756ed2af9d3dbaa4fc33d8e9fa7"),
+]
+
+
+@pytest.mark.parametrize("make, digest", GOLDEN_DIGESTS)
+def test_config_digest_is_stable_and_survives_an_empty_replace(make, digest):
+    cfg = make()
+    assert cfg.digest == digest
+    assert cfg.replace().digest == digest
+
+
 def test_seeds_validation():
     with pytest.raises(ValidationError):
         Seeds(model=-1)
@@ -429,11 +470,11 @@ def test_generate_seed_and_rows_override(workspace):
     cfg = _fast_config(workspace)
     cmd_prepare(cfg)
     cmd_train(cfg)
-    alt = cmd_generate(cfg, n_rows=7, seed=99,
+    alt = cmd_generate(cfg.replace(n_rows=7, **{"seeds.model": 99}),
                        out_path=str(workspace["tmp"] / "alt.csv"))
     syn = load_csv(alt, workspace["table"].schema)
     assert syn.n_rows == 7
-    base = cmd_generate(cfg, n_rows=7,
+    base = cmd_generate(cfg.replace(n_rows=7),
                         out_path=str(workspace["tmp"] / "base.csv"))
     assert open(alt, "rb").read() != open(base, "rb").read()
 
@@ -536,9 +577,9 @@ def test_resume_refuses_a_damaged_checkpoint_or_audit_log(staged_dp_run, edit):
 
 
 def test_generate_rejects_nonpositive_row_count(dp_run):
-    for n_rows in (0, -3):  # before any layer buffer is allocated
+    for n_rows in (0, -3):
         with pytest.raises(ValidationError):
-            cmd_generate(dp_run, n_rows=n_rows)
+            dp_run.replace(n_rows=n_rows)
 
 
 def _global_params(cfg, path=None):
@@ -738,6 +779,24 @@ def test_sweep_rejects_unknown_axis(workspace):
         cmd_sweep(cfg)
 
 
+def _one_column_inputs(ws, target: bool) -> tuple:
+    """A CSV of one categorical column and its schema, the column the target or not."""
+    real, schema = ws["tmp"] / "one_column.csv", ws["tmp"] / "one_column.json"
+    real.write_text("c\n" + "".join(f"{'ab'[i % 2]}\n" for i in range(60)))
+    declared = {"columns": [{"name": "c", "kind": "categorical"}]}
+    schema.write_text(json.dumps(dict(declared, target="c") if target else declared))
+    return str(real), str(schema)
+
+
+def test_sweep_over_a_one_column_table_records_a_failed_cell(workspace):
+    real, schema = _one_column_inputs(workspace, target=True)
+    cfg = _fast_config(workspace, out="one_column", n_rows=30, n_attacks=8).replace(
+        dataset=real, schema=schema, partition="iid", sweep={"seed": [0]})
+    rows = cmd_sweep(cfg)
+    assert [r["status"] for r in rows] == ["failed"]
+    assert "two columns" in rows[0]["error"]
+
+
 # ---------------------------------------------------------------------------
 # CLI surface
 
@@ -781,7 +840,62 @@ def test_cli_bad_attack_count_or_seed_exits_1(workspace, capsys):
     assert cli.main(["train", "-c", path]) == 0
     capsys.readouterr()
     assert cli.main(["generate", "-c", path, "--seed", "-1"]) == 1
-    assert "seed must be non-negative" in capsys.readouterr().err
+    assert "seeds.model" in capsys.readouterr().err
+
+
+def test_cli_generate_rows_and_seed_are_spellings_of_set(workspace):
+    cfg = _fast_config(workspace, out="cli_spellings")
+    path = _write_cfg(workspace, cfg, "spellings.json")
+    assert cli.main(["prepare", "-c", path]) == 0
+    assert cli.main(["train", "-c", path]) == 0
+    outs = [str(workspace["tmp"] / name) for name in ("flags.csv", "set.csv")]
+    assert cli.main(["generate", "-c", path, "--rows", "7", "--seed", "99",
+                     "--out", outs[0]]) == 0
+    assert cli.main(["generate", "-c", path, "--set", "n_rows=7",
+                     "--set", "seeds.model=99", "--out", outs[1]]) == 0
+    flags, set_ = (open(out, "rb").read() for out in outs)
+    assert flags == set_ and flags.count(b"\n") == 8
+
+
+@pytest.mark.parametrize("flags, key", [(["--rows", "0"], "n_rows"),
+                                        (["--rows", "abc"], "n_rows"),
+                                        (["--seed", "-1"], "seeds.model")])
+def test_cli_generate_bad_rows_or_seed_exits_1_naming_the_key(workspace, capsys,
+                                                              flags, key):
+    path = _write_cfg(workspace, _fast_config(workspace), "bad_generate.json")
+    assert cli.main(["generate", "-c", path, *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+
+
+NUMERIC_KEYS = ["n_rows", "n_attacks", "test_fraction", "checkpoint_every",
+                "seeds.model", "seeds.data", "seeds.attack",
+                "model.hidden_width", "model.n_hidden", "model.time_dim",
+                "diffusion.timesteps", "federation.n_clients", "federation.rounds",
+                "federation.local_steps", "federation.clients_per_round",
+                "federation.prox_mu", "federation.batch_size",
+                "federation.learning_rate", "federation.server_lr",
+                "dp.epsilon", "dp.delta", "dp.clip_norm", "dp.noise_multiplier"]
+# the keys whose range admits 0, so that false would read as a valid 0
+ZERO_KEYS = ["checkpoint_every", "seeds.model", "seeds.data", "seeds.attack",
+             "federation.prox_mu", "dp.noise_multiplier"]
+
+
+@pytest.mark.parametrize("setting", [f"{key}=true" for key in NUMERIC_KEYS]
+                         + [f"{key}=false" for key in ZERO_KEYS])
+def test_cli_boolean_for_a_number_exits_1(workspace, capsys, setting):
+    path = _write_cfg(workspace, _fast_config(workspace), "boolean.json")
+    assert cli.main(["prepare", "-c", path, "-s", setting]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and setting.split("=")[0].split(".")[-1] in err
+
+
+@pytest.mark.parametrize("target", [True, False])
+def test_cli_evaluate_of_a_one_column_table_exits_1(workspace, capsys, target):
+    real, schema = _one_column_inputs(workspace, target)
+    assert cli.main(["evaluate", "--real", real, "--syn", real, "--schema", schema]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "two columns" in err
 
 
 @pytest.mark.parametrize("time_dim", [-2, 0, 3])

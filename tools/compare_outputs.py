@@ -30,8 +30,14 @@ scores, prints one Ω/Φ/Π row per seed for each tree and each tree's median,
 so a change that moves outputs by design shows its spread against the seed
 spread.
 
+The last line is the verdict over all seeds: ``outputs identical``, or
+``outputs DIFFERENT`` with the count of items that differ. The items are
+each of the four files above, each checkpoint member, each ``meta.json`` key,
+the manifest's ε, ``synthetic.csv`` and ``report.json``; peak RSS is
+reported, not judged. As with ``cmp``, the exit status is 0 when the outputs
+are identical and 1 when they differ.
+
 Outputs go to ``--work`` (kept) or to a temporary directory (removed).
-Exit status is 0 once both trees ran, whatever the comparison found.
 """
 
 from __future__ import annotations
@@ -268,26 +274,33 @@ def _same_file(old_path: str, new_path: str) -> str:
     return "identical" if _sha256(old_path) == _sha256(new_path) else "DIFFERENT"
 
 
-def compare(old_run: str, new_run: str, schema: dict) -> list:
-    lines = []
+def compare(old_run: str, new_run: str, schema: dict) -> tuple:
+    """Lines describing how two runs' outputs differ, and the count of
+    items that differ."""
+    lines, verdicts = [], []
     for name in FILES:
-        same = _same_file(os.path.join(old_run, name), os.path.join(new_run, name))
-        lines.append(f"{name}: {same}")
-    lines.append("checkpoint.npz:")
-    lines += compare_checkpoints(os.path.join(old_run, "checkpoint.npz"),
-                                 os.path.join(new_run, "checkpoint.npz"))
+        verdicts.append(_same_file(os.path.join(old_run, name), os.path.join(new_run, name)))
+        lines.append(f"{name}: {verdicts[-1]}")
+    checkpoint = compare_checkpoints(os.path.join(old_run, "checkpoint.npz"),
+                                     os.path.join(new_run, "checkpoint.npz"))
+    lines += ["checkpoint.npz:"] + checkpoint
+    verdicts += [line.rsplit(": ", 1)[1] for line in checkpoint[1:-1]]
+    meta_keys = checkpoint[-1].rsplit(": ", 1)[1]
+    verdicts += [] if meta_keys == "none" else ["DIFFERENT"] * len(meta_keys.split(", "))
     eps = [_read_json(os.path.join(run, "manifest.json"))["epsilons"]
            for run in (old_run, new_run)]
-    lines.append(f"manifest epsilons: {'identical' if eps[0] == eps[1] else 'DIFFERENT'} "
-                 f"{eps[0]} vs {eps[1]}")
+    verdicts.append("identical" if eps[0] == eps[1] else "DIFFERENT")
+    lines.append(f"manifest epsilons: {verdicts[-1]} {eps[0]} vs {eps[1]}")
     syn = [os.path.join(run, "synthetic.csv") for run in (old_run, new_run)]
-    lines.append(f"synthetic.csv: {_same_file(*syn)}")
+    verdicts.append(_same_file(*syn))
+    lines.append(f"synthetic.csv: {verdicts[-1]}")
     lines += compare_csv(*syn, schema)
     report = [os.path.join(run, "report.json") for run in (old_run, new_run)]
     if all(os.path.exists(path) for path in report):
-        lines.append(f"report.json: {_same_file(*report)}")
+        verdicts.append(_same_file(*report))
+        lines.append(f"report.json: {verdicts[-1]}")
         lines += compare_reports(_read_json(report[0]), _read_json(report[1]))
-    return lines
+    return lines, sum(verdict != "identical" for verdict in verdicts)
 
 
 def main(argv=None) -> int:
@@ -301,7 +314,7 @@ def main(argv=None) -> int:
                              "default: a temporary directory, removed")
     args = parser.parse_args(argv)
     work = args.work or tempfile.mkdtemp(prefix="compare_outputs_")
-    reports = {}
+    reports, differing = {}, 0
     try:
         for seed in args.seed:
             sides = {}
@@ -314,8 +327,10 @@ def main(argv=None) -> int:
                 print("note: the trees generated different input tables")
             schema = _read_json(os.path.join(sides["old"], "schema.json"))
             print(f"{args.workload} seed {seed}")
-            for line in compare(os.path.join(sides["old"], "run"),
-                                os.path.join(sides["new"], "run"), schema):
+            lines, count = compare(os.path.join(sides["old"], "run"),
+                                   os.path.join(sides["new"], "run"), schema)
+            differing += count
+            for line in lines:
                 print(line)
             rss = {side: _read_json(os.path.join(sides[side], RSS_FILE)) for side in sides}
             for line in peak_rss_table(rss):
@@ -330,7 +345,9 @@ def main(argv=None) -> int:
     finally:
         if args.work is None:
             shutil.rmtree(work, ignore_errors=True)
-    return 0
+    print(f"outputs DIFFERENT: {differing} items differ" if differing
+          else "outputs identical")
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":
