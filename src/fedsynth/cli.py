@@ -1,8 +1,8 @@
 """Command-line driver.
 
 Subcommands mirror the run stages: prepare, train, generate, evaluate,
-sweep, report. Exit codes: 0 success, 1 validation/config error, 2 training
-divergence, 3 privacy-budget error. Config values come from a JSON file and
+sweep, report. Exit codes: 0 success, 1 validation/config or usage error, 2
+training divergence, 3 privacy-budget error. Config values come from a JSON file and
 can be overridden with repeated ``--set dotted.key=value`` flags.
 """
 
@@ -24,6 +24,14 @@ EXIT_DIVERGENCE = 2
 EXIT_BUDGET = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as subparsers' do: argparse's 2 means divergence here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-c", "--config", required=True,
                         help="path to the JSON experiment config")
@@ -33,7 +41,7 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fedsynth",
         description="Federated, differentially private tabular data synthesis")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -44,17 +44,19 @@ class TabularSchema:
     def __post_init__(self):
         if not self.columns:
             raise SchemaError("schema must declare at least one column")
+        for name, kind in self.columns:
+            if not isinstance(name, str):
+                raise SchemaError(f"column names must be strings, got {name!r}")
+            if kind not in _KINDS:
+                raise SchemaError(f"column {name!r} has unknown kind {kind!r}")
         names = [name for name, _ in self.columns]
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise SchemaError(f"duplicate column names: {dupes}")
-        for name, kind in self.columns:
-            if kind not in _KINDS:
-                raise SchemaError(f"column {name!r} has unknown kind {kind!r}")
         kinds = dict(self.columns)
         for role, col in (("target_column", self.target_column),
                           ("partition_column", self.partition_column)):
-            if col is not None and col not in kinds:
+            if col is not None and not (isinstance(col, str) and col in kinds):
                 raise SchemaError(f"{role} {col!r} not among schema columns")
         if (self.partition_column is not None
                 and kinds[self.partition_column] != KIND_CATEGORICAL):

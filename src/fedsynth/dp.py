@@ -310,21 +310,15 @@ class RdpAccountant:
         eps = totals + math.log(1.0 / delta) / (DEFAULT_ORDERS - 1.0)
         return float(np.min(eps))
 
-    # -- checkpoint round-trip ----------------------------------------------
-
-    def state_arrays(self) -> dict:
-        keys = sorted(self.groups)
-        return {
-            "qs": np.array([k[0] for k in keys]),
-            "sigmas": np.array([k[1] for k in keys]),
-            "counts": np.array([self.groups[k] for k in keys], dtype=np.int64),
-        }
-
     @classmethod
-    def from_state_arrays(cls, qs, sigmas, counts) -> "RdpAccountant":
+    def from_ledger(cls, ledger) -> "RdpAccountant":
+        """The accountant of a list of [q, sigma, count] groups. A count that is
+        not an integer raises TypeError, so a damaged ledger cannot drop steps."""
         acc = cls()
-        for q, sigma, count in zip(qs, sigmas, counts, strict=True):
-            acc.account_step(float(q), float(sigma), int(count))
+        for q, sigma, count in ledger:
+            if isinstance(count, bool) or not isinstance(count, int):
+                raise TypeError(f"step count {count!r} is not an integer")
+            acc.account_step(float(q), float(sigma), count)
         return acc
 
 

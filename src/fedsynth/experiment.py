@@ -40,7 +40,7 @@ from .store import (canonical_json, json_digest, load_arrays, read_json,
                     save_arrays, write_json)
 
 OUTPUT_ROOT_ENV = "FEDSYNTH_OUTPUT_ROOT"
-CHECKPOINT_FORMAT = "fedsynth-checkpoint-v1"
+CHECKPOINT_FORMAT = "fedsynth-checkpoint-v2"
 DEFAULT_ATTACK_SEED = 2
 
 PIPELINE_FILE = "pipeline.json"
@@ -111,6 +111,9 @@ class ExperimentConfig:
     dp: DpConfig = field(default_factory=DpConfig)
 
     def __post_init__(self):
+        for name in ("dataset", "schema", "output_dir"):
+            if not isinstance(getattr(self, name), str):
+                raise ValidationError(f"{name} must be a path string, got {getattr(self, name)!r}")
         if self.partition not in ("noniid", "iid"):
             raise ValidationError("partition must be 'noniid' or 'iid'")
         require_int(self.n_rows, "n_rows", 1)
@@ -256,44 +259,38 @@ def save_checkpoint(path, state: FederatedState, config: ExperimentConfig,
     """Write ``state`` of a run of ``config`` to ``path``.
 
     An unfinished run's checkpoint holds everything ``--resume`` needs: the
-    global model, the server's and every client's optimizer moments, and the
-    accountant ledgers. A finished run's checkpoint keeps only the model and
-    the ledgers (two P-vectors fewer per client, and the server's two).
+    global model, every client's optimizer moments (and the server's, under
+    FedAdam/FedYogi), and each client's privacy ledger, its accountant's
+    [q, sigma, count] groups in sorted order (None without an accountant). A
+    finished run's checkpoint keeps only the model and the ledgers.
     """
     finished = _finished(state, config)
     arrays = {"global_flat": state.global_flat}
-    if not finished:
-        arrays.update(server_m=state.server.m, server_v=state.server.v)
-    client_meta = []
-    for c in state.clients:
-        if not finished:
-            arrays[f"adam_m_{c.client_id}"] = c.adam.m
-            arrays[f"adam_v_{c.client_id}"] = c.adam.v
-        if c.accountant is not None:
-            acc = c.accountant.state_arrays()
-            arrays[f"acc_q_{c.client_id}"] = acc["qs"]
-            arrays[f"acc_sigma_{c.client_id}"] = acc["sigmas"]
-            arrays[f"acc_count_{c.client_id}"] = acc["counts"]
-        client_meta.append({
-            "client_id": c.client_id,
-            "adam_t": c.adam.t,
-            "adam_lr": c.adam.lr,
-            "sigma": c.sigma,
-            "delta": c.delta,
-            "n_samples": c.n_samples,
-            "has_accountant": c.accountant is not None,
-        })
     meta = {
         "format": CHECKPOINT_FORMAT,
         "manifest": state.manifest,
         "round": state.round,
-        "server_updates": state.server.updates,
         "stopped_early": state.stopped_early,
-        "clients": client_meta,
+        "clients": [],
         "config_digest": config.digest,
         "pipeline_digest": pipeline_digest,
-        "seeds": dataclasses.asdict(config.seeds),
     }
+    if not finished and state.server is not None:
+        arrays.update(server_m=state.server.m, server_v=state.server.v)
+        meta["server_updates"] = state.server.t
+    for c in state.clients:
+        if not finished:
+            arrays[f"adam_m_{c.client_id}"] = c.adam.m
+            arrays[f"adam_v_{c.client_id}"] = c.adam.v
+        meta["clients"].append({
+            "client_id": c.client_id,
+            "adam_t": c.adam.t,
+            "sigma": c.sigma,
+            "delta": c.delta,
+            "n_samples": c.n_samples,
+            "ledger": None if c.accountant is None else [
+                [q, sigma, count] for (q, sigma), count in sorted(c.accountant.groups.items())],
+        })
     save_arrays(path, arrays, meta)
 
 
@@ -310,7 +307,8 @@ def _read_checkpoint(path, names=None) -> tuple:
     """``load_arrays`` of a training checkpoint, optionally of some arrays only."""
     arrays, meta = load_arrays(path, names)
     if meta.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(f"{path!r} is not a training checkpoint")
+        raise CheckpointError(f"{path!r} has checkpoint format {meta.get('format')!r}, "
+                              f"not {CHECKPOINT_FORMAT!r}")
     return arrays, meta
 
 
@@ -319,7 +317,7 @@ def _read_state(path) -> tuple:
 
     A finished run's checkpoint has no optimizer moments: its state's
     ``server`` and every client's ``adam`` are None, so it can report ε but
-    not train.
+    not train. ``server`` is None under FedAvg and FedProx too.
     """
     arrays, meta = _read_checkpoint(path)
     with _intact(f"checkpoint {path!r}"):
@@ -329,18 +327,16 @@ def _read_state(path) -> tuple:
             adam = accountant = None
             if f"adam_m_{cid}" in arrays:
                 adam = AdamState(arrays[f"adam_m_{cid}"], arrays[f"adam_v_{cid}"],
-                                 t=int(cm["adam_t"]), lr=float(cm["adam_lr"]))
-            if cm["has_accountant"]:
-                with _intact(f"client {cid}'s privacy ledger in {path!r}"):
-                    accountant = RdpAccountant.from_state_arrays(
-                        arrays[f"acc_q_{cid}"], arrays[f"acc_sigma_{cid}"],
-                        arrays[f"acc_count_{cid}"])
+                                 t=int(cm["adam_t"]))
+            with _intact(f"client {cid}'s privacy ledger in {path!r}"):
+                if cm["ledger"] is not None:
+                    accountant = RdpAccountant.from_ledger(cm["ledger"])
             clients.append(fed.ClientState(cid, adam, accountant, cm["sigma"],
                                            cm["delta"], int(cm["n_samples"])))
         server = None
         if "server_m" in arrays:
-            server = fed.ServerOptState(arrays["server_m"], arrays["server_v"],
-                                        int(meta["server_updates"]))
+            server = AdamState(arrays["server_m"], arrays["server_v"],
+                               t=int(meta["server_updates"]))
         state = FederatedState(arrays["global_flat"], meta["manifest"], clients, server,
                                round=int(meta["round"]),
                                stopped_early=bool(meta["stopped_early"]))
@@ -361,15 +357,15 @@ def _paths(config: ExperimentConfig) -> dict:
         ("sweep_results", SWEEP_RESULTS_FILE)]}
 
 
-def _load_inputs(config: ExperimentConfig) -> RawTable:
-    if not config.dataset or not config.schema:
+def _load_inputs(config: ExperimentConfig, schema: TabularSchema | None = None) -> RawTable:
+    """The config's dataset, read with ``schema``, else with its schema file."""
+    if not config.dataset or not (schema or config.schema):
         raise ValidationError("config must set dataset and schema paths")
-    if not os.path.exists(config.schema):
+    if schema is None and not os.path.exists(config.schema):
         raise ValidationError(f"schema file {config.schema!r} does not exist")
     if not os.path.exists(config.dataset):
         raise ValidationError(f"dataset file {config.dataset!r} does not exist")
-    schema = TabularSchema.load(config.schema)
-    return load_csv(config.dataset, schema)
+    return load_csv(config.dataset, schema or TabularSchema.load(config.schema))
 
 
 def cmd_prepare(config: ExperimentConfig) -> dict:
@@ -481,10 +477,12 @@ def cmd_train(config: ExperimentConfig, resume: bool = False,
             raise CheckpointError("checkpoint does not match the fitted pipeline")
         if _finished(state, config):
             return _finished_manifest(config, paths, pipeline.digest, state)
+        if (state.server is None) == (config.federation.strategy in fed.SERVER_OPTIMIZERS):
+            raise CheckpointError("checkpoint's server moments do not match federation.strategy")
     done = state.round if resume else 0
     if stop_after_round is not None and stop_after_round <= done:
         raise ValidationError(f"stop_after_round {stop_after_round} is not past round {done}")
-    table = _load_inputs(config)
+    table = _load_inputs(config, pipeline.schema)  # the schema prepare fitted
     partitions = load_partitions(paths["partitions"], table.n_rows,
                                  config.federation.n_clients)
     datasets = make_client_datasets(pipeline, table, partitions)
@@ -664,13 +662,14 @@ def cmd_sweep(config: ExperimentConfig) -> list:
     assignments = [dict(zip([k for k, _ in axes], combo))
                    for combo in itertools.product(*[v for _, v in axes])]
 
+    # every cell's config is checked before any cell runs;
+    # FEDSYNTH_OUTPUT_ROOT applies once, when the cell's config resolves it
+    cells = [(assignment, _cell_config(config, assignment, os.path.join(
+        config.output_dir, "sweep", _cell_name(assignment)))) for assignment in assignments]
     out_dir = config.resolved_output_dir()
     os.makedirs(os.path.join(out_dir, "sweep"), exist_ok=True)
     rows = []
-    for assignment in assignments:
-        # FEDSYNTH_OUTPUT_ROOT applies once, when the cell's config resolves it
-        output_dir = os.path.join(config.output_dir, "sweep", _cell_name(assignment))
-        cell_cfg = _cell_config(config, assignment, output_dir)
+    for assignment, cell_cfg in cells:
         cell_dir = cell_cfg.resolved_output_dir()
         error = None
         if not os.path.exists(os.path.join(cell_dir, REPORT_FILE)):

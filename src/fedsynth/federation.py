@@ -38,6 +38,8 @@ from .nn import (BLOCK, DEFAULT_LEARNING_RATE, AdamState, DenoiserParams, Traini
                  adam_step, blocks, per_sample_grads)
 
 STRATEGIES = ("fedavg", "fedadam", "fedprox", "fedyogi")
+# The strategies whose server keeps Adam-style moments across rounds
+SERVER_OPTIMIZERS = ("fedadam", "fedyogi")
 DEFAULT_BATCH_SIZE = 16
 # FedAdam/FedYogi server moment decay rates and denominator floor
 # (Reddi et al. 2021, "Adaptive federated optimization")
@@ -129,22 +131,14 @@ class ClientState:
 
 
 @dataclass
-class ServerOptState:
-    """Adaptive server-optimizer moments (FedAdam / FedYogi)."""
-
-    m: np.ndarray
-    v: np.ndarray
-    updates: int = 0
-
-
-@dataclass
 class FederatedState:
-    """Everything needed to continue training from round ``round``."""
+    """Everything needed to continue training from round ``round``; ``server``
+    is None unless the strategy is one of ``SERVER_OPTIMIZERS``."""
 
     global_flat: np.ndarray
     manifest: dict
     clients: list
-    server: ServerOptState
+    server: AdamState | None
     round: int = 0
     stopped_early: bool = False
 
@@ -185,7 +179,7 @@ def fedavg_aggregate(updates) -> np.ndarray:
 
 
 def server_opt_aggregate(global_flat: np.ndarray, updates,
-                         state: ServerOptState, cfg: FedConfig) -> np.ndarray:
+                         state: AdamState, cfg: FedConfig) -> np.ndarray:
     """One adaptive server step on the pseudo-gradient.
 
     Delta = current global minus the FedAvg of client params (``updates`` as
@@ -195,14 +189,14 @@ def server_opt_aggregate(global_flat: np.ndarray, updates,
     zero moments. The moments are updated in place and the new global vector
     is written over the FedAvg result, block by block.
     """
-    if cfg.strategy not in ("fedadam", "fedyogi"):
+    if cfg.strategy not in SERVER_OPTIMIZERS:
         raise ValidationError(f"server optimizer got strategy {cfg.strategy!r}")
     if state.m.shape != global_flat.shape or state.v.shape != global_flat.shape:
         raise ValidationError("server optimizer state shape mismatch")
     out = fedavg_aggregate(updates)
-    state.updates += 1
+    state.t += 1
     b1, b2 = SERVER_BETA1, SERVER_BETA2
-    bias1 = 1.0 - b1 ** state.updates
+    bias1 = 1.0 - b1 ** state.t
     for s, (delta, d2) in blocks(out.size, 2):
         m, v = state.m[s], state.v[s]
         np.subtract(global_flat[s], out[s], out=delta)
@@ -314,7 +308,7 @@ def client_local_update(global_flat: np.ndarray, manifest: dict,
             post_norms.append(grads.norms)
         if fed_cfg.strategy == "fedprox" and fed_cfg.prox_mu != 0.0:
             _add_proximal_term(grad, flat, anchor, fed_cfg.prox_mu)
-        adam_step(flat, client.adam, grad)
+        adam_step(flat, client.adam, grad, fed_cfg.learning_rate)
         if not np.all(np.isfinite(flat)):
             raise DivergenceError(
                 f"client {client.client_id} diverged at local step {step}")
@@ -410,7 +404,7 @@ def run_round(state: FederatedState, datasets: list, schedule: NoiseSchedule,
 
     stream = updates()
     try:
-        if fed_cfg.strategy in ("fedadam", "fedyogi"):
+        if fed_cfg.strategy in SERVER_OPTIMIZERS:
             state.global_flat = server_opt_aggregate(state.global_flat, stream,
                                                      state.server, fed_cfg)
         else:
@@ -452,14 +446,14 @@ def init_state(init_params: DenoiserParams, datasets: list, fed_cfg: FedConfig,
                         fed_cfg.local_steps * fed_cfg.rounds)
                 sigma = calibrated[key]
             accountant = RdpAccountant()
-        clients.append(ClientState(cid, AdamState.zeros(flat.size, fed_cfg.learning_rate),
-                                   accountant, sigma, delta, data.n_samples))
+        clients.append(ClientState(cid, AdamState.zeros(flat.size), accountant, sigma,
+                                   delta, data.n_samples))
     if not any(_budget_allows(c, fed_cfg, dp_cfg) for c in clients):
         raise PrivacyBudgetError(
             f"epsilon target {dp_cfg.epsilon} cannot cover even one "
             f"round of {fed_cfg.local_steps} local steps")
-    return FederatedState(flat, init_params.manifest(), clients,
-                          ServerOptState(np.zeros(flat.size), np.zeros(flat.size)))
+    server = AdamState.zeros(flat.size) if fed_cfg.strategy in SERVER_OPTIMIZERS else None
+    return FederatedState(flat, init_params.manifest(), clients, server)
 
 
 def train(state: FederatedState, datasets: list, schedule: NoiseSchedule,

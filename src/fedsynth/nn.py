@@ -341,11 +341,10 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    lr: float = DEFAULT_LEARNING_RATE
 
     @classmethod
-    def zeros(cls, n_params: int, lr: float = DEFAULT_LEARNING_RATE) -> "AdamState":
-        return cls(np.zeros(n_params), np.zeros(n_params), lr=lr)
+    def zeros(cls, n_params: int) -> "AdamState":
+        return cls(np.zeros(n_params), np.zeros(n_params))
 
 
 def blocks(n: int, scratch_rows: int):
@@ -363,7 +362,7 @@ def blocks(n: int, scratch_rows: int):
         yield slice(start, stop), scratch[:, : stop - start]
 
 
-def adam_step(flat_params: np.ndarray, state: AdamState, g: np.ndarray) -> np.ndarray:
+def adam_step(flat_params: np.ndarray, state: AdamState, g: np.ndarray, lr: float) -> np.ndarray:
     """One bias-corrected Adam update, in place on ``flat_params`` and ``state``.
 
     Runs block by block through one block-sized scratch; each element gets
@@ -392,7 +391,7 @@ def adam_step(flat_params: np.ndarray, state: AdamState, g: np.ndarray) -> np.nd
         np.sqrt(denom, out=denom)
         denom += ADAM_EPS
         np.divide(m, bias1, out=step)
-        step *= state.lr
+        step *= lr
         step /= denom
         p -= step
     return flat_params

@@ -26,8 +26,8 @@ from fedsynth.experiment import (OUTPUT_ROOT_ENV, cmd_evaluate, cmd_generate,
                                  cmd_prepare, cmd_train, desk_preset,
                                  run_pipeline)
 from fedsynth.federation import (ClientDataset, ClientState, FedConfig,
-                                 ServerOptState, client_local_update,
-                                 fedavg_aggregate, server_opt_aggregate)
+                                 client_local_update, fedavg_aggregate,
+                                 server_opt_aggregate)
 from fedsynth.fixtures import gaussian_mixture_table, independent_table
 from fedsynth.metrics import evaluate_tables
 from fedsynth.nn import (AdamState, DenoiserParams, TrainingSample, forward,
@@ -244,8 +244,7 @@ def test_criterion_4_aggregation_algebra():
     for strategy in ("fedavg", "fedprox"):
         cfg = FedConfig(n_clients=1, rounds=1, local_steps=6, batch_size=8,
                         strategy=strategy, prox_mu=0.0)
-        client = ClientState(0, AdamState.zeros(params.flat.size, cfg.learning_rate),
-                             None, None, None, 30)
+        client = ClientState(0, AdamState.zeros(params.flat.size), None, None, None, 30)
         flats[strategy], _ = client_local_update(
             params.flat, params.manifest(), client, data, schedule,
             cfg, DpConfig(), np.random.default_rng(9))
@@ -254,7 +253,7 @@ def test_criterion_4_aggregation_algebra():
     fixed = True
     for strategy in ("fedadam", "fedyogi"):
         cfg = FedConfig(n_clients=2, clients_per_round=2, strategy=strategy)
-        state = ServerOptState(np.zeros(w.size), np.zeros(w.size))
+        state = AdamState.zeros(w.size)
         out = server_opt_aggregate(w, [(w, 1.0), (w, 1.0)], state, cfg)
         fixed = fixed and np.array_equal(out, w)
 

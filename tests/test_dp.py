@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import os
 import subprocess
@@ -18,6 +19,7 @@ from fedsynth.dp import (DEFAULT_ORDERS, DpConfig, RdpAccountant,
 from fedsynth.errors import CalibrationError, ValidationError
 from fedsynth.nn import (BLOCK, PerSampleGrads, TrainingSample, init_denoiser,
                          per_sample_grads)
+from fedsynth.store import canonical_json
 
 # Frozen oracle: subsampled-Gaussian RDP at q=0.01, sigma=1, alpha=2.
 # Closed form log(1 + q^2 (e - 1)); cross-checked below with mpmath.
@@ -481,10 +483,18 @@ def test_accountant_state_roundtrip():
     acc = RdpAccountant()
     acc.account_step(0.1, 1.0, count=3)
     acc.account_step(0.2, 2.0, count=5)
-    state = acc.state_arrays()
-    back = RdpAccountant.from_state_arrays(**state)
+    ledger = json.loads(canonical_json(
+        [[q, sigma, count] for (q, sigma), count in sorted(acc.groups.items())]))
+    back = RdpAccountant.from_ledger(ledger)
     assert back.groups == acc.groups
     np.testing.assert_array_equal(back.rdp_totals(), acc.rdp_totals())
+
+
+@pytest.mark.parametrize("ledger", [[[0.1, 1.0]], [[0.1, 1.0, 3, 1]], [[0.1, 1.0, 2.5]],
+                                    [[0.1, 1.0, True]], [[0.1, None, 3]], 7])
+def test_accountant_from_a_malformed_ledger_raises(ledger):
+    with pytest.raises((TypeError, ValueError)):
+        RdpAccountant.from_ledger(ledger)
 
 
 def test_accountant_rejects_empty_conversion_and_bad_delta():

@@ -211,26 +211,39 @@ def test_train_writes_checkpoint_audit_manifest(workspace):
     assert on_disk["config_digest"] == cfg.digest
 
 
+STRATEGIES = ["fedavg", "fedprox", "fedadam", "fedyogi"]
+
+
 def test_resume_is_bit_exact(workspace, monkeypatch):
-    # same config both times (relative output dir), rooted in two different
-    # places via the output-root env var, so checkpoint metadata agrees too
-    cfg = _fast_config(workspace, **{"federation.rounds": 4})
-    cfg = cfg.replace(output_dir="run")
-    roots = {k: str(workspace["tmp"] / k) for k in ("straight", "staged")}
+    """Without DP under FedAvg, and with DP under each strategy (both clients
+    in every round, so the server optimizers' moments carry across the stop)."""
+    cases = [{}] + [dict(DP_ON, **{"federation.strategy": strategy,
+                                   "federation.clients_per_round": 2,
+                                   "federation.server_lr": 1e-3})
+                    for strategy in STRATEGIES]
+    for case, extra in enumerate(cases):
+        # same config both times (relative output dir), rooted in two different
+        # places via the output-root env var, so checkpoint metadata agrees too
+        cfg = _fast_config(workspace, **{"federation.rounds": 4}, **extra)
+        cfg = cfg.replace(output_dir="run")
+        roots = {k: str(workspace["tmp"] / f"case{case}" / k) for k in ("straight", "staged")}
 
-    monkeypatch.setenv(OUTPUT_ROOT_ENV, roots["straight"])
-    cmd_prepare(cfg)
-    cmd_train(cfg)
+        monkeypatch.setenv(OUTPUT_ROOT_ENV, roots["straight"])
+        cmd_prepare(cfg)
+        cmd_train(cfg)
 
-    monkeypatch.setenv(OUTPUT_ROOT_ENV, roots["staged"])
-    cmd_prepare(cfg)
-    cmd_train(cfg, stop_after_round=2)
-    cmd_train(cfg, resume=True)
+        monkeypatch.setenv(OUTPUT_ROOT_ENV, roots["staged"])
+        cmd_prepare(cfg)
+        cmd_train(cfg, stop_after_round=2)
+        cmd_train(cfg, resume=True)
 
-    for fname in ("checkpoint.npz", "audit.jsonl"):
-        blob_a = open(os.path.join(roots["straight"], "run", fname), "rb").read()
-        blob_b = open(os.path.join(roots["staged"], "run", fname), "rb").read()
-        assert blob_a == blob_b, fname
+        for fname in ("checkpoint.npz", "audit.jsonl", "manifest.json"):
+            blob_a = open(os.path.join(roots["straight"], "run", fname), "rb").read()
+            blob_b = open(os.path.join(roots["staged"], "run", fname), "rb").read()
+            if fname == "manifest.json":  # all but the wall time
+                blob_a, blob_b = ({k: v for k, v in json.loads(b).items()
+                                   if k != "wall_time_s"} for b in (blob_a, blob_b))
+            assert blob_a == blob_b, (extra, fname)
 
 
 def test_resume_after_crash_keeps_audit_of_checkpointed_rounds(workspace,
@@ -343,19 +356,60 @@ def test_finished_checkpoint_keeps_only_the_model_and_ledgers(workspace):
     staged = _fast_config(workspace, out="fedadam", **extra)
     cmd_prepare(staged)
     cmd_train(staged, stop_after_round=1)
-    ledgers = [f"acc_{kind}_{cid}.npy" for cid in (0, 1)
-               for kind in ("count", "q", "sigma")]
     moments = ["adam_m_0.npy", "adam_m_1.npy", "adam_v_0.npy", "adam_v_1.npy",
                "server_m.npy", "server_v.npy"]
-    assert _members(_checkpoint(staged)) == sorted(
-        ["global_flat.npy", "meta.json"] + ledgers + moments)
+    assert _members(_checkpoint(staged)) == sorted(["global_flat.npy", "meta.json"] + moments)
 
     cmd_train(staged, resume=True)
-    assert _members(_checkpoint(staged)) == sorted(
-        ["global_flat.npy", "meta.json"] + ledgers)
-    state, _ = experiment._read_state(_checkpoint(staged))
-    assert state.server is None
+    assert _members(_checkpoint(staged)) == ["global_flat.npy", "meta.json"]
+    state, meta = experiment._read_state(_checkpoint(staged))
+    assert state.server is None and "server_updates" not in meta
     assert all(c.adam is None for c in state.clients)
+    assert all(c.accountant.steps == 2 * 3 for c in state.clients)  # the ledgers
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_staged_checkpoint_holds_server_moments_only_under_fedadam_and_fedyogi(
+        workspace, strategy):
+    cfg = _fast_config(workspace, out=strategy, **DP_ON,
+                       **{"federation.strategy": strategy, "federation.server_lr": 1e-3})
+    cmd_prepare(cfg)
+    cmd_train(cfg, stop_after_round=1)
+    server = strategy in federation.SERVER_OPTIMIZERS
+    assert _members(_checkpoint(cfg)) == sorted(
+        ["global_flat.npy", "meta.json", "adam_m_0.npy", "adam_m_1.npy",
+         "adam_v_0.npy", "adam_v_1.npy"] + ["server_m.npy", "server_v.npy"] * server)
+    _, meta = load_arrays(_checkpoint(cfg), names=())
+    assert ("server_updates" in meta) is server
+    state, _ = experiment._read_state(_checkpoint(cfg))
+    assert (state.server is not None) is server
+    if server:
+        assert state.server.t == 1
+
+
+@pytest.mark.parametrize("extra", [{}, DP_ON, dict(DP_ON, **{"federation.rounds": 40,
+                                                              "dp.epsilon": 2.0})],
+                         ids=["no-dp", "dp", "dp-stopped-early"])
+def test_checkpoint_meta_keeps_each_fact_once_and_the_ledger_as_triples(workspace, extra):
+    """No seeds, learning rate copy or accountant flag; each client's ledger
+    is its [q, sigma, count] groups (None without DP), and the accountant they
+    rebuild gives the manifest's ε, staged and finished."""
+    cfg = _fast_config(workspace, out="meta", **extra)
+    cmd_prepare(cfg)
+    for stop_after in (1, None):
+        manifest = cmd_train(cfg, resume=stop_after is None, stop_after_round=stop_after)
+        _, meta = load_arrays(_checkpoint(cfg), names=())
+        assert "seeds" not in meta
+        for cm in meta["clients"]:
+            assert not {"adam_lr", "has_accountant"} & set(cm)
+            if not extra:
+                assert cm["ledger"] is None
+                continue
+            assert all(isinstance(q, float) and isinstance(sigma, float)
+                       and type(count) is int for q, sigma, count in cm["ledger"])
+            acc = RdpAccountant.from_ledger(cm["ledger"])
+            eps = None if acc.steps == 0 else acc.to_epsilon(cm["delta"])[0]
+            assert eps == manifest["epsilons"][str(cm["client_id"])]
 
 
 def _run_files(cfg):
@@ -535,20 +589,58 @@ def test_generate_rejects_checkpoint_it_cannot_sample(dp_run, edit):
         cmd_generate(dp_run, checkpoint_path=edited)
 
 
-@pytest.mark.parametrize("member", ["acc_q_1", "acc_sigma_1", "acc_count_1", "shorter"])
+@pytest.mark.parametrize("member", ["acc_q_1", "acc_sigma_1", "acc_count_1", "shorter",
+                                    "no_ledger"])
 def test_resume_refuses_a_checkpoint_with_a_damaged_ledger(staged_dp_run, member):
-    """A missing or short ledger array would restore too few steps and so
-    under-report ε; resume refuses the checkpoint instead. (Client 1 trained
-    in round 1, so its ledger has one group.)"""
+    """A missing or malformed ledger could restore too few steps and so
+    under-report ε; resume refuses the checkpoint instead. Each case damages
+    client 1's ledger entry (client 1 trained in round 1, so it has one
+    group): its q, its sigma, its count (made fractional), the triple's
+    length, or the whole entry."""
     path = _checkpoint(staged_dp_run)
     arrays, meta = load_arrays(path)
-    if member == "shorter":
-        arrays["acc_sigma_1"] = arrays["acc_sigma_1"][:0]
+    ledger = meta["clients"][1]["ledger"]
+    q, sigma, count = ledger[0]
+    if member == "no_ledger":
+        del meta["clients"][1]["ledger"]
+    elif member == "shorter":
+        ledger[0] = [q, sigma]
     else:
-        del arrays[member]
+        ledger[0] = {"acc_q_1": ["x", sigma, count], "acc_sigma_1": [q, None, count],
+                     "acc_count_1": [q, sigma, count + 0.5]}[member]
     save_arrays(path, arrays, meta)
     with pytest.raises(CheckpointError, match="ledger"):
         cmd_train(staged_dp_run, resume=True)
+
+
+@pytest.mark.parametrize("strategy", ["fedavg", "fedadam"])
+def test_resume_refuses_server_moments_that_do_not_match_the_strategy(workspace, strategy):
+    """A staged FedAdam checkpoint without the server's moments, or a FedAvg
+    one with them, is refused instead of failing in the aggregate."""
+    cfg = _fast_config(workspace, out=strategy, **{"federation.strategy": strategy})
+    cmd_prepare(cfg)
+    cmd_train(cfg, stop_after_round=1)
+    arrays, meta = load_arrays(_checkpoint(cfg))
+    if strategy == "fedadam":
+        del arrays["server_m"], arrays["server_v"]
+    else:
+        arrays.update(server_m=arrays["global_flat"], server_v=arrays["global_flat"])
+        meta["server_updates"] = 1
+    save_arrays(_checkpoint(cfg), arrays, meta)
+    with pytest.raises(CheckpointError, match="server moments"):
+        cmd_train(cfg, resume=True)
+
+
+def test_cli_refuses_a_v1_checkpoint_by_its_format(workspace, staged_dp_run, capsys):
+    path = _checkpoint(staged_dp_run)
+    arrays, meta = load_arrays(path)
+    save_arrays(path, arrays, dict(meta, format="fedsynth-checkpoint-v1"))
+    cfg_path = _write_cfg(workspace, staged_dp_run, "v1.json")
+    assert experiment.CHECKPOINT_FORMAT == "fedsynth-checkpoint-v2"
+    for argv in (["train", "-c", cfg_path, "--resume"], ["generate", "-c", cfg_path]):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'fedsynth-checkpoint-v1'" in err
 
 
 def _no_round(run_dir, arrays, meta):
@@ -773,6 +865,13 @@ def test_sweep_rejects_non_integer_seed_axis_before_any_cell(workspace, seeds):
     assert not os.path.exists(cfg.resolved_output_dir())
 
 
+def test_sweep_with_a_bad_axis_value_trains_no_cell(workspace):
+    cfg = _fast_config(workspace, out="bad_rounds").replace(sweep={"rounds": [1, 0]})
+    with pytest.raises(ValidationError, match="federation.rounds"):
+        cmd_sweep(cfg)
+    assert not os.path.exists(cfg.resolved_output_dir())
+
+
 def test_sweep_rejects_unknown_axis(workspace):
     cfg = _fast_config(workspace).replace(sweep={"warp": [1]})
     with pytest.raises(ValidationError):
@@ -818,6 +917,27 @@ def test_cli_full_cycle_exit_codes(workspace, capsys):
                      "--schema", workspace["schema"], "--n-attacks", "5"]) == 0
     out = capsys.readouterr().out
     assert "omega=" in out and "pi=" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--real", "r.csv", "--syn", "s.csv", "--schema", "x.json",
+     "--n-attacks", "abc"],
+    ["train", "-c", "run.json", "--stop-after", "1.5"], ["bogus"], ["prepare"]],
+    ids=["evaluate-n-attacks", "train-stop-after", "bogus", "prepare-without-c"])
+def test_cli_usage_error_exits_1_not_the_divergence_code(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: fedsynth") and "error: " in err
+
+
+def test_cli_help_still_exits_0(capsys):
+    for argv in (["--help"], ["train", "--help"]):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: fedsynth")
 
 
 def test_cli_validation_error_exits_1(workspace, capsys):
@@ -1003,6 +1123,52 @@ def test_cli_malformed_config_exits_1_without_a_traceback(workspace, config, ove
                          env=dict(os.environ, PYTHONPATH=SRC), timeout=120)
     assert out.returncode == 1
     assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
+
+
+def _schema_with(ws, **edit):
+    schema = dict(read_json(ws["schema"]), **edit)
+    path = ws["tmp"] / "edited_schema.json"
+    path.write_text(json.dumps(schema))
+    return f"schema={path}"
+
+
+@pytest.mark.parametrize("setting", [
+    "output_dir=5", "dataset=[1]", "schema=null",
+    lambda ws: _schema_with(ws, target=["x"]),
+    lambda ws: _schema_with(ws, partition_by=5),
+    lambda ws: _schema_with(ws, columns=[{"name": ["x"], "kind": "numeric"}])],
+    ids=["output_dir", "dataset", "schema", "target", "partition_by", "column-name"])
+def test_cli_non_string_path_or_schema_name_exits_1_without_a_traceback(workspace, setting):
+    cfg = _fast_config(workspace, out="non_string")
+    path = _write_cfg(workspace, cfg, "non_string.json")
+    setting = setting if isinstance(setting, str) else setting(workspace)
+    out = subprocess.run([sys.executable, "-m", "fedsynth.cli", "prepare", "-c", path,
+                          "--set", setting],
+                         cwd=workspace["tmp"], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=SRC), timeout=120)
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
+
+
+def test_cli_train_reads_the_schema_prepare_fitted(workspace, capsys):
+    """After prepare, pipeline.json's schema is the schema: renaming a column
+    in schema.json and in the CSV header makes train exit 1 naming the column
+    the data lacks."""
+    cfg = _fast_config(workspace, out="renamed")
+    path = _write_cfg(workspace, cfg, "renamed.json")
+    assert cli.main(["prepare", "-c", path]) == 0
+    schema = read_json(workspace["schema"])
+    schema["columns"] = [dict(c, name="y2" if c["name"] == "y" else c["name"])
+                         for c in schema["columns"]]
+    write_json(workspace["schema"], schema)
+    with open(workspace["real"], encoding="utf-8") as fh:
+        header, rest = fh.read().split("\n", 1)
+    with open(workspace["real"], "w", encoding="utf-8") as fh:
+        fh.write(",".join("y2" if name == "y" else name for name in header.split(","))
+                 + "\n" + rest)
+    assert cli.main(["train", "-c", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing column(s) ['y']" in err
 
 
 def test_config_writes_an_infinite_sweep_value_as_inf(workspace):

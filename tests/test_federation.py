@@ -15,7 +15,7 @@ from fedsynth.errors import (DivergenceError, PrivacyBudgetError,
                              ValidationError)
 from fedsynth import federation
 from fedsynth.federation import (SERVER_BETA1, SERVER_BETA2, SERVER_EPS,
-                                 ClientDataset, FedConfig, ServerOptState,
+                                 SERVER_OPTIMIZERS, ClientDataset, FedConfig,
                                  client_local_update, fedavg_aggregate,
                                  init_state, make_client_datasets, run_round,
                                  server_opt_aggregate, train)
@@ -86,7 +86,7 @@ def test_server_opt_first_update_adam_equals_yogi():
     outs = {}
     for strat in ("fedadam", "fedyogi"):
         cfg = FedConfig(strategy=strat, n_clients=2)
-        st = ServerOptState(np.zeros(8), np.zeros(8))
+        st = AdamState.zeros(8)
         outs[strat] = server_opt_aggregate(g.copy(), ups, st, cfg)
     np.testing.assert_array_equal(outs["fedadam"], outs["fedyogi"])
 
@@ -94,7 +94,7 @@ def test_server_opt_first_update_adam_equals_yogi():
 def test_server_opt_fixed_point_when_clients_agree():
     g = np.array([0.5, -1.5, 2.0])
     cfg = FedConfig(strategy="fedadam", n_clients=2)
-    st = ServerOptState(np.zeros(3), np.zeros(3))
+    st = AdamState.zeros(3)
     out = server_opt_aggregate(g.copy(), [(g.copy(), 1), (g.copy(), 4)], st, cfg)
     np.testing.assert_array_equal(out, g)
 
@@ -103,7 +103,7 @@ def test_fedadam_two_rounds_closed_form():
     b1, b2, eps, lr = 0.9, 0.999, 1e-8, 1.0
     cfg = FedConfig(strategy="fedadam", n_clients=1)
     g = np.array([0.0])
-    st = ServerOptState(np.zeros(1), np.zeros(1))
+    st = AdamState.zeros(1)
     x1, x2 = np.array([1.0]), np.array([0.4])
 
     g1 = server_opt_aggregate(g, [(x1, 1)], st, cfg)
@@ -126,8 +126,8 @@ def test_fedyogi_sign_rule_differs_on_second_round():
     cfg_a = FedConfig(strategy="fedadam", n_clients=1)
     g = np.array([0.0])
     x1, x2 = np.array([2.0]), np.array([0.1])
-    st_y = ServerOptState(np.zeros(1), np.zeros(1))
-    st_a = ServerOptState(np.zeros(1), np.zeros(1))
+    st_y = AdamState.zeros(1)
+    st_a = AdamState.zeros(1)
     g_y = server_opt_aggregate(g, [(x1, 1)], st_y, cfg_y)
     g_a = server_opt_aggregate(g, [(x1, 1)], st_a, cfg_a)
     np.testing.assert_array_equal(g_y, g_a)
@@ -155,13 +155,13 @@ def _server_opt_oracle(global_flat, updates, state, cfg):
     """The unblocked server step: new moment vectors and temporaries."""
     delta = global_flat - _fedavg_oracle(updates)
     d2 = delta * delta
-    state.updates += 1
+    state.t += 1
     state.m = SERVER_BETA1 * state.m + (1.0 - SERVER_BETA1) * delta
     if cfg.strategy == "fedadam":
         state.v = SERVER_BETA2 * state.v + (1.0 - SERVER_BETA2) * d2
     else:
         state.v = state.v - (1.0 - SERVER_BETA2) * d2 * np.sign(state.v - d2)
-    m_hat = state.m / (1.0 - SERVER_BETA1 ** state.updates)
+    m_hat = state.m / (1.0 - SERVER_BETA1 ** state.t)
     return global_flat - cfg.server_lr * m_hat / (np.sqrt(state.v) + SERVER_EPS)
 
 
@@ -170,7 +170,7 @@ def _server_opt_oracle(global_flat, updates, state, cfg):
 def test_blocked_aggregation_bit_equals_whole_vector_oracle(n, strategy):
     rng = np.random.default_rng(n)
     cfg = FedConfig(strategy=strategy, n_clients=3, server_lr=0.01)
-    state, oracle = (ServerOptState(np.zeros(n), np.zeros(n)) for _ in range(2))
+    state, oracle = (AdamState.zeros(n) for _ in range(2))
     g = rng.normal(size=n)
     for _ in range(5):
         ups = [(g + rng.normal(size=n) * 10.0 ** rng.uniform(-4, 1), w)
@@ -190,7 +190,7 @@ def test_streamed_aggregation_bit_equals_the_list_oracle(strategy):
     n = 2 * BLOCK + 77
     rng = np.random.default_rng(7)
     cfg = FedConfig(strategy=strategy, n_clients=3, server_lr=0.01)
-    state, oracle = (ServerOptState(np.zeros(n), np.zeros(n)) for _ in range(2))
+    state, oracle = (AdamState.zeros(n) for _ in range(2))
     g = rng.normal(size=n)
     for _ in range(3):
         ups = [(g + rng.normal(size=n) * 10.0 ** rng.uniform(-4, 1), w)
@@ -286,8 +286,8 @@ def test_run_round_holds_at_most_w_client_updates_when_concurrent(monkeypatch, s
 def _round_state_bytes(state, audit) -> dict:
     """Every array and record a round leaves behind, as bytes."""
     out = {"global": state.global_flat.tobytes(),
-           "server": (state.server.m.tobytes(), state.server.v.tobytes(),
-                      state.server.updates),
+           "server": None if state.server is None else (
+               state.server.m.tobytes(), state.server.v.tobytes(), state.server.t),
            "audit": json.dumps(audit)}
     for c in state.clients:
         ledger = None if c.accountant is None else sorted(c.accountant.groups.items())
@@ -496,7 +496,7 @@ def test_aggregation_allocates_less_than_two_parameter_vectors():
     rng = np.random.default_rng(0)
     g = rng.normal(size=n)
     ups = [(rng.normal(size=n), w) for w in (3, 1, 2)]
-    state = ServerOptState(np.zeros(n), np.zeros(n))
+    state = AdamState.zeros(n)
     for strategy in ("fedadam", "fedyogi"):
         tracemalloc.start()
         try:
@@ -511,8 +511,20 @@ def test_aggregation_allocates_less_than_two_parameter_vectors():
 def test_server_opt_rejects_wrong_strategy():
     with pytest.raises(ValidationError):
         server_opt_aggregate(np.zeros(2), [(np.zeros(2), 1)],
-                             ServerOptState(np.zeros(2), np.zeros(2)),
-                             FedConfig(strategy="fedavg"))
+                             AdamState.zeros(2), FedConfig(strategy="fedavg"))
+
+
+@pytest.mark.parametrize("strategy", ["fedavg", "fedprox", "fedadam", "fedyogi"])
+def test_init_state_gives_the_server_moments_only_under_a_server_optimizer(strategy):
+    datasets, params, _ = _tiny_setup()
+    state = init_state(params, datasets, FedConfig(n_clients=2, strategy=strategy),
+                       DpConfig())
+    if strategy in SERVER_OPTIMIZERS:
+        assert state.server.t == 0
+        assert not state.server.m.any() and not state.server.v.any()
+        assert state.server.m.size == state.global_flat.size
+    else:
+        assert state.server is None
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +575,7 @@ def _replay_local_update(state, data, schedule, fed_cfg, dp_cfg, rng):
     """Client 0's DP local update by hand, in the documented RNG order, with
     FedProx's term as the whole-vector expression g + mu (flat - anchor)."""
     manual = state.global_flat.copy()
-    adam = AdamState.zeros(manual.size, fed_cfg.learning_rate)
+    adam = AdamState.zeros(manual.size)
     q = fed_cfg.batch_size / data.n_samples
     for _ in range(fed_cfg.local_steps):
         idx = np.flatnonzero(rng.random(data.n_samples) < q)
@@ -580,7 +592,7 @@ def _replay_local_update(state, data, schedule, fed_cfg, dp_cfg, rng):
         mean_grad = privatize(grads, dp_cfg.clip_norm, state.clients[0].sigma, rng)
         if fed_cfg.strategy == "fedprox":
             mean_grad = mean_grad + fed_cfg.prox_mu * (manual - state.global_flat)
-        manual = adam_step(manual, adam, mean_grad)
+        manual = adam_step(manual, adam, mean_grad, fed_cfg.learning_rate)
     return manual
 
 

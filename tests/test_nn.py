@@ -438,8 +438,8 @@ def test_adam_first_step_closed_form():
     rng = np.random.default_rng(8)
     p0 = rng.normal(size=n)
     g = rng.normal(size=n)
-    state = AdamState.zeros(n, lr=0.01)
-    p1 = adam_step(np.array(p0), state, g)
+    state = AdamState.zeros(n)
+    p1 = adam_step(np.array(p0), state, g, 0.01)
     # after bias correction the first step is lr * g / (|g| + eps)
     expected = p0 - 0.01 * g / (np.abs(g) + ADAM_EPS)
     np.testing.assert_allclose(p1, expected, rtol=1e-12)
@@ -448,10 +448,10 @@ def test_adam_first_step_closed_form():
 
 def test_adam_two_steps_closed_form():
     p = np.zeros(1)
-    state = AdamState.zeros(1, lr=0.1)
+    state = AdamState.zeros(1)
     g1, g2 = np.array([2.0]), np.array([-1.0])
-    p = adam_step(p, state, g1)
-    p = adam_step(p, state, g2)
+    p = adam_step(p, state, g1, 0.1)
+    p = adam_step(p, state, g2, 0.1)
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     m = (1 - b1) * g1
     v = (1 - b2) * g1**2
@@ -462,7 +462,7 @@ def test_adam_two_steps_closed_form():
     np.testing.assert_allclose(p, x, rtol=1e-12)
 
 
-def _adam_oracle(flat_params, state, g):
+def _adam_oracle(flat_params, state, g, lr):
     """The unblocked whole-vector update: a P-sized temporary per operation."""
     state.t += 1
     state.m *= ADAM_BETA1
@@ -471,19 +471,19 @@ def _adam_oracle(flat_params, state, g):
     state.v += (1.0 - ADAM_BETA2) * g * g
     m_hat = state.m / (1.0 - ADAM_BETA1 ** state.t)
     v_hat = state.v / (1.0 - ADAM_BETA2 ** state.t)
-    flat_params -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    flat_params -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @pytest.mark.parametrize("n", [1, 1000, 2 * BLOCK + 123])
 def test_adam_blocked_bit_equals_whole_vector_update(n):
     rng = np.random.default_rng(n)
     p = rng.normal(size=n)
-    expected, state, oracle = p.copy(), AdamState.zeros(n, lr=0.01), AdamState.zeros(n, lr=0.01)
+    expected, state, oracle = p.copy(), AdamState.zeros(n), AdamState.zeros(n)
     for _ in range(5):
         g = rng.normal(size=n) * 10.0 ** rng.uniform(-6, 2, size=n)
         g[rng.random(n) < 0.1] = 0.0
-        adam_step(p, state, g)
-        _adam_oracle(expected, oracle, g)
+        adam_step(p, state, g, 0.01)
+        _adam_oracle(expected, oracle, g, 0.01)
         assert np.array_equal(p, expected)
         assert np.array_equal(state.m, oracle.m) and np.array_equal(state.v, oracle.v)
 
@@ -494,7 +494,7 @@ def test_adam_step_allocates_less_than_one_parameter_vector():
     p, g, state = rng.normal(size=n), rng.normal(size=n), AdamState.zeros(n)
     tracemalloc.start()
     try:
-        adam_step(p, state, g)
+        adam_step(p, state, g, 1e-3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -502,12 +502,12 @@ def test_adam_step_allocates_less_than_one_parameter_vector():
 
 
 def test_adam_rejects_nonfinite_gradient():
-    state = AdamState.zeros(2, lr=0.1)
+    state = AdamState.zeros(2)
     with pytest.raises(DivergenceError):
-        adam_step(np.zeros(2), state, np.array([np.nan, 0.0]))
+        adam_step(np.zeros(2), state, np.array([np.nan, 0.0]), 0.1)
 
 
 def test_adam_rejects_shape_mismatch():
-    state = AdamState.zeros(2, lr=0.1)
+    state = AdamState.zeros(2)
     with pytest.raises(ValidationError):
-        adam_step(np.zeros(3), state, np.zeros(2))
+        adam_step(np.zeros(3), state, np.zeros(2), 0.1)
