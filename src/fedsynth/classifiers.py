@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+from .nn import AdamState, _layout, adam_step
 
 LOGISTIC_LR = 0.5
 LOGISTIC_ITERS = 400
@@ -150,14 +150,16 @@ class MlpClassifierAdam:
         n, d = X.shape
         onehot = np.zeros((n, n_classes))
         onehot[np.arange(n), y] = 1.0
-        w1 = rng.uniform(-1.0, 1.0, size=(d, MLP_HIDDEN)) * np.sqrt(6.0 / d)
-        b1 = np.zeros(MLP_HIDDEN)
-        w2 = rng.uniform(-1.0, 1.0, size=(MLP_HIDDEN, n_classes)) * np.sqrt(6.0 / MLP_HIDDEN)
-        b2 = np.zeros(n_classes)
-        params = (w1, b1, w2, b2)
-        ms = [np.zeros_like(p) for p in params]
-        vs = [np.zeros_like(p) for p in params]
-        scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
+        # parameters and gradients are views of one buffer each, in the
+        # denoiser's layout, so that one adam_step call updates all four
+        manifest = {"weights": [(d, MLP_HIDDEN), (MLP_HIDDEN, n_classes)], "embeddings": []}
+        flat = np.zeros((d + 1) * MLP_HIDDEN + (MLP_HIDDEN + 1) * n_classes)
+        grad = np.empty_like(flat)
+        (w1, w2), (b1, b2), _ = _layout(flat, manifest)
+        (g_w1, g_w2), (g_b1, g_b2), _ = _layout(grad, manifest)
+        w1[...] = rng.uniform(-1.0, 1.0, size=(d, MLP_HIDDEN)) * np.sqrt(6.0 / d)
+        w2[...] = rng.uniform(-1.0, 1.0, size=(MLP_HIDDEN, n_classes)) * np.sqrt(6.0 / MLP_HIDDEN)
+        state = AdamState.zeros(flat.size)
         # Every (n, ·) array is allocated once and updated in place, in the
         # order of the textbook expressions, so results are bit-identical
         # to them; fresh pages each iteration cost more than the arithmetic.
@@ -165,8 +167,7 @@ class MlpClassifierAdam:
         relu = np.empty((n, MLP_HIDDEN), dtype=bool)
         logits = np.empty((n, n_classes))
         row = np.empty((n, 1))
-        beta1, beta2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
-        for step in range(1, MLP_ITERS + 1):
+        for _ in range(MLP_ITERS):
             np.matmul(X, w1, out=z1)
             z1 += b1
             np.maximum(z1, 0.0, out=h1)
@@ -179,31 +180,15 @@ class MlpClassifierAdam:
             logits /= row
             logits -= onehot  # d_logits = (probs - onehot) / n
             logits /= n
-            g_w2 = h1.T @ logits
-            g_b2 = logits.sum(axis=0)
+            np.matmul(h1.T, logits, out=g_w2)
+            np.sum(logits, axis=0, out=g_b2)
             np.matmul(logits, w2.T, out=d_h1)
             np.greater(z1, 0, out=relu)
             d_h1 *= relu
-            g_w1 = X.T @ d_h1
-            g_b1 = d_h1.sum(axis=0)
-            bias1, bias2 = 1 - beta1 ** step, 1 - beta2 ** step
-            for p, g, m, v, (s, t) in zip(params, (g_w1, g_b1, g_w2, g_b2),
-                                          ms, vs, scratch):
-                m *= beta1  # m = beta1 * m + (1 - beta1) * g
-                np.multiply(g, 1 - beta1, out=s)
-                m += s
-                v *= beta2  # v = beta2 * v + (1 - beta2) * g ** 2
-                np.square(g, out=s)
-                s *= 1 - beta2
-                v += s
-                np.divide(m, bias1, out=s)  # p -= lr * m_hat / (sqrt(v_hat) + eps)
-                np.divide(v, bias2, out=t)
-                np.sqrt(t, out=t)
-                t += eps
-                s *= MLP_LR
-                s /= t
-                p -= s
-        self.params = params
+            np.matmul(X.T, d_h1, out=g_w1)
+            np.sum(d_h1, axis=0, out=g_b1)
+            adam_step(flat, state, grad, MLP_LR)
+        self.params = (w1, b1, w2, b2)
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:

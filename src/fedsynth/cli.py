@@ -1,8 +1,9 @@
 """Command-line driver.
 
 Subcommands mirror the run stages: prepare, train, generate, evaluate,
-sweep, report. Exit codes: 0 success, 1 validation/config or usage error, 2
-training divergence, 3 privacy-budget error. Config values come from a JSON file and
+sweep, report. Exit codes: 0 success, 1 validation/config or usage error or
+a file that cannot be read or written, 2 training divergence, 3
+privacy-budget error. Config values come from a JSON file and
 can be overridden with repeated ``--set dotted.key=value`` flags.
 """
 
@@ -116,13 +117,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         rows = cmd_sweep(config)
         print(format_sweep(rows))
     elif args.command == "report":
-        try:
+        try:  # invalid JSON is a ValueError too
             payload = read_json(args.path)
-        except OSError as exc:
-            raise ValidationError(f"cannot read report {args.path!r}: {exc}")
-        except ValueError as exc:
-            raise ValidationError(f"report {args.path!r} is not valid JSON: {exc}")
-        try:
             text = (format_sweep(payload) if isinstance(payload, list)
                     else format_report(payload))
         except (LookupError, TypeError, ValueError) as exc:
@@ -136,7 +132,7 @@ def main(argv: list | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except PrivacyBudgetError as exc:

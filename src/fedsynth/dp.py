@@ -248,6 +248,13 @@ def rdp_subsampled_gaussian(q: float, sigma: float, alpha: float,
     return kappa / (alpha - 1.0)
 
 
+def _epsilons(rdp: np.ndarray, delta: float) -> np.ndarray:
+    """Classic RDP->DP conversion at each of DEFAULT_ORDERS: RDP + log(1/delta)/(a-1)."""
+    if not 0.0 < delta < 1.0:
+        raise ValidationError("delta must lie in (0, 1)")
+    return rdp + math.log(1.0 / delta) / (DEFAULT_ORDERS - 1.0)
+
+
 class RdpAccountant:
     """Composable RDP ledger over (q, sigma) step groups, at the orders DEFAULT_ORDERS.
 
@@ -292,12 +299,10 @@ class RdpAccountant:
         return total
 
     def to_epsilon(self, delta: float) -> tuple:
-        """Classic RDP->DP conversion: min over orders of RDP + log(1/delta)/(a-1)."""
-        if not 0.0 < delta < 1.0:
-            raise ValidationError("delta must lie in (0, 1)")
+        """The smallest epsilon over DEFAULT_ORDERS under ``_epsilons``, and its order."""
         if self.steps == 0:
             raise ValidationError("cannot convert an empty accountant")
-        eps = self.rdp_totals() + math.log(1.0 / delta) / (DEFAULT_ORDERS - 1.0)
+        eps = _epsilons(self.rdp_totals(), delta)
         best = int(np.argmin(eps))
         return float(eps[best]), float(DEFAULT_ORDERS[best])
 
@@ -307,8 +312,11 @@ class RdpAccountant:
         if extra_steps < 1:
             raise ValidationError("extra_steps must be >= 1")
         totals = self.rdp_totals() + extra_steps * self._per_step((float(q), float(sigma)))
-        eps = totals + math.log(1.0 / delta) / (DEFAULT_ORDERS - 1.0)
-        return float(np.min(eps))
+        return float(np.min(_epsilons(totals, delta)))
+
+    def ledger(self) -> list:
+        """The [q, sigma, count] groups in sorted order, as ``from_ledger`` reads them."""
+        return [[q, sigma, count] for (q, sigma), count in sorted(self.groups.items())]
 
     @classmethod
     def from_ledger(cls, ledger) -> "RdpAccountant":

@@ -40,7 +40,7 @@ from .store import (canonical_json, json_digest, load_arrays, read_json,
                     save_arrays, write_json)
 
 OUTPUT_ROOT_ENV = "FEDSYNTH_OUTPUT_ROOT"
-CHECKPOINT_FORMAT = "fedsynth-checkpoint-v2"
+CHECKPOINT_FORMAT = "fedsynth-checkpoint-v3"
 DEFAULT_ATTACK_SEED = 2
 
 PIPELINE_FILE = "pipeline.json"
@@ -255,14 +255,15 @@ def _finished(state: FederatedState, config: ExperimentConfig) -> bool:
 
 
 def save_checkpoint(path, state: FederatedState, config: ExperimentConfig,
-                    pipeline_digest: str) -> None:
+                    pipeline_digest: str, partitions_digest: str) -> None:
     """Write ``state`` of a run of ``config`` to ``path``.
 
     An unfinished run's checkpoint holds everything ``--resume`` needs: the
     global model, every client's optimizer moments (and the server's, under
-    FedAdam/FedYogi), and each client's privacy ledger, its accountant's
-    [q, sigma, count] groups in sorted order (None without an accountant). A
-    finished run's checkpoint keeps only the model and the ledgers.
+    FedAdam/FedYogi), each client's privacy ledger (``RdpAccountant.ledger``,
+    None without an accountant), and ``partitions_digest``, which names the
+    shards the ledgers account for. A finished run's checkpoint keeps only
+    the model and the ledgers.
     """
     finished = _finished(state, config)
     arrays = {"global_flat": state.global_flat}
@@ -275,22 +276,24 @@ def save_checkpoint(path, state: FederatedState, config: ExperimentConfig,
         "config_digest": config.digest,
         "pipeline_digest": pipeline_digest,
     }
+    if not finished:
+        meta["partitions_digest"] = partitions_digest
     if not finished and state.server is not None:
         arrays.update(server_m=state.server.m, server_v=state.server.v)
         meta["server_updates"] = state.server.t
     for c in state.clients:
-        if not finished:
-            arrays[f"adam_m_{c.client_id}"] = c.adam.m
-            arrays[f"adam_v_{c.client_id}"] = c.adam.v
-        meta["clients"].append({
+        entry = {
             "client_id": c.client_id,
-            "adam_t": c.adam.t,
             "sigma": c.sigma,
             "delta": c.delta,
             "n_samples": c.n_samples,
-            "ledger": None if c.accountant is None else [
-                [q, sigma, count] for (q, sigma), count in sorted(c.accountant.groups.items())],
-        })
+            "ledger": None if c.accountant is None else c.accountant.ledger(),
+        }
+        if not finished:
+            arrays[f"adam_m_{c.client_id}"] = c.adam.m
+            arrays[f"adam_v_{c.client_id}"] = c.adam.v
+            entry["adam_t"] = c.adam.t
+        meta["clients"].append(entry)
     save_arrays(path, arrays, meta)
 
 
@@ -485,9 +488,10 @@ def cmd_train(config: ExperimentConfig, resume: bool = False,
     table = _load_inputs(config, pipeline.schema)  # the schema prepare fitted
     partitions = load_partitions(paths["partitions"], table.n_rows,
                                  config.federation.n_clients)
+    partitions_digest = json_digest([rows.tolist() for rows in partitions])
+    if resume and meta.get("partitions_digest") != partitions_digest:
+        raise CheckpointError(f"checkpoint's shards differ from {PARTITIONS_FILE}'s")
     datasets = make_client_datasets(pipeline, table, partitions)
-    if resume and [c.n_samples for c in state.clients] != [d.n_samples for d in datasets]:
-        raise CheckpointError(f"checkpoint's shard sizes differ from {PARTITIONS_FILE}'s")
     schedule = config.diffusion.schedule()
     _keep_audit_through(paths["audit"], done)
 
@@ -498,7 +502,8 @@ def cmd_train(config: ExperimentConfig, resume: bool = False,
         # the save after fed.train writes the session's last round
         last = st.round in (config.federation.rounds, stop_after_round)
         if every > 0 and st.round % every == 0 and not last:
-            save_checkpoint(paths["checkpoint"], st, config, pipeline.digest)
+            save_checkpoint(paths["checkpoint"], st, config, pipeline.digest,
+                            partitions_digest)
 
     started = time.time()
     if state is None:
@@ -513,7 +518,7 @@ def cmd_train(config: ExperimentConfig, resume: bool = False,
     fed.train(state, datasets, schedule, config.federation, config.dp,
               config.seeds.model, stop_after_round=stop_after_round,
               round_callback=round_cb)
-    save_checkpoint(paths["checkpoint"], state, config, pipeline.digest)
+    save_checkpoint(paths["checkpoint"], state, config, pipeline.digest, partitions_digest)
     manifest = _manifest(config, pipeline.digest, state, started)
     write_json(paths["manifest"], manifest)
     return manifest

@@ -45,16 +45,19 @@ def _replacing(path, mode: str, **open_kwargs):
     """Open a temp file beside ``path`` that replaces it only on success.
 
     If the body raises, the temp file is removed and ``path`` keeps its old
-    bytes, so a failed write never leaves a partial file behind.
+    bytes, so a failed write never leaves a partial file behind. An OSError
+    about the temp file is re-labelled with ``path``, the name the caller knows.
     """
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, mode, **open_kwargs) as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            exc.filename, exc.filename2 = os.fspath(path), None
         raise
 
 

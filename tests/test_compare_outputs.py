@@ -188,3 +188,21 @@ def test_compare_counts_each_checkpoint_member_and_meta_key_that_differs(tmp_pat
     assert "  global_flat.npy: DIFFERENT" in lines
     assert "  meta.json keys that differ: format, round" in lines
     assert differing == 3
+
+
+def test_compare_names_the_client_fields_that_differ_and_counts_clients_once(tmp_path):
+    """Two client entries differ, in adam_t and in a field only one side has;
+    the count still takes ``clients`` as one meta key."""
+    fake, runs = _fake_subprocess_run(0.0), []
+    clients = [{"client_id": 0, "adam_t": 3, "sigma": 1.0}, {"client_id": 1, "adam_t": 0}]
+    for tree, entries in (("OLD", clients), ("NEW", [{"client_id": 0, "sigma": 1.0},
+                                                     {"client_id": 1, "ledger": None}])):
+        (tmp_path / tree).mkdir()
+        fake([tree, "w", "101", str(tmp_path / tree)], env=None, check=True)
+        runs.append(str(tmp_path / tree / "run"))
+        save_arrays(os.path.join(runs[-1], "checkpoint.npz"), {"global_flat": np.zeros(2)},
+                    {"format": "x", "clients": entries})
+    lines, differing = compare_outputs.compare(*runs, SCHEMA)
+    at = lines.index("  meta.json keys that differ: clients")
+    assert lines[at + 1] == "  meta.json client fields that differ: adam_t, ledger"
+    assert differing == 1

@@ -483,8 +483,7 @@ def test_accountant_state_roundtrip():
     acc = RdpAccountant()
     acc.account_step(0.1, 1.0, count=3)
     acc.account_step(0.2, 2.0, count=5)
-    ledger = json.loads(canonical_json(
-        [[q, sigma, count] for (q, sigma), count in sorted(acc.groups.items())]))
+    ledger = json.loads(canonical_json(acc.ledger()))
     back = RdpAccountant.from_ledger(ledger)
     assert back.groups == acc.groups
     np.testing.assert_array_equal(back.rdp_totals(), acc.rdp_totals())
@@ -504,6 +503,16 @@ def test_accountant_rejects_empty_conversion_and_bad_delta():
     acc.account_step(1.0, 1.0)
     with pytest.raises(ValidationError):
         acc.to_epsilon(0.0)
+
+
+@pytest.mark.parametrize("delta", [1.5, 0.0, -0.1])
+def test_projected_epsilon_rejects_a_delta_outside_0_1(delta):
+    """As to_epsilon does: a delta of 1.5 would give a negative epsilon that
+    passes any budget check."""
+    acc = RdpAccountant()
+    acc.account_step(0.1, 1.0, count=2)
+    with pytest.raises(ValidationError, match="delta"):
+        acc.projected_epsilon(delta, 0.1, 1.0, 3)
 
 
 def test_default_orders_grid_shape():

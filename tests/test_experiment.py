@@ -20,7 +20,7 @@ from fedsynth.experiment import (OUTPUT_ROOT_ENV, ExperimentConfig, Seeds,
                                  run_pipeline)
 from fedsynth.fixtures import gaussian_mixture_table
 from fedsynth.nn import DenoiserParams, forward, init_denoiser
-from fedsynth.store import load_arrays, read_json, save_arrays, write_json
+from fedsynth.store import json_digest, load_arrays, read_json, save_arrays, write_json
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -368,6 +368,20 @@ def test_finished_checkpoint_keeps_only_the_model_and_ledgers(workspace):
     assert all(c.accountant.steps == 2 * 3 for c in state.clients)  # the ledgers
 
 
+def test_only_a_resumable_checkpoint_holds_adam_t_and_the_partitions_digest(staged_dp_run):
+    """Both are read only to resume: each client's Adam step count beside its
+    moments, and the digest of the shards its ledger accounts for."""
+    _, staged = load_arrays(_checkpoint(staged_dp_run), names=())
+    parts = read_json(os.path.join(staged_dp_run.resolved_output_dir(), "partitions.json"))
+    assert staged["partitions_digest"] == json_digest(
+        [c["indices"] for c in parts["clients"]])
+    assert all("adam_t" in cm for cm in staged["clients"])
+    cmd_train(staged_dp_run, resume=True)
+    _, finished = load_arrays(_checkpoint(staged_dp_run), names=())
+    assert "partitions_digest" not in finished
+    assert not any("adam_t" in cm for cm in finished["clients"])
+
+
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_staged_checkpoint_holds_server_moments_only_under_fedadam_and_fedyogi(
         workspace, strategy):
@@ -634,13 +648,14 @@ def test_resume_refuses_server_moments_that_do_not_match_the_strategy(workspace,
 def test_cli_refuses_a_v1_checkpoint_by_its_format(workspace, staged_dp_run, capsys):
     path = _checkpoint(staged_dp_run)
     arrays, meta = load_arrays(path)
-    save_arrays(path, arrays, dict(meta, format="fedsynth-checkpoint-v1"))
     cfg_path = _write_cfg(workspace, staged_dp_run, "v1.json")
-    assert experiment.CHECKPOINT_FORMAT == "fedsynth-checkpoint-v2"
-    for argv in (["train", "-c", cfg_path, "--resume"], ["generate", "-c", cfg_path]):
-        assert cli.main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "'fedsynth-checkpoint-v1'" in err
+    assert experiment.CHECKPOINT_FORMAT == "fedsynth-checkpoint-v3"
+    for old in ("fedsynth-checkpoint-v1", "fedsynth-checkpoint-v2"):
+        save_arrays(path, arrays, dict(meta, format=old))
+        for argv in (["train", "-c", cfg_path, "--resume"], ["generate", "-c", cfg_path]):
+            assert cli.main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and repr(old) in err
 
 
 def _no_round(run_dir, arrays, meta):
@@ -1150,6 +1165,32 @@ def test_cli_non_string_path_or_schema_name_exits_1_without_a_traceback(workspac
     assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("stage", ["generate", "evaluate", "prepare"])
+def test_cli_output_path_that_cannot_be_written_exits_1_naming_it(workspace, stage):
+    """A missing parent directory, or a file where a directory must go, is
+    one error line naming the path given, not a traceback or a temp file."""
+    cfg = _fast_config(workspace, out="unwritable")
+    path = _write_cfg(workspace, cfg, "unwritable.json")
+    if stage == "generate":
+        cmd_prepare(cfg)
+        cmd_train(cfg)
+    argv, named = {
+        "generate": (["generate", "-c", path, "--out", "nodir/x.csv"], "nodir/x.csv"),
+        "evaluate": (["evaluate", "--real", workspace["real"], "--syn", workspace["real"],
+                      "--schema", workspace["schema"], "--n-attacks", "5",
+                      "--out", "nodir/r.json"], "nodir/r.json"),
+        "prepare": (["prepare", "-c", path, "--set", "output_dir=real.csv/run"],
+                    "real.csv/run"),
+    }[stage]
+    out = subprocess.run([sys.executable, "-m", "fedsynth.cli", *argv],
+                         cwd=workspace["tmp"], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=SRC), timeout=120)
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
+    assert named in out.stderr and ".tmp." not in out.stderr
+    assert out.stderr.count("\n") == 1
+
+
 def test_cli_train_reads_the_schema_prepare_fitted(workspace, capsys):
     """After prepare, pipeline.json's schema is the schema: renaming a column
     in schema.json and in the CSV header makes train exit 1 naming the column
@@ -1257,6 +1298,23 @@ def test_resume_refuses_shards_of_another_size(staged_dp_run):
     write_json(parts_path, parts)
     with pytest.raises(CheckpointError, match="partitions.json"):
         cmd_train(staged_dp_run, resume=True)
+
+
+def test_resume_refuses_rows_moved_between_clients(workspace, capsys):
+    """Swapping one row between two shards keeps their sizes, but the
+    ledgers no longer account for the rows each client holds."""
+    cfg = _fast_config(workspace, out="moved_rows", **DP_ON)
+    path = _write_cfg(workspace, cfg, "moved_rows.json")
+    assert cli.main(["prepare", "-c", path]) == 0
+    assert cli.main(["train", "-c", path, "--stop-after", "1"]) == 0
+    parts_path = os.path.join(cfg.resolved_output_dir(), "partitions.json")
+    parts = read_json(parts_path)
+    first, second = (parts["clients"][cid]["indices"] for cid in (0, 1))
+    first[0], second[0] = second[0], first[0]
+    write_json(parts_path, parts)
+    assert cli.main(["train", "-c", path, "--resume"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "partitions.json" in err
 
 
 def test_config_rejects_nonpositive_n_attacks(workspace):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from fedsynth import classifiers
 from fedsynth.classifiers import (MLP_HIDDEN, MLP_ITERS, MLP_LR, DecisionTreeGini,
                                   LogisticRegressionGD, MlpClassifierAdam, _softmax,
                                   accuracy, builtin_classifiers)
@@ -15,7 +16,7 @@ from fedsynth.fixtures import (INDEPENDENT_SCHEMA, gaussian_mixture_table,
 from fedsynth.metrics import (MetricsReport, _encode_features, column_fidelity,
                               evaluate_tables, js_similarity, row_fidelity, theil_u,
                               utility_score, wasserstein_similarity)
-from fedsynth.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+from fedsynth.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, adam_step
 from fedsynth.store import canonical_json
 
 # Frozen oracle: 1 - JS2((1/2, 1/2), (1, 0)) with base-2 logs.
@@ -266,7 +267,7 @@ def _mlp_fit_reference(X, y, n_classes, seed):
         grads = [g_w1, g_b1, g_w2, g_b2]
         for k in range(4):
             ms[k] = beta1 * ms[k] + (1 - beta1) * grads[k]
-            vs[k] = beta2 * vs[k] + (1 - beta2) * grads[k] ** 2
+            vs[k] = beta2 * vs[k] + (1 - beta2) * grads[k] * grads[k]
             m_hat = ms[k] / (1 - beta1 ** step)
             v_hat = vs[k] / (1 - beta2 ** step)
             params[k] -= MLP_LR * m_hat / (np.sqrt(v_hat) + eps)
@@ -287,6 +288,22 @@ def test_mlp_fit_matches_the_reference_loop_bit_for_bit(table):
     got = MlpClassifierAdam(seed=7).fit(X, y, len(labels)).params
     want = _mlp_fit_reference(X, y, len(labels), seed=7)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_mlp_fit_runs_nn_adam_on_one_parameter_buffer(monkeypatch):
+    """One adam_step call per iteration, always on the same vector, and the
+    fitted W1, b1, W2, b2 are views of it."""
+    flats = []
+
+    def spy(flat, state, g, lr):
+        flats.append(flat)
+        return adam_step(flat, state, g, lr)
+
+    monkeypatch.setattr(classifiers, "adam_step", spy)
+    X, y, k = _split_xy(separable_table(120, seed=2), "label")
+    params = MlpClassifierAdam(seed=0).fit(X, y, k).params
+    assert len(flats) == MLP_ITERS and all(f is flats[0] for f in flats)
+    assert len(params) == 4 and all(np.shares_memory(p, flats[0]) for p in params)
 
 
 def test_builtin_classifiers_names():

@@ -15,7 +15,9 @@ then prints:
   per-client ε are equal;
 - for ``checkpoint.npz``, each tree's file size in bytes, whether each
   ``.npy`` member is byte-identical, and which top-level keys of its
-  ``meta.json`` differ (a config change moves only ``config_digest``);
+  ``meta.json`` differ (a config change moves only ``config_digest``); when
+  ``clients`` is one of them, also which fields of the clients' entries
+  differ, such as ``adam_t``;
 - for ``synthetic.csv``, per column, the categorical cells that differ and
   the numeric cells that moved, with the largest relative move
   |new - old| / max(|old|, |new|);
@@ -45,6 +47,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import os
 import resource
@@ -59,6 +62,7 @@ TOOLS = os.path.dirname(os.path.abspath(__file__))
 FILES = ("pipeline.json", "partitions.json", "partition_summary.json", "audit.jsonl")
 HEADLINE = (("fidelity", "omega"), ("utility", "phi"), ("privacy", "pi"))
 RSS_FILE = "peak_rss.json"
+META_KEYS = "  meta.json keys that differ: "
 STAGES = ("import", "setup", "train", "generate", "evaluate")
 
 
@@ -182,9 +186,19 @@ def compare_csv(old_path: str, new_path: str, schema: dict) -> list:
     return [summary] + lines
 
 
+def _client_fields(old: list, new: list) -> list:
+    """The fields that differ between the clients' ``meta.json`` entries, a
+    client's entry on one side only counting all its fields."""
+    fields = set()
+    for a, b in itertools.zip_longest(old, new, fillvalue={}):
+        fields |= set(a) ^ set(b)
+        fields |= {key for key in set(a) & set(b) if a[key] != b[key]}
+    return sorted(fields)
+
+
 def compare_checkpoints(old_path: str, new_path: str) -> list:
     """Both checkpoints' sizes, one line per ``.npy`` member, then the
-    differing meta keys."""
+    differing meta keys and, if ``clients`` is one, the differing client fields."""
     sizes = [os.path.getsize(path) for path in (old_path, new_path)]
     lines = [f"  size: {sizes[0]} -> {sizes[1]} bytes"]
     with zipfile.ZipFile(old_path) as old, zipfile.ZipFile(new_path) as new:
@@ -199,7 +213,10 @@ def compare_checkpoints(old_path: str, new_path: str) -> list:
         metas = [json.loads(z.read("meta.json")) for z in (old, new)]
     keys = sorted(k for k in set(metas[0]) | set(metas[1])
                   if metas[0].get(k) != metas[1].get(k))
-    lines.append(f"  meta.json keys that differ: {', '.join(keys) or 'none'}")
+    lines.append(f"{META_KEYS}{', '.join(keys) or 'none'}")
+    if "clients" in keys:
+        fields = _client_fields(metas[0].get("clients", []), metas[1].get("clients", []))
+        lines.append(f"  meta.json client fields that differ: {', '.join(fields)}")
     return lines
 
 
@@ -284,8 +301,9 @@ def compare(old_run: str, new_run: str, schema: dict) -> tuple:
     checkpoint = compare_checkpoints(os.path.join(old_run, "checkpoint.npz"),
                                      os.path.join(new_run, "checkpoint.npz"))
     lines += ["checkpoint.npz:"] + checkpoint
-    verdicts += [line.rsplit(": ", 1)[1] for line in checkpoint[1:-1]]
-    meta_keys = checkpoint[-1].rsplit(": ", 1)[1]
+    meta_at = next(i for i, line in enumerate(checkpoint) if line.startswith(META_KEYS))
+    verdicts += [line.rsplit(": ", 1)[1] for line in checkpoint[1:meta_at]]
+    meta_keys = checkpoint[meta_at][len(META_KEYS):]
     verdicts += [] if meta_keys == "none" else ["DIFFERENT"] * len(meta_keys.split(", "))
     eps = [_read_json(os.path.join(run, "manifest.json"))["epsilons"]
            for run in (old_run, new_run)]
