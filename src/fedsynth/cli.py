@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import DivergenceError, PrivacyBudgetError, ValidationError
+from .errors import DivergenceError, PrivacyBudgetError, ValidationError, reading
 from .experiment import (DEFAULT_ATTACK_SEED, ExperimentConfig, cmd_evaluate,
                          cmd_generate, cmd_prepare, cmd_sweep, cmd_train,
                          format_report, format_sweep)
@@ -117,13 +117,10 @@ def _dispatch(args: argparse.Namespace) -> int:
         rows = cmd_sweep(config)
         print(format_sweep(rows))
     elif args.command == "report":
-        try:  # invalid JSON is a ValueError too
+        with reading(f"report or sweep results {args.path!r}"):
             payload = read_json(args.path)
             text = (format_sweep(payload) if isinstance(payload, list)
                     else format_report(payload))
-        except (LookupError, TypeError, ValueError) as exc:
-            raise ValidationError(
-                f"{args.path!r} is not a report or sweep results: {exc!r}") from exc
         print(text)
     return EXIT_OK
 

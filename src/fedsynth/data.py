@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CsvFormatError, SchemaError, ValidationError
+from .errors import CsvFormatError, SchemaError, ValidationError, reading
 from .store import json_digest, read_json, write_json
 
 KIND_NUMERIC = "numeric"
@@ -94,21 +94,17 @@ class TabularSchema:
         return out
 
     @classmethod
-    def from_dict(cls, d: dict) -> "TabularSchema":
-        try:
+    def from_dict(cls, d: dict, what: str = "schema") -> "TabularSchema":
+        with reading(what, SchemaError):
             cols = tuple((c["name"], c["kind"]) for c in d["columns"])
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"malformed schema: {exc}") from exc
         return cls(cols, d.get("target"), d.get("partition_by"))
 
     @classmethod
     def load(cls, path) -> "TabularSchema":
-        try:
-            return cls.from_dict(read_json(path))
-        except OSError as exc:
-            raise SchemaError(f"cannot read schema file {path!r}: {exc}") from exc
-        except ValueError as exc:
-            raise SchemaError(f"schema file {path!r} is not valid JSON: {exc}") from exc
+        what = f"schema file {path!r}"
+        with reading(what, SchemaError):
+            d = read_json(path)
+        return cls.from_dict(d, what)
 
     def save(self, path) -> None:
         write_json(path, self.to_dict())
@@ -149,11 +145,8 @@ def load_csv(path, schema: TabularSchema) -> RawTable:
     missing/extra header, unparseable numeric cell, or empty cell is an error
     (missing values are out of scope).
     """
-    try:
-        fh = open(path, "r", encoding="utf-8-sig", newline="")
-    except OSError as exc:
-        raise CsvFormatError(f"cannot open CSV {path!r}: {exc}") from exc
-    with fh:
+    with reading(f"CSV {path!r}", CsvFormatError), \
+            open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -473,30 +466,27 @@ class EncodingPipeline:
         return json_digest(self.to_dict())
 
     @classmethod
-    def from_dict(cls, d: dict) -> "EncodingPipeline":
+    def from_dict(cls, d: dict, what: str = "pipeline") -> "EncodingPipeline":
         fmt = d.get("format") if isinstance(d, dict) else None
         if fmt != PIPELINE_FORMAT:
-            raise ValidationError(f"unsupported pipeline format {fmt!r}")
-        try:
-            schema = TabularSchema.from_dict(d["schema"])
+            raise ValidationError(f"{what} has format {fmt!r}, not {PIPELINE_FORMAT!r}")
+        with reading(what):
+            schema = TabularSchema.from_dict(d["schema"], what)
             qmaps = {name: QuantileMap(np.asarray(d["quantiles"][name], dtype=np.float64))
                      for name in schema.numeric_names}
             vocabs = {name: tuple(d["vocabularies"][name])
                       for name in schema.categorical_names}
             return cls(schema, qmaps, vocabs, int(d["n_quantiles"]), int(d["embed_seed"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed pipeline: {exc!r}") from exc
 
     def save(self, path) -> None:
         write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path) -> "EncodingPipeline":
-        try:
+        what = f"pipeline file {path!r}"
+        with reading(what):
             d = read_json(path)
-        except ValueError as exc:
-            raise ValidationError(f"pipeline file {path!r} is not valid JSON: {exc}") from exc
-        return cls.from_dict(d)
+        return cls.from_dict(d, what)
 
 
 # ---------------------------------------------------------------------------
@@ -570,12 +560,10 @@ def load_partitions(path, n_rows: int, n_clients: int) -> list:
     """The partition in ``path``, else ValidationError: entry i names client i, for
     each i < ``n_clients`` only, and lists some integers in [0, n_rows), and no row
     appears twice. Shards need not be sorted or cover every row."""
-    try:
+    with reading(f"partitions file {path!r}"):
         entries = read_json(path)["clients"]
         ids = [c["client_id"] for c in entries]
         partitions = [np.asarray(c["indices"]) for c in entries]
-    except (LookupError, TypeError, ValueError) as exc:
-        raise ValidationError(f"partitions file {path!r} is malformed: {exc!r}") from exc
     if ids != list(range(n_clients)):
         raise ValidationError(f"{path!r} must list clients 0 to {n_clients - 1} in order")
     for cid, rows in enumerate(partitions):

@@ -5,6 +5,9 @@ configuration/validation problems, numerical divergence during training, and
 privacy-budget exhaustion.
 """
 
+import contextlib
+import json
+
 
 class FedsynthError(Exception):
     """Base class for all package-specific errors."""
@@ -52,3 +55,24 @@ def require_int(value, name: str, minimum: int, maximum: int | None = None) -> N
         raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
     if maximum is not None and value > maximum:
         raise ValidationError(f"{name} must be an integer <= {maximum}, got {value!r}")
+
+
+@contextlib.contextmanager
+def reading(what: str, error: type = ValidationError):
+    """Turn a failure to read ``what`` in the block into ``error`` naming it.
+
+    An OSError says it cannot be read, undecodable bytes that it is not
+    UTF-8, undecodable text that it is not JSON, and a missing field or one
+    of the wrong type or value that it is malformed. Package errors raised
+    in the block pass through unchanged.
+    """
+    try:
+        yield
+    except OSError as exc:
+        raise error(f"cannot read {what}: {exc}") from exc
+    except UnicodeDecodeError as exc:  # its repr would hold the whole undecoded buffer
+        raise error(f"{what} is not UTF-8 text: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} is not valid JSON: {exc}") from exc
+    except (LookupError, TypeError, ValueError) as exc:
+        raise error(f"{what} is malformed: {exc!r}") from exc

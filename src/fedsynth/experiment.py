@@ -12,7 +12,6 @@ relative output directories.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import itertools
 import json
@@ -30,8 +29,8 @@ from .data import (EncodingPipeline, RawTable, TabularSchema, load_csv,
                    load_partitions, partition_iid, partition_noniid,
                    save_partitions, write_csv)
 from .dp import DpConfig, RdpAccountant
-from .errors import (CheckpointError, FedsynthError, ValidationError, require_int,
-                     require_number)
+from .errors import (CheckpointError, FedsynthError, ValidationError, reading,
+                     require_int, require_number)
 from .federation import FedConfig, FederatedState, make_client_datasets
 from .metrics import DEFAULT_N_ATTACKS, DEFAULT_TEST_FRACTION, MetricsReport, evaluate_tables
 from .nn import (DEFAULT_HIDDEN, DEFAULT_N_HIDDEN, DEFAULT_TIME_DIM, AdamState, DenoiserParams,
@@ -161,23 +160,18 @@ class ExperimentConfig:
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
         # An unknown or mistyped key inside a sub-config surfaces as TypeError.
-        try:
+        with reading("config"):
             return cls(**d, seeds=Seeds(**subs["seeds"]),
                        model=ModelConfig(**subs["model"]),
                        diffusion=DiffusionConfig(**subs["diffusion"]),
                        federation=FedConfig(**subs["federation"]),
                        dp=DpConfig(**dp_dict))
-        except TypeError as exc:
-            raise ValidationError(f"malformed config: {exc}") from exc
 
     @classmethod
     def from_file(cls, path, overrides: list | None = None) -> "ExperimentConfig":
-        try:
-            raw = read_json(path)
-        except OSError as exc:
-            raise ValidationError(f"cannot read config {path!r}: {exc}") from exc
-        except ValueError as exc:
-            raise ValidationError(f"config {path!r} is not valid JSON: {exc}") from exc
+        what = f"config {path!r}"
+        with reading(what):
+            raw = _object(read_json(path), what)
         for item in overrides or []:
             raw = _apply_override(raw, item)
         return cls.from_dict(raw)
@@ -297,20 +291,12 @@ def save_checkpoint(path, state: FederatedState, config: ExperimentConfig,
     save_arrays(path, arrays, meta)
 
 
-@contextlib.contextmanager
-def _intact(what: str):
-    """Report a field missing or malformed in the block as CheckpointError about ``what``."""
-    try:
-        yield
-    except (LookupError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"{what} is damaged: {exc!r}") from exc
-
-
 def _read_checkpoint(path, names=None) -> tuple:
     """``load_arrays`` of a training checkpoint, optionally of some arrays only."""
     arrays, meta = load_arrays(path, names)
-    if meta.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(f"{path!r} has checkpoint format {meta.get('format')!r}, "
+    fmt = meta.get("format") if isinstance(meta, dict) else None
+    if fmt != CHECKPOINT_FORMAT:
+        raise CheckpointError(f"{path!r} has checkpoint format {fmt!r}, "
                               f"not {CHECKPOINT_FORMAT!r}")
     return arrays, meta
 
@@ -323,7 +309,7 @@ def _read_state(path) -> tuple:
     not train. ``server`` is None under FedAvg and FedProx too.
     """
     arrays, meta = _read_checkpoint(path)
-    with _intact(f"checkpoint {path!r}"):
+    with reading(f"checkpoint {path!r}", CheckpointError):
         clients = []
         for cm in meta["clients"]:
             cid = cm["client_id"]
@@ -331,7 +317,7 @@ def _read_state(path) -> tuple:
             if f"adam_m_{cid}" in arrays:
                 adam = AdamState(arrays[f"adam_m_{cid}"], arrays[f"adam_v_{cid}"],
                                  t=int(cm["adam_t"]))
-            with _intact(f"client {cid}'s privacy ledger in {path!r}"):
+            with reading(f"client {cid}'s privacy ledger in {path!r}", CheckpointError):
                 if cm["ledger"] is not None:
                     accountant = RdpAccountant.from_ledger(cm["ledger"])
             clients.append(fed.ClientState(cid, adam, accountant, cm["sigma"],
@@ -353,21 +339,16 @@ def _read_state(path) -> tuple:
 def _paths(config: ExperimentConfig) -> dict:
     out = config.resolved_output_dir()
     return {name: os.path.join(out, fname) for name, fname in [
-        ("dir", ""), ("pipeline", PIPELINE_FILE), ("partitions", PARTITIONS_FILE),
+        ("pipeline", PIPELINE_FILE), ("partitions", PARTITIONS_FILE),
         ("summary", PARTITION_SUMMARY_FILE), ("checkpoint", CHECKPOINT_FILE),
         ("audit", AUDIT_FILE), ("manifest", MANIFEST_FILE),
-        ("synthetic", SYNTHETIC_FILE), ("report", REPORT_FILE),
-        ("sweep_results", SWEEP_RESULTS_FILE)]}
+        ("synthetic", SYNTHETIC_FILE), ("report", REPORT_FILE)]}
 
 
 def _load_inputs(config: ExperimentConfig, schema: TabularSchema | None = None) -> RawTable:
     """The config's dataset, read with ``schema``, else with its schema file."""
     if not config.dataset or not (schema or config.schema):
         raise ValidationError("config must set dataset and schema paths")
-    if schema is None and not os.path.exists(config.schema):
-        raise ValidationError(f"schema file {config.schema!r} does not exist")
-    if not os.path.exists(config.dataset):
-        raise ValidationError(f"dataset file {config.dataset!r} does not exist")
     return load_csv(config.dataset, schema or TabularSchema.load(config.schema))
 
 
@@ -375,7 +356,7 @@ def cmd_prepare(config: ExperimentConfig) -> dict:
     """Fit the encoding pipeline and the client partition; write both."""
     table = _load_inputs(config)
     paths = _paths(config)
-    os.makedirs(paths["dir"], exist_ok=True)
+    os.makedirs(config.resolved_output_dir(), exist_ok=True)
 
     pipeline = EncodingPipeline.fit(table, embed_seed=config.seeds.data)
     pipeline.save(paths["pipeline"])
@@ -413,7 +394,8 @@ def _keep_audit_through(path: str, last_round: int) -> None:
     """
     kept = []
     if last_round > 0 and os.path.exists(path):
-        with open(path, encoding="utf-8") as fh, _intact(f"audit log {path!r}"):
+        with reading(f"audit log {path!r}", CheckpointError), \
+                open(path, encoding="utf-8") as fh:
             kept = [line for line in fh if json.loads(line)["round"] <= last_round]
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(kept)
@@ -443,7 +425,9 @@ def _finished_manifest(config: ExperimentConfig, paths: dict, pipeline_digest: s
     """
     started = time.time()
     if os.path.exists(paths["manifest"]):
-        manifest = read_json(paths["manifest"])
+        what = f"manifest {paths['manifest']!r}"
+        with reading(what):
+            manifest = _object(read_json(paths["manifest"]), what)
         written = [manifest.get(k) for k in ("config_digest", "rounds_completed",
                                              "stopped_early")]
         if written == [config.digest, state.round, state.stopped_early]:
@@ -537,7 +521,7 @@ def cmd_generate(config: ExperimentConfig, checkpoint_path: str | None = None,
     arrays, meta = _read_checkpoint(checkpoint_path, names=("global_flat",))
     if meta.get("pipeline_digest") != pipeline.digest:
         raise CheckpointError("checkpoint does not match the fitted pipeline")
-    with _intact(f"checkpoint {checkpoint_path!r}"):
+    with reading(f"checkpoint {checkpoint_path!r}", CheckpointError):
         params = DenoiserParams.from_flat(arrays["global_flat"], meta["manifest"])
     if params.d_enc != pipeline.encoded_width:
         raise CheckpointError("checkpoint width does not match the pipeline schema")
@@ -628,21 +612,17 @@ def _cell_name(assignment: dict) -> str:
                      for key in sorted(assignment))
 
 
-def _sweep_row(assignment: dict, cell_dir: str,
-               error: FedsynthError | None = None) -> dict:
-    """Result row of one sweep cell, read from the cell's report and manifest."""
-    row = {"cell": _cell_name(assignment),
-           "assignment": {k: _axis_label(v) for k, v in assignment.items()}}
-    if error is not None:
-        row.update(status="failed", error=f"{type(error).__name__}: {error}")
-        return row
+def _cell_results(cell_dir: str) -> dict:
+    """The result fields of a finished sweep cell, read from its report and manifest."""
     report_path = os.path.join(cell_dir, REPORT_FILE)
-    report = MetricsReport.from_dict(read_json(report_path))
-    manifest = read_json(os.path.join(cell_dir, MANIFEST_FILE))
-    row.update(status="ok", report=report_path, omega=report.omega,
-               phi=report.phi, pi=report.privacy_risk,
-               epsilons=manifest["epsilons"])
-    return row
+    with reading(f"report {report_path!r}"):
+        report = MetricsReport.from_dict(read_json(report_path))
+        omega, phi, pi = report.omega, report.phi, report.privacy_risk
+    manifest_path = os.path.join(cell_dir, MANIFEST_FILE)
+    with reading(f"manifest {manifest_path!r}"):
+        epsilons = read_json(manifest_path)["epsilons"]
+    return {"status": "ok", "report": report_path, "omega": omega, "phi": phi, "pi": pi,
+            "epsilons": epsilons}
 
 
 def cmd_sweep(config: ExperimentConfig) -> list:
@@ -676,13 +656,15 @@ def cmd_sweep(config: ExperimentConfig) -> list:
     rows = []
     for assignment, cell_cfg in cells:
         cell_dir = cell_cfg.resolved_output_dir()
-        error = None
-        if not os.path.exists(os.path.join(cell_dir, REPORT_FILE)):
-            try:
+        row = {"cell": _cell_name(assignment),
+               "assignment": {k: _axis_label(v) for k, v in assignment.items()}}
+        try:
+            if not os.path.exists(os.path.join(cell_dir, REPORT_FILE)):
                 run_pipeline(cell_cfg)
-            except FedsynthError as exc:
-                error = exc
-        rows.append(_sweep_row(assignment, cell_dir, error))
+            row.update(_cell_results(cell_dir))
+        except FedsynthError as exc:
+            row.update(status="failed", error=f"{type(exc).__name__}: {exc}")
+        rows.append(row)
 
     rows.sort(key=lambda r: r["cell"])
     write_json(os.path.join(out_dir, SWEEP_RESULTS_FILE), rows)
@@ -705,7 +687,8 @@ def format_report(report_dict: dict) -> str:
     for name, score in sorted(f["per_column"].items()):
         lines.append(f"  column {name}: {score:.4f}")
     if u["phi"] is None:
-        lines.append("utility   (no target column; skipped)")
+        why = "synthetic training rows have one class" if u["skipped"] else "no target column"
+        lines.append(f"utility   ({why}; skipped)")
     else:
         lines.append(f"utility   phi={u['phi']:.4f}  "
                      f"(majority-rate baseline {u['majority_rate']:.4f})")

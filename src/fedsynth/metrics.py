@@ -202,13 +202,13 @@ def utility_score(syn_train: RawTable, real_test: RawTable, seed: int = 0) -> di
     labels, (y_train, y_test) = first_occurrence_codes(
         syn_train.column(schema.target_column),
         real_test.column(schema.target_column))
-    x_train, x_test = _encode_features(schema, syn_train, real_test)
 
     accuracies: dict = {}
     skipped: list = []
     if np.all(y_train == y_train[:1]):  # one class, or no rows
         skipped = [name for name, _ in builtin_classifiers(seed)]
     else:
+        x_train, x_test = _encode_features(schema, syn_train, real_test)
         for name, model in builtin_classifiers(seed):
             model.fit(x_train, y_train, labels.size)
             accuracies[name] = accuracy(y_test, model.predict(x_test))

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -656,6 +657,18 @@ def test_cli_refuses_a_v1_checkpoint_by_its_format(workspace, staged_dp_run, cap
             assert cli.main(argv) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and repr(old) in err
+
+
+def test_cli_refuses_a_checkpoint_whose_meta_is_not_an_object(workspace, staged_dp_run,
+                                                               capsys):
+    path = _checkpoint(staged_dp_run)
+    arrays, _ = load_arrays(path)
+    save_arrays(path, arrays, [1, 2])
+    cfg_path = _write_cfg(workspace, staged_dp_run, "array_meta.json")
+    for argv in (["train", "-c", cfg_path, "--resume"], ["generate", "-c", cfg_path]):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "checkpoint.npz" in err
 
 
 def _no_round(run_dir, arrays, meta):
@@ -1364,3 +1377,96 @@ def test_cli_report_of_a_malformed_file_exits_1(tmp_path, capsys, payload):
     path.write_text(payload)
     assert cli.main(["report", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("payload", [b"{not json", b"[1, 2]", b'{"caf\xe9": 1}'],
+                         ids=["not-json", "array", "latin-1"])
+@pytest.mark.parametrize("damaged", ["config", "schema", "dataset", "pipeline",
+                                     "partitions", "manifest", "sweep-report",
+                                     "sweep-manifest", "report"])
+def test_cli_a_malformed_run_file_exits_1_naming_it(workspace, capsys, damaged, payload):
+    """A run file that is not UTF-8, not JSON, or not the JSON it should be
+    is one error line naming it. In a sweep, a cell whose report or manifest
+    cannot be read is a failed row naming the file, and the sweep writes its
+    results."""
+    cfg = _fast_config(workspace, out="malformed", n_rows=30, n_attacks=8)
+    if damaged.startswith("sweep"):
+        cfg = cfg.replace(sweep={"seed": [0]})
+    path = _write_cfg(workspace, cfg, "malformed.json")
+    run_dir = cfg.resolved_output_dir()
+    cell_dir = os.path.join(run_dir, "sweep", "seed=0")
+    report = str(workspace["tmp"] / "report.json")
+    argv, target = {
+        "config": (["prepare", "-c", path], path),
+        "schema": (["prepare", "-c", path], workspace["schema"]),
+        "dataset": (["prepare", "-c", path], workspace["real"]),
+        "pipeline": (["train", "-c", path], os.path.join(run_dir, "pipeline.json")),
+        "partitions": (["train", "-c", path], os.path.join(run_dir, "partitions.json")),
+        "manifest": (["train", "-c", path, "--resume"],
+                     os.path.join(run_dir, "manifest.json")),
+        "sweep-report": (["sweep", "-c", path], os.path.join(cell_dir, "report.json")),
+        "sweep-manifest": (["sweep", "-c", path], os.path.join(cell_dir, "manifest.json")),
+        "report": (["report", report], report),
+    }[damaged]
+    if damaged in ("pipeline", "partitions", "manifest"):
+        assert cli.main(["prepare", "-c", path]) == 0
+    if damaged == "manifest":
+        assert cli.main(["train", "-c", path]) == 0
+    if damaged.startswith("sweep"):
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    with open(target, "wb") as fh:
+        fh.write(payload)
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    named = os.path.basename(target)
+    assert "Traceback" not in err
+    if damaged.startswith("sweep"):
+        assert code == 0 and err == ""
+        rows = read_json(os.path.join(run_dir, "sweep_results.json"))
+        assert [row["status"] for row in rows] == ["failed"]
+        assert named in rows[0]["error"] and named in out
+    else:
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+
+def test_sweep_reruns_a_cell_whose_directory_was_deleted(workspace):
+    cfg = _fast_config(workspace, out="sweep_rerun", n_rows=30, n_attacks=8).replace(
+        sweep={"seed": [0]})
+    rows = cmd_sweep(cfg)
+    cell_dir = os.path.join(cfg.resolved_output_dir(), "sweep", "seed=0")
+    with open(os.path.join(cell_dir, "report.json"), "w", encoding="utf-8") as fh:
+        fh.write("{}")
+    assert [row["status"] for row in cmd_sweep(cfg)] == ["failed"]
+    shutil.rmtree(cell_dir)
+    assert cmd_sweep(cfg) == rows
+
+
+@pytest.mark.parametrize("setting", ["schema", "dataset"])
+def test_cli_prepare_with_a_missing_input_file_exits_1_naming_it(workspace, capsys, setting):
+    path = _write_cfg(workspace, _fast_config(workspace), "missing_input.json")
+    missing = str(workspace["tmp"] / "missing.file")
+    assert cli.main(["prepare", "-c", path, "--set", f"{setting}={missing}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and repr(missing) in err
+
+
+def test_cli_prepare_names_its_output_directory_without_a_trailing_slash(workspace, capsys):
+    path = _write_cfg(workspace, _fast_config(workspace), "slash.json")
+    out_dir = os.path.join(workspace["real"], "run")
+    assert cli.main(["prepare", "-c", path, "--set", f"output_dir={out_dir}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(out_dir) in err
+
+
+def test_cli_evaluate_of_a_one_row_synthetic_table_skips_utility(workspace, capsys):
+    """One synthetic row trains no classifier: utility is skipped for its one
+    class, and the rest of the report is scored."""
+    syn = str(workspace["tmp"] / "one_row.csv")
+    write_csv(syn, workspace["table"].select([0]))
+    assert cli.main(["evaluate", "--real", workspace["real"], "--syn", syn,
+                     "--schema", workspace["schema"], "--n-attacks", "5"]) == 0
+    out = capsys.readouterr().out
+    assert "utility   (synthetic training rows have one class; skipped)" in out
+    assert "privacy   risk" in out

@@ -34,3 +34,30 @@ def test_public_names_resolve_and_are_the_imported_names():
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert all(hasattr(fedsynth, name) for name in fedsynth.__all__)
     assert sorted(fedsynth.__all__) == sorted(imported)
+
+
+def _called_name(call: ast.Call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_every_read_json_call_is_inside_a_reading_block():
+    """Outside ``store.py``, each ``read_json(...)`` call sits in the body of
+    a ``with reading(...)`` block, so a run file that cannot be read, is not
+    JSON or is malformed is one error naming it, not a traceback."""
+    guarded, unguarded = [], []
+
+    def visit(node, inside, where):
+        if isinstance(node, ast.With) and any(
+                isinstance(item.context_expr, ast.Call)
+                and _called_name(item.context_expr) == "reading" for item in node.items):
+            inside = True
+        if isinstance(node, ast.Call) and _called_name(node) == "read_json":
+            (guarded if inside else unguarded).append(f"{where}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside, where)
+
+    for path in sorted((ROOT / "src" / "fedsynth").glob("*.py")):
+        if path.name != "store.py":
+            visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), False, path.name)
+    assert guarded and unguarded == []
