@@ -145,46 +145,48 @@ def load_csv(path, schema: TabularSchema) -> RawTable:
     missing/extra header, unparseable numeric cell, or empty cell is an error
     (missing values are out of scope).
     """
-    with reading(f"CSV {path!r}", CsvFormatError), \
-            open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError(f"CSV {path!r} is empty") from None
-        missing = [n for n in schema.names if n not in header]
-        if missing:
-            raise SchemaError(f"CSV {path!r} missing column(s) {missing}")
-        extra = [n for n in header if n not in schema.names]
-        if extra:
-            raise SchemaError(f"CSV {path!r} has undeclared column(s) {extra}")
-        if len(set(header)) != len(header):
-            raise SchemaError(f"CSV {path!r} has duplicate header names")
-        pos = {name: header.index(name) for name in schema.names}
+    try:
+        with reading(f"CSV {path!r}", CsvFormatError), \
+                open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise CsvFormatError(f"CSV {path!r} is empty")
+            missing = [n for n in schema.names if n not in header]
+            if missing:
+                raise SchemaError(f"CSV {path!r} missing column(s) {missing}")
+            extra = [n for n in header if n not in schema.names]
+            if extra:
+                raise SchemaError(f"CSV {path!r} has undeclared column(s) {extra}")
+            if len(set(header)) != len(header):
+                raise SchemaError(f"CSV {path!r} has duplicate header names")
+            pos = {name: header.index(name) for name in schema.names}
 
-        raw_cols: dict = {name: [] for name in schema.names}
-        kinds = schema.kinds
-        for row_idx, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise CsvFormatError(
-                    f"{path!r} row {row_idx}: expected {len(header)} cells, got {len(row)}")
-            for name in schema.names:
-                cell = row[pos[name]]
-                if cell == "":
-                    raise CsvFormatError(f"{path!r} row {row_idx}: empty cell in {name!r}")
-                if kinds[name] == KIND_NUMERIC:
-                    try:
-                        value = float(cell)
-                    except ValueError:
-                        raise CsvFormatError(
-                            f"{path!r} row {row_idx}: cannot parse {cell!r} "
-                            f"as numeric in column {name!r}") from None
-                    if not math.isfinite(value):
-                        raise CsvFormatError(
-                            f"{path!r} row {row_idx}: non-finite value in {name!r}")
-                    raw_cols[name].append(value)
-                else:
-                    raw_cols[name].append(cell)
+            raw_cols: dict = {name: [] for name in schema.names}
+            kinds = schema.kinds
+            for row_idx, row in enumerate(reader, start=1):
+                if len(row) != len(header):
+                    raise CsvFormatError(
+                        f"{path!r} row {row_idx}: expected {len(header)} cells, got {len(row)}")
+                for name in schema.names:
+                    cell = row[pos[name]]
+                    if cell == "":
+                        raise CsvFormatError(f"{path!r} row {row_idx}: empty cell in {name!r}")
+                    if kinds[name] == KIND_NUMERIC:
+                        try:
+                            value = float(cell)
+                        except ValueError:
+                            raise CsvFormatError(
+                                f"{path!r} row {row_idx}: cannot parse {cell!r} "
+                                f"as numeric in column {name!r}") from None
+                        if not math.isfinite(value):
+                            raise CsvFormatError(
+                                f"{path!r} row {row_idx}: non-finite value in {name!r}")
+                        raw_cols[name].append(value)
+                    else:
+                        raw_cols[name].append(cell)
+    except csv.Error as exc:  # such as a cell longer than csv.field_size_limit()
+        raise CsvFormatError(f"CSV {path!r} line {reader.line_num}: {exc}") from None
 
     if not raw_cols[schema.names[0]]:
         raise CsvFormatError(f"CSV {path!r} has a header but no data rows")

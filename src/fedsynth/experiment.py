@@ -1,10 +1,10 @@
 """Experiment orchestration: config files, run commands, sweeps, persistence.
 
-A run directory is produced in stages — prepare (pipeline + partitions),
-train (checkpoint + audit + manifest), generate (synthetic CSV), evaluate
-(metrics report) — each stage a plain function usable from the CLI or from
-library code. Sweeps fan the same stages out over config axes with per-cell
-directories and resumable cells.
+A run directory is produced in stages (prepare, train, generate, evaluate),
+each a plain function usable from the CLI or from library code. RUN_FILES
+names the files they write and which are released, those the manifest's
+(ε, δ) must bound; the pipeline's fitted quantiles are not yet private.
+Sweeps fan the stages out over config axes, one resumable cell directory each.
 
 The environment variable FEDSYNTH_OUTPUT_ROOT, when set, is prepended to
 relative output directories.
@@ -51,6 +51,19 @@ MANIFEST_FILE = "manifest.json"
 SYNTHETIC_FILE = "synthetic.csv"
 REPORT_FILE = "report.json"
 SWEEP_RESULTS_FILE = "sweep_results.json"
+
+# file name -> (the command that writes it into a run directory, released)
+RUN_FILES = {
+    PIPELINE_FILE: ("prepare", True),
+    PARTITIONS_FILE: ("prepare", False),
+    PARTITION_SUMMARY_FILE: ("prepare", False),
+    CHECKPOINT_FILE: ("train", True),  # once finished; a staged one is operator-only
+    AUDIT_FILE: ("train", False),
+    MANIFEST_FILE: ("train", True),
+    SYNTHETIC_FILE: ("generate", True),
+    REPORT_FILE: ("sweep", False),  # into each cell's directory
+    SWEEP_RESULTS_FILE: ("sweep", False),
+}
 
 
 @dataclass(frozen=True)
@@ -336,15 +349,6 @@ def _read_state(path) -> tuple:
 # Stage commands
 
 
-def _paths(config: ExperimentConfig) -> dict:
-    out = config.resolved_output_dir()
-    return {name: os.path.join(out, fname) for name, fname in [
-        ("pipeline", PIPELINE_FILE), ("partitions", PARTITIONS_FILE),
-        ("summary", PARTITION_SUMMARY_FILE), ("checkpoint", CHECKPOINT_FILE),
-        ("audit", AUDIT_FILE), ("manifest", MANIFEST_FILE),
-        ("synthetic", SYNTHETIC_FILE), ("report", REPORT_FILE)]}
-
-
 def _load_inputs(config: ExperimentConfig, schema: TabularSchema | None = None) -> RawTable:
     """The config's dataset, read with ``schema``, else with its schema file."""
     if not config.dataset or not (schema or config.schema):
@@ -355,11 +359,11 @@ def _load_inputs(config: ExperimentConfig, schema: TabularSchema | None = None) 
 def cmd_prepare(config: ExperimentConfig) -> dict:
     """Fit the encoding pipeline and the client partition; write both."""
     table = _load_inputs(config)
-    paths = _paths(config)
-    os.makedirs(config.resolved_output_dir(), exist_ok=True)
+    out = config.resolved_output_dir()
+    os.makedirs(out, exist_ok=True)
 
     pipeline = EncodingPipeline.fit(table, embed_seed=config.seeds.data)
-    pipeline.save(paths["pipeline"])
+    pipeline.save(os.path.join(out, PIPELINE_FILE))
 
     n_clients = config.federation.n_clients
     if config.partition == "iid" or n_clients == 1:
@@ -370,20 +374,23 @@ def cmd_prepare(config: ExperimentConfig) -> dict:
                 "non-IID partitioning needs schema.partition_by")
         partitions = partition_noniid(table, table.schema.partition_column,
                                       n_clients, config.seeds.data)
-    save_partitions(paths["partitions"], partitions)
+    save_partitions(os.path.join(out, PARTITIONS_FILE), partitions)
     summary = {
         "n_rows": table.n_rows,
         "partition": config.partition,
         "counts": {str(cid): rows.size for cid, rows in enumerate(partitions)},
         "config_digest": config.digest,
     }
-    write_json(paths["summary"], summary)
+    write_json(os.path.join(out, PARTITION_SUMMARY_FILE), summary)
     return summary
 
 
-def _require(path: str, hint: str) -> None:
+def _require(out: str, name: str, path: str | None = None) -> str:
+    """``path`` (by default ``name`` in ``out``) if it exists, else name the command writing it."""
+    path = path or os.path.join(out, name)
     if not os.path.exists(path):
-        raise ValidationError(f"missing {path!r}; run {hint} first")
+        raise ValidationError(f"missing {path!r}; run {RUN_FILES[name][0]} first")
+    return path
 
 
 def _keep_audit_through(path: str, last_round: int) -> None:
@@ -416,7 +423,7 @@ def _manifest(config: ExperimentConfig, pipeline_digest: str, state: FederatedSt
     }
 
 
-def _finished_manifest(config: ExperimentConfig, paths: dict, pipeline_digest: str,
+def _finished_manifest(config: ExperimentConfig, pipeline_digest: str,
                        state: FederatedState) -> dict:
     """The manifest of a finished run, which ``--resume`` leaves as it is.
 
@@ -424,16 +431,17 @@ def _finished_manifest(config: ExperimentConfig, paths: dict, pipeline_digest: s
     or a staged session's; then it is written from the checkpoint's ledgers.
     """
     started = time.time()
-    if os.path.exists(paths["manifest"]):
-        what = f"manifest {paths['manifest']!r}"
+    path = os.path.join(config.resolved_output_dir(), MANIFEST_FILE)
+    if os.path.exists(path):
+        what = f"manifest {path!r}"
         with reading(what):
-            manifest = _object(read_json(paths["manifest"]), what)
+            manifest = _object(read_json(path), what)
         written = [manifest.get(k) for k in ("config_digest", "rounds_completed",
                                              "stopped_early")]
         if written == [config.digest, state.round, state.stopped_early]:
             return manifest
     manifest = _manifest(config, pipeline_digest, state, started)
-    write_json(paths["manifest"], manifest)
+    write_json(path, manifest)
     return manifest
 
 
@@ -447,47 +455,44 @@ def cmd_train(config: ExperimentConfig, resume: bool = False,
     checkpoint, audit log and manifest as they are. ``resume`` reads the
     checkpoint once.
     """
-    paths = _paths(config)
-    _require(paths["pipeline"], "prepare")
-    _require(paths["partitions"], "prepare")
-    pipeline = EncodingPipeline.load(paths["pipeline"])
+    out = config.resolved_output_dir()
+    pipeline = EncodingPipeline.load(_require(out, PIPELINE_FILE))
+    checkpoint, audit = os.path.join(out, CHECKPOINT_FILE), os.path.join(out, AUDIT_FILE)
     state = None
     if resume:
-        _require(paths["checkpoint"], "train (nothing to resume)")
         # _read_state keeps no name for the checkpoint's arrays, so the
         # state's first global vector is freed once round 1 replaces it
-        state, meta = _read_state(paths["checkpoint"])
+        state, meta = _read_state(_require(out, CHECKPOINT_FILE))
         if meta.get("config_digest") != config.digest:
             raise CheckpointError(
                 "checkpoint was produced by a different config; refusing to resume")
         if meta.get("pipeline_digest") != pipeline.digest:
             raise CheckpointError("checkpoint does not match the fitted pipeline")
         if _finished(state, config):
-            return _finished_manifest(config, paths, pipeline.digest, state)
+            return _finished_manifest(config, pipeline.digest, state)
         if (state.server is None) == (config.federation.strategy in fed.SERVER_OPTIMIZERS):
             raise CheckpointError("checkpoint's server moments do not match federation.strategy")
     done = state.round if resume else 0
     if stop_after_round is not None and stop_after_round <= done:
         raise ValidationError(f"stop_after_round {stop_after_round} is not past round {done}")
     table = _load_inputs(config, pipeline.schema)  # the schema prepare fitted
-    partitions = load_partitions(paths["partitions"], table.n_rows,
+    partitions = load_partitions(_require(out, PARTITIONS_FILE), table.n_rows,
                                  config.federation.n_clients)
     partitions_digest = json_digest([rows.tolist() for rows in partitions])
     if resume and meta.get("partitions_digest") != partitions_digest:
         raise CheckpointError(f"checkpoint's shards differ from {PARTITIONS_FILE}'s")
     datasets = make_client_datasets(pipeline, table, partitions)
     schedule = config.diffusion.schedule()
-    _keep_audit_through(paths["audit"], done)
+    _keep_audit_through(audit, done)
 
     def round_cb(st, lines):
-        with open(paths["audit"], "a", encoding="utf-8") as fh:
+        with open(audit, "a", encoding="utf-8") as fh:
             fh.writelines(canonical_json(line) + "\n" for line in lines)
         every = config.checkpoint_every
         # the save after fed.train writes the session's last round
         last = st.round in (config.federation.rounds, stop_after_round)
         if every > 0 and st.round % every == 0 and not last:
-            save_checkpoint(paths["checkpoint"], st, config, pipeline.digest,
-                            partitions_digest)
+            save_checkpoint(checkpoint, st, config, pipeline.digest, partitions_digest)
 
     started = time.time()
     if state is None:
@@ -502,9 +507,9 @@ def cmd_train(config: ExperimentConfig, resume: bool = False,
     fed.train(state, datasets, schedule, config.federation, config.dp,
               config.seeds.model, stop_after_round=stop_after_round,
               round_callback=round_cb)
-    save_checkpoint(paths["checkpoint"], state, config, pipeline.digest, partitions_digest)
+    save_checkpoint(checkpoint, state, config, pipeline.digest, partitions_digest)
     manifest = _manifest(config, pipeline.digest, state, started)
-    write_json(paths["manifest"], manifest)
+    write_json(os.path.join(out, MANIFEST_FILE), manifest)
     return manifest
 
 
@@ -512,11 +517,9 @@ def cmd_generate(config: ExperimentConfig, checkpoint_path: str | None = None,
                  out_path: str | None = None) -> str:
     """Sample ``config.n_rows`` synthetic rows from a checkpoint, seeded by
     ``config.seeds.model``, and decode them to CSV."""
-    paths = _paths(config)
-    checkpoint_path = checkpoint_path or paths["checkpoint"]
-    _require(paths["pipeline"], "prepare")
-    _require(checkpoint_path, "train")
-    pipeline = EncodingPipeline.load(paths["pipeline"])
+    out = config.resolved_output_dir()
+    pipeline = EncodingPipeline.load(_require(out, PIPELINE_FILE))
+    checkpoint_path = _require(out, CHECKPOINT_FILE, checkpoint_path)
     # sampling reads only the global model: no client state, no accountant
     arrays, meta = _read_checkpoint(checkpoint_path, names=("global_flat",))
     if meta.get("pipeline_digest") != pipeline.digest:
@@ -539,7 +542,7 @@ def cmd_generate(config: ExperimentConfig, checkpoint_path: str | None = None,
     encoded = diff.generate(lambda x, i: forward(sampler, x, int(tau[i - 1]), buffers),
                             config.n_rows, params.d_enc, schedule, rng)
     table = pipeline.decode(encoded, embeddings=params.embeddings)
-    out_path = out_path or paths["synthetic"]
+    out_path = out_path or os.path.join(out, SYNTHETIC_FILE)
     write_csv(out_path, table)
     return out_path
 
@@ -568,13 +571,11 @@ def run_pipeline(config: ExperimentConfig) -> MetricsReport:
     cmd_prepare(config)
     cmd_train(config)
     syn_path = cmd_generate(config)
-    paths = _paths(config)
-    report = cmd_evaluate(config.dataset, syn_path, config.schema,
-                          seed=config.seeds.attack, n_attacks=config.n_attacks,
-                          test_fraction=config.test_fraction,
-                          out_path=paths["report"],
-                          metadata={"config_digest": config.digest})
-    return report
+    return cmd_evaluate(config.dataset, syn_path, config.schema,
+                        seed=config.seeds.attack, n_attacks=config.n_attacks,
+                        test_fraction=config.test_fraction,
+                        out_path=os.path.join(config.resolved_output_dir(), REPORT_FILE),
+                        metadata={"config_digest": config.digest})
 
 
 # ---------------------------------------------------------------------------
@@ -676,10 +677,10 @@ def cmd_sweep(config: ExperimentConfig) -> list:
 
 
 def format_report(report_dict: dict) -> str:
-    """Human-readable text rendering of a metrics report."""
-    f = report_dict["fidelity"]
-    u = report_dict["utility"]
-    p = report_dict["privacy"]
+    """Human-readable text of a metrics report; a non-object score table raises TypeError."""
+    f, u, p = (report_dict[key] for key in ("fidelity", "utility", "privacy"))
+    if not (isinstance(f["per_column"], dict) and isinstance(u["accuracies"], dict)):
+        raise TypeError("fidelity.per_column and utility.accuracies must be JSON objects")
     lines = ["synthetic data evaluation", "========================="]
     omega_row = "n/a" if f["omega_row"] is None else f"{f['omega_row']:.4f}"
     lines.append(f"fidelity  omega={f['omega']:.4f}  "

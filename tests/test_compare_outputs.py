@@ -206,3 +206,35 @@ def test_compare_names_the_client_fields_that_differ_and_counts_clients_once(tmp
     at = lines.index("  meta.json keys that differ: clients")
     assert lines[at + 1] == "  meta.json client fields that differ: adam_t, ledger"
     assert differing == 1
+
+
+def _edit(text):
+    return lambda path: pathlib.Path(path).write_text(text)
+
+
+# One change to each run file that the tool compares, by file name.
+EDITS = {**{name: _edit("other") for name in compare_outputs.FILES},
+         "checkpoint.npz": lambda path: save_arrays(path, {"global_flat": np.ones(2)},
+                                                    {"format": "x"}),
+         "manifest.json": _edit(json.dumps({"epsilons": [2.0]})),
+         "synthetic.csv": _edit("x,c\n2.0,a\n"),
+         "report.json": _edit(json.dumps(_report(0.9, 0.5, 0.25)))}
+
+
+def test_compare_sees_a_change_to_every_run_file_a_workload_writes(tmp_path):
+    """Each ``RUN_FILES`` entry that a workload writes, changed alone, is an
+    item that differs, so a run file added later cannot pass the rerun gate
+    unseen: it fails here until the tool compares it. ``sweep_results.json``
+    is the one exception, because no workload sweeps."""
+    from fedsynth.experiment import RUN_FILES, SWEEP_RESULTS_FILE
+    fake = _fake_subprocess_run(0.0)
+    for name in sorted(set(RUN_FILES) - {SWEEP_RESULTS_FILE}):
+        runs = []
+        for tree in ("OLD", "NEW"):
+            work = tmp_path / name / tree
+            work.mkdir(parents=True)
+            fake([tree, "w", "101", str(work)], env=None, check=True)
+            runs.append(str(work / "run"))
+        assert compare_outputs.compare(*runs, SCHEMA)[1] == 0
+        EDITS[name](os.path.join(runs[1], name))
+        assert compare_outputs.compare(*runs, SCHEMA)[1] >= 1, name

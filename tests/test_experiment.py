@@ -1470,3 +1470,110 @@ def test_cli_evaluate_of_a_one_row_synthetic_table_skips_utility(workspace, caps
     out = capsys.readouterr().out
     assert "utility   (synthetic training rows have one class; skipped)" in out
     assert "privacy   risk" in out
+
+
+# ---------------------------------------------------------------------------
+# Run files
+
+
+def _written_by(*commands):
+    return {name for name, (command, _) in experiment.RUN_FILES.items() if command in commands}
+
+
+def _files_under(root):
+    return {os.path.relpath(os.path.join(where, name), root)
+            for where, _, names in os.walk(root) for name in names}
+
+
+def test_each_stage_writes_exactly_its_run_files(workspace):
+    """Each stage adds the RUN_FILES entries of the command that writes them and
+    nothing else, so a file a run writes must be declared before it can exist.
+    ``run_pipeline`` is a sweep cell's body: it writes the report, and the
+    sweep its results beside the cells."""
+    cfg = _fast_config(workspace, out="files", n_rows=30, n_attacks=8)
+    staged = cfg.replace(output_dir=str(workspace["tmp"] / "files_staged"))
+    cell = {*_written_by("prepare", "train", "generate"), experiment.REPORT_FILE}
+    stages = [
+        (lambda: cmd_prepare(staged), staged, _written_by("prepare")),
+        (lambda: cmd_train(staged, stop_after_round=1), staged, _written_by("train")),
+        (lambda: run_pipeline(cfg), cfg, cell),
+        (lambda: cmd_sweep(cfg.replace(sweep={"seed": [0]})), cfg,
+         {experiment.SWEEP_RESULTS_FILE} | {os.path.join("sweep", "seed=0", name)
+                                            for name in cell}),
+    ]
+    for run, config, added in stages:
+        root = config.resolved_output_dir()
+        before = _files_under(root)  # empty before the directory exists
+        run()
+        assert _files_under(root) - before == added
+    for root in (cfg.resolved_output_dir(), staged.resolved_output_dir()):
+        assert {os.path.basename(path) for path in _files_under(root)} <= set(
+            experiment.RUN_FILES)
+
+
+@pytest.mark.parametrize("stage, argv, missing, command", [
+    (None, ["train"], "pipeline.json", "prepare"),
+    ("prepare", ["train", "--resume"], "checkpoint.npz", "train"),
+    ("prepare", ["generate"], "checkpoint.npz", "train"),
+    ("prepare", ["generate", "--checkpoint", "{tmp}/elsewhere.npz"], "elsewhere.npz", "train"),
+], ids=["train-before-prepare", "resume-without-checkpoint", "generate-without-checkpoint",
+        "generate-of-a-missing-checkpoint-flag"])
+def test_cli_missing_run_file_names_the_command_that_writes_it(workspace, capsys, stage,
+                                                                argv, missing, command):
+    cfg = _fast_config(workspace, out="missing_run_file")
+    path = _write_cfg(workspace, cfg, "missing_run_file.json")
+    if stage:
+        assert cli.main([stage, "-c", path]) == 0
+    capsys.readouterr()
+    flags = [arg.format(tmp=workspace["tmp"]) for arg in argv[1:]]
+    assert cli.main([argv[0], "-c", path, *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: missing ") and err.count("\n") == 1
+    assert err.endswith(f"{missing}'; run {command} first\n")
+
+
+def test_cli_evaluate_of_a_cell_over_the_csv_field_limit_exits_1_naming_the_file(
+        workspace, capsys):
+    """The csv module's 131,072-character cell limit is kept: a longer cell is
+    one error line naming the file, not a traceback."""
+    syn = workspace["tmp"] / "big.csv"
+    header, first = open(workspace["real"], encoding="utf-8").read().splitlines()[:2]
+    syn.write_text(f"{header}\n\"{'x' * 200_000}\"{first[first.index(','):]}\n",
+                   encoding="utf-8")
+    assert cli.main(["evaluate", "--real", workspace["real"], "--syn", str(syn),
+                     "--schema", workspace["schema"]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(str(syn)) in err and "field larger than field limit" in err
+
+
+REPORT = {"fidelity": {"omega": 0.5, "omega_col": 0.5, "omega_row": None,
+                       "per_column": {"x": 0.5}},
+          "utility": {"phi": 0.5, "majority_rate": 0.5, "accuracies": {"lr": 0.5},
+                      "skipped": []},
+          "privacy": {"pi": 0.1, "protection": 0.9,
+                      "singling_out": {"risk": 0.1, "ci": [0.0, 0.2]},
+                      "linkability": {"risk": 0.1}, "inference": {"risk": 0.1}}}
+
+
+def test_cli_report_renders_a_minimal_report(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(REPORT))
+    assert cli.main(["report", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "  column x: 0.5000" in out and "  lr: 0.5000" in out
+
+
+@pytest.mark.parametrize("value", [[0.5], "0.5", 0.5], ids=["array", "string", "number"])
+@pytest.mark.parametrize("section, key", [("fidelity", "per_column"),
+                                          ("utility", "accuracies")])
+def test_cli_report_whose_score_table_is_not_an_object_exits_1_naming_it(
+        tmp_path, capsys, section, key, value):
+    report = json.loads(json.dumps(REPORT))
+    report[section][key] = value
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    assert cli.main(["report", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(str(path)) in err and key in err

@@ -61,3 +61,18 @@ def test_every_read_json_call_is_inside_a_reading_block():
         if path.name != "store.py":
             visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), False, path.name)
     assert guarded and unguarded == []
+
+
+def test_readme_run_files_table_is_the_run_files_table():
+    """The README's "Run files" rows say what ``experiment.RUN_FILES`` says:
+    each file's name, the command that writes it and whether it is released."""
+    from fedsynth.experiment import RUN_FILES
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n### Run files\n", 1)[1]
+    table = next(block for block in section.split("\n\n") if block.startswith("| file |"))
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in table.splitlines()[2:]]
+    kinds = {"released": True, "operator-only": False}
+    assert {name.strip("`"): (command.strip("`"), kinds[kind])
+            for name, command, kind, _ in rows} == RUN_FILES
+    assert len(rows) == len(RUN_FILES)

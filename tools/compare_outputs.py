@@ -40,6 +40,12 @@ reported, not judged. As with ``cmp``, the exit status is 0 when the outputs
 are identical and 1 when they differ.
 
 Outputs go to ``--work`` (kept) or to a temporary directory (removed).
+
+The files compared are named here, in ``FILES`` and ``compare``, not read
+from ``experiment.RUN_FILES``: the two trees may be of versions whose
+tables differ, and the list must not move with either. Every run file that
+a workload writes is on it, which ``tests/test_compare_outputs.py`` checks
+against ``RUN_FILES``.
 """
 
 from __future__ import annotations
