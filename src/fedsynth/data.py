@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CsvFormatError, SchemaError, ValidationError, reading
-from .store import json_digest, read_json, write_json
+from .store import json_digest, read_json, replacing, write_json
 
 KIND_NUMERIC = "numeric"
 KIND_CATEGORICAL = "categorical"
@@ -33,7 +33,7 @@ CSV_BLOCK_ROWS = 4096
 class TabularSchema:
     """Ordered column declaration: name -> kind, plus optional special roles.
 
-    ``target_column`` marks the label used by the utility metric;
+    ``target_column`` names the categorical label used by the utility metric;
     ``partition_column`` names the categorical column driving non-IID splits.
     """
 
@@ -58,10 +58,8 @@ class TabularSchema:
                           ("partition_column", self.partition_column)):
             if col is not None and not (isinstance(col, str) and col in kinds):
                 raise SchemaError(f"{role} {col!r} not among schema columns")
-        if (self.partition_column is not None
-                and kinds[self.partition_column] != KIND_CATEGORICAL):
-            raise SchemaError(
-                f"partition_column {self.partition_column!r} must be categorical")
+            if col is not None and kinds[col] != KIND_CATEGORICAL:
+                raise SchemaError(f"{role} {col!r} must be categorical")
 
     # Computed once per schema: load_csv and RawTable.n_rows read them per row.
     @functools.cached_property
@@ -205,11 +203,11 @@ def write_csv(path, table: RawTable) -> None:
     Cells are converted one block of ``CSV_BLOCK_ROWS`` rows at a time, column
     by column: numerics as the ``repr`` of their float64 value, categoricals
     through ``str``. The strings held at once are bounded by the block, not
-    by the table.
+    by the table. The file is replaced only once every row is written.
     """
     names = table.schema.names
     kinds = table.schema.kinds
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with replacing(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(names)
         for start in range(0, table.n_rows, CSV_BLOCK_ROWS):

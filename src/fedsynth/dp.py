@@ -77,13 +77,8 @@ def _log_factorial(n: int) -> float:
     return q + poly / x
 
 
-def _log_factorials(count: int) -> np.ndarray:
-    """log(n!) for n = 0 .. count - 1."""
-    return np.array([_log_factorial(n) for n in range(count)])
-
-
-# log(n!) for n = 0 .. the largest integer order an accountant evaluates
-_LOG_FACTORIAL = _log_factorials(int(DEFAULT_ORDERS[-1]) + 1)
+# log(n!) for n = 0 .. the largest Renyi order, DEFAULT_ORDERS' last
+_LOG_FACTORIAL = np.array([_log_factorial(n) for n in range(int(DEFAULT_ORDERS[-1]) + 1)])
 # (lo, hi) noise multipliers between which calibration bisects
 SIGMA_BRACKET = (1e-2, 1e4)
 
@@ -97,7 +92,7 @@ class DpConfig:
     explicitly (even 0.0) turns the clip+noise mechanism on; a finite
     ``epsilon`` additionally enables accounting, budget enforcement, and —
     when no multiplier is given — calibration. ``delta`` defaults to
-    1/N_client at accounting time.
+    1/N_client at accounting time (``client_delta``).
     """
 
     epsilon: float = math.inf
@@ -127,6 +122,16 @@ class DpConfig:
     def accounting_active(self) -> bool:
         """True when an epsilon budget is tracked and enforced."""
         return math.isfinite(self.epsilon)
+
+    def client_delta(self, client_id: int, n_samples: int) -> float:
+        """The delta a client's budget is converted at: ``delta``, or 1/N_client."""
+        if self.delta is not None:
+            return self.delta
+        if n_samples < 2:
+            raise ValidationError(
+                f"client {client_id} holds {n_samples} row(s), but the default "
+                "dp.delta = 1/rows needs at least 2; set dp.delta")
+        return 1.0 / n_samples
 
 
 def clip_scales(per_sample: PerSampleGrads, clip_norm: float) -> np.ndarray:
@@ -192,60 +197,64 @@ def _logsumexp(a: np.ndarray) -> float:
     return float((np.log1p(s) + np.log(m) + a_max)[0])
 
 
-def _integer_rdp(q: float, sigma: float, max_order: int = len(_LOG_FACTORIAL) - 1):
-    """Memoised alpha -> integer-order RDP bound of one (q, sigma) step, alpha <= max_order.
+def _integer_rdp(q: float, sigma: float):
+    """Memoised alpha -> integer-order RDP bound of one (q, sigma) step, 2 <= alpha <= 512.
 
     The order-alpha bound is log sum_k C(alpha, k) (1-q)^(alpha-k) q^k
     e^(k(k-1)/(2 sigma^2)), over alpha-1. The per-key vectors
     k(k-1)/(2 sigma^2), k log(1-q) and k log q are built once here and each
     order reads slices of them.
     """
-    k = np.arange(max_order + 1)
-    log_fact = (_LOG_FACTORIAL if max_order < len(_LOG_FACTORIAL)
-                else _log_factorials(max_order + 1))
+    k = np.arange(len(_LOG_FACTORIAL))
     quad = k * (k - 1) / (2.0 * sigma * sigma)
     keep = k * math.log1p(-q)
     pick = k * math.log(q)
 
     @functools.cache
     def rdp(alpha: int) -> float:
-        terms = (log_fact[alpha] - log_fact[:alpha + 1] - log_fact[alpha::-1]
+        terms = (_LOG_FACTORIAL[alpha] - _LOG_FACTORIAL[:alpha + 1]
+                 - _LOG_FACTORIAL[alpha::-1]
                  + quad[:alpha + 1] + keep[alpha::-1] + pick[:alpha + 1])
         return _logsumexp(terms) / (alpha - 1)
     return rdp
 
 
-def rdp_subsampled_gaussian(q: float, sigma: float, alpha: float,
-                            integer_rdp=None) -> float:
-    """Per-step Renyi divergence bound at order ``alpha``.
+def _rdp_curve(q: float, sigma: float, orders=DEFAULT_ORDERS) -> np.ndarray:
+    """Per-step Renyi divergence bound of one (q, sigma) step at each of ``orders``.
 
-    q = 1 gives the plain Gaussian value alpha/(2 sigma^2). For q < 1 and
-    integer alpha the binomial-expansion bound is evaluated in log space;
-    fractional orders interpolate the log-moment (alpha-1)*RDP linearly
-    between the neighbouring integers (with a zero moment at alpha = 1),
-    which upper-bounds the true convex log-moment. ``integer_rdp(k)``, when
-    given, must return that integer-order bound for this (q, sigma); a caller
-    evaluating many orders passes one ``_integer_rdp`` so each is computed once.
+    q = 1 gives the plain Gaussian value alpha/(2 sigma^2). For q < 1 integer
+    orders take the binomial-expansion bound of ``_integer_rdp``, each
+    evaluated once; fractional orders interpolate the log-moment
+    (alpha-1)*RDP linearly between the neighbouring integers (with a zero
+    moment at alpha = 1), which upper-bounds the true convex log-moment.
+    Every order must lie in (1, 512], the orders the log(n!) table covers.
     """
+    orders = np.asarray(orders, dtype=np.float64)
     if not 0.0 < q <= 1.0:
         raise ValidationError("sampling rate q must lie in (0, 1]")
     if not sigma > 0.0:
         raise ValidationError("sigma must be positive for accounting")
-    if not alpha > 1.0:
-        raise ValidationError("Renyi order must exceed 1")
+    if not np.all((orders > 1.0) & (orders <= DEFAULT_ORDERS[-1])):
+        raise ValidationError(f"Renyi orders must lie in (1, {DEFAULT_ORDERS[-1]:g}]")
     if q == 1.0:
-        return alpha / (2.0 * sigma * sigma)
-    if integer_rdp is None:
-        integer_rdp = _integer_rdp(q, sigma, math.floor(alpha) + 1)
-    if float(alpha).is_integer():
-        return integer_rdp(int(alpha))
-    lo = math.floor(alpha)
-    hi = lo + 1
-    kappa_lo = 0.0 if lo == 1 else (lo - 1) * integer_rdp(lo)
-    kappa_hi = (hi - 1) * integer_rdp(hi)
-    frac = alpha - lo
-    kappa = (1.0 - frac) * kappa_lo + frac * kappa_hi
-    return kappa / (alpha - 1.0)
+        return orders / (2.0 * sigma * sigma)
+    integer_rdp = _integer_rdp(q, sigma)
+    curve = []
+    for alpha in orders.tolist():
+        lo = math.floor(alpha)
+        if alpha == lo:
+            curve.append(integer_rdp(lo))
+            continue
+        kappa_lo = 0.0 if lo == 1 else (lo - 1) * integer_rdp(lo)
+        kappa_hi = lo * integer_rdp(lo + 1)
+        frac = alpha - lo
+        curve.append(((1.0 - frac) * kappa_lo + frac * kappa_hi) / (alpha - 1.0))
+    return np.array(curve)
+
+
+def rdp_subsampled_gaussian(q: float, sigma: float, alpha: float) -> float:
+    """Per-step Renyi divergence bound at order ``alpha``: ``_rdp_curve`` at one order."""
+    return float(_rdp_curve(q, sigma, [alpha])[0])
 
 
 def _epsilons(rdp: np.ndarray, delta: float) -> np.ndarray:
@@ -271,18 +280,9 @@ class RdpAccountant:
         return sum(self.groups.values())
 
     def _per_step(self, key: tuple) -> np.ndarray:
-        """Per-order RDP of one (q, sigma) step, computed once per key.
-
-        Fractional orders share their integer neighbours, so each integer
-        order is evaluated once per key.
-        """
+        """``_rdp_curve`` of one (q, sigma) step, computed once per key."""
         if key not in self._per_step_cache:
-            q, sigma = key
-            # q = 1 needs no binomial terms; rdp_subsampled_gaussian rejects a bad key
-            integer_rdp = _integer_rdp(q, sigma) if 0.0 < q < 1.0 and sigma > 0.0 else None
-            self._per_step_cache[key] = np.array(
-                [rdp_subsampled_gaussian(q, sigma, a, integer_rdp)
-                 for a in DEFAULT_ORDERS])
+            self._per_step_cache[key] = _rdp_curve(*key)
         return self._per_step_cache[key]
 
     def account_step(self, q: float, sigma: float, count: int = 1) -> None:

@@ -36,7 +36,7 @@ from .metrics import DEFAULT_N_ATTACKS, DEFAULT_TEST_FRACTION, MetricsReport, ev
 from .nn import (DEFAULT_HIDDEN, DEFAULT_N_HIDDEN, DEFAULT_TIME_DIM, AdamState, DenoiserParams,
                  forward, init_denoiser, layer_buffers)
 from .store import (canonical_json, json_digest, load_arrays, read_json,
-                    save_arrays, write_json)
+                    replacing, save_arrays, write_json)
 
 OUTPUT_ROOT_ENV = "FEDSYNTH_OUTPUT_ROOT"
 CHECKPOINT_FORMAT = "fedsynth-checkpoint-v3"
@@ -397,14 +397,17 @@ def _keep_audit_through(path: str, last_round: int) -> None:
     """Drop the audit lines of rounds after ``last_round``.
 
     Lines are appended as each round completes, so after a crash the file
-    can hold rounds the resumed checkpoint does not; those rounds rerun.
+    can hold rounds the resumed checkpoint does not; those rounds rerun. A
+    last line without its newline is a torn append, of a round the
+    checkpoint cannot hold (it is saved after the append), so it goes too.
     """
     kept = []
     if last_round > 0 and os.path.exists(path):
         with reading(f"audit log {path!r}", CheckpointError), \
                 open(path, encoding="utf-8") as fh:
-            kept = [line for line in fh if json.loads(line)["round"] <= last_round]
-    with open(path, "w", encoding="utf-8") as fh:
+            kept = [line for line in fh
+                    if line.endswith("\n") and json.loads(line)["round"] <= last_round]
+    with replacing(path, "w", encoding="utf-8") as fh:
         fh.writelines(kept)
 
 

@@ -276,13 +276,14 @@ def client_local_update(global_flat: np.ndarray, manifest: dict,
     losses: list = []
     pre_norms: list = []   # one (B,) norm array per step
     post_norms: list = []
+    if client.accountant is not None:
+        # the whole pass, empty batches included, as one ledger entry
+        client.accountant.account_step(q, client.sigma, fed_cfg.local_steps)
     for step in range(fed_cfg.local_steps):
         if mechanism:
             idx = np.flatnonzero(rng.random(n) < q)
         else:
             idx = rng.choice(n, size=min(fed_cfg.batch_size, n), replace=False)
-        if client.accountant is not None:
-            client.accountant.account_step(q, client.sigma)
         if idx.size == 0:
             continue
         cat_rows = data.cat_rows[idx]
@@ -437,7 +438,7 @@ def init_state(init_params: DenoiserParams, datasets: list, fed_cfg: FedConfig,
         delta = None
         accountant = None
         if dp_cfg.accounting_active:
-            delta = dp_cfg.delta if dp_cfg.delta is not None else 1.0 / data.n_samples
+            delta = dp_cfg.client_delta(cid, data.n_samples)
             if sigma is None:
                 key = (delta, _sampling_rate(fed_cfg, data.n_samples))
                 if key not in calibrated:

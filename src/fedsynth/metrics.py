@@ -16,8 +16,7 @@ import numpy as np
 
 from .attacks import inference_risk, linkability_risk, privacy_score, singling_out_risk
 from .classifiers import accuracy, builtin_classifiers
-from .data import (KIND_CATEGORICAL, KIND_NUMERIC, RawTable, first_occurrence_codes,
-                   fit_quantile_map)
+from .data import KIND_NUMERIC, RawTable, first_occurrence_codes, fit_quantile_map
 from .errors import ValidationError
 
 DEFAULT_N_ATTACKS = 500
@@ -194,8 +193,6 @@ def utility_score(syn_train: RawTable, real_test: RawTable, seed: int = 0) -> di
     schema = syn_train.schema
     if schema.target_column is None:
         raise ValidationError("utility needs schema.target_column")
-    if schema.kinds[schema.target_column] != KIND_CATEGORICAL:
-        raise ValidationError("utility target must be a categorical column")
     if real_test.schema.columns != schema.columns:
         raise ValidationError("tables must share a schema")
 

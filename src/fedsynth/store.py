@@ -41,7 +41,7 @@ def json_digest(obj) -> str:
 
 
 @contextlib.contextmanager
-def _replacing(path, mode: str, **open_kwargs):
+def replacing(path, mode: str, **open_kwargs):
     """Open a temp file beside ``path`` that replaces it only on success.
 
     If the body raises, the temp file is removed and ``path`` keeps its old
@@ -78,7 +78,7 @@ def save_arrays(path, arrays: dict, meta: dict | None = None) -> None:
     memory. The bytes are those of ``ZipFile.writestr`` with the member's
     ``np.lib.format.write_array`` output.
     """
-    with _replacing(path, "wb") as fh, \
+    with replacing(path, "wb") as fh, \
             zipfile.ZipFile(fh, "w", compression=zipfile.ZIP_STORED) as zf:
         if meta is not None:
             zf.writestr(_member_info(_META_MEMBER),
@@ -130,7 +130,7 @@ def load_arrays(path, names=None) -> tuple[dict, dict]:
 
 def write_json(path, obj) -> None:
     """Atomically write ``obj`` as human-readable JSON (sorted keys, two-space indent)."""
-    with _replacing(path, "w", encoding="utf-8") as fh:
+    with replacing(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

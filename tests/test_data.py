@@ -117,6 +117,25 @@ def test_write_csv_bytes_equal_the_row_loop(tmp_path, n_rows):
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
+class _Unprintable:
+    def __str__(self):
+        raise RuntimeError("cell has no text")
+
+
+def test_write_csv_that_fails_midway_keeps_the_old_file(tmp_path):
+    """A write that raises after whole blocks reached the disk leaves the old
+    bytes in place, not a truncated table, and no temp file beside them."""
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"old,bytes\n")
+    table = _writer_table(2 * CSV_BLOCK_ROWS)
+    table.columns["label"] = table.columns["label"].astype(object)
+    table.columns["label"][CSV_BLOCK_ROWS + 5] = _Unprintable()
+    with pytest.raises(RuntimeError, match="cell has no text"):
+        write_csv(path, table)
+    assert path.read_bytes() == b"old,bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
 def test_write_csv_memory_is_bounded_by_the_block(tmp_path):
     peaks = []
     for n_rows in (20_000, 200_000):

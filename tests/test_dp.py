@@ -66,6 +66,14 @@ def test_dpconfig_explicit_sigma_enables_mechanism_only():
     assert cfg0.mechanism_active
 
 
+def test_dpconfig_default_delta_needs_two_rows_per_client():
+    cfg = DpConfig(epsilon=5.0)
+    assert cfg.client_delta(0, 200) == 1 / 200
+    assert DpConfig(epsilon=5.0, delta=1e-3).client_delta(4, 1) == 1e-3
+    with pytest.raises(ValidationError, match=r"client 4 holds 1 row.*dp\.delta"):
+        cfg.client_delta(4, 1)
+
+
 def test_dpconfig_rejects_bad_values():
     with pytest.raises(ValidationError):
         DpConfig(epsilon=0.0)
@@ -323,13 +331,34 @@ def test_log_factorial_bit_equals_scipy_gammaln():
     assert np.array_equal(dp._LOG_FACTORIAL, expected[:len(dp._LOG_FACTORIAL)])
 
 
-def test_orders_above_the_log_factorial_table_bit_equal_scipy():
-    top = len(dp._LOG_FACTORIAL) - 1
-    for q, sigma in [(0.01, 0.8), (0.3, 20.0)]:
-        for alpha in (top + 1, 700):
-            expected = _scipy_integer_order(q, sigma, alpha)
-            assert rdp_subsampled_gaussian(q, sigma, float(alpha)) == expected
-            assert dp._integer_rdp(q, sigma, 700)(alpha) == expected
+def test_rdp_refuses_orders_above_the_log_factorial_table():
+    assert dp._LOG_FACTORIAL.size == DEFAULT_ORDERS[-1] + 1 == 513
+    for q in (0.01, 1.0):
+        for alpha in (512.5, 513.0, 700.0):
+            with pytest.raises(ValidationError, match=r"\(1, 512\]"):
+                rdp_subsampled_gaussian(q, 1.0, alpha)
+
+
+def test_accountant_and_one_order_view_read_the_same_curve(monkeypatch):
+    """Every per-order RDP value the accountant and ``rdp_subsampled_gaussian``
+    give is ``_rdp_curve``'s, so ``epsilon_after`` and calibration read it too."""
+    curve = dp._rdp_curve
+    calls = []
+
+    def spy(q, sigma, orders=DEFAULT_ORDERS):
+        calls.append((q, sigma))
+        return curve(q, sigma, orders)
+
+    monkeypatch.setattr(dp, "_rdp_curve", spy)
+    acc = RdpAccountant()
+    acc.account_step(0.02, 1.3, count=5)
+    acc.account_step(0.02, 1.3)
+    assert calls == [(0.02, 1.3)]
+    one = [rdp_subsampled_gaussian(0.02, 1.3, a) for a in DEFAULT_ORDERS]
+    assert acc.rdp_totals().tolist() == [6 * v for v in one]
+    calls.clear()
+    epsilon_after(0.02, 1.7, 10, 1e-5)
+    assert calls == [(0.02, 1.7)]
 
 
 def test_importing_the_package_and_cli_loads_no_scipy():

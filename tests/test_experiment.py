@@ -346,6 +346,27 @@ def test_cli_resume_must_stop_after_the_checkpoints_round(workspace, capsys):
     assert _run_files(cfg) == files
 
 
+def test_cli_resume_drops_a_torn_last_audit_line(workspace, capsys):
+    """A crash mid-append leaves a last audit line without its newline, of a
+    round the checkpoint does not hold; --resume drops it and reruns the round."""
+    cfg = _fast_config(workspace, out="torn_audit", checkpoint_every=1,
+                       **{"federation.rounds": 3})
+    path = _write_cfg(workspace, cfg, "torn_audit.json")
+    assert cli.main(["prepare", "-c", path]) == 0
+    assert cli.main(["train", "-c", path, "--stop-after", "1"]) == 0
+    audit = os.path.join(cfg.resolved_output_dir(), "audit.jsonl")
+    with open(audit, "a", encoding="utf-8") as fh:
+        fh.write('{"client":0,"ro')
+    assert cli.main(["train", "-c", path, "--resume"]) == 0, capsys.readouterr().err
+    with open(audit, encoding="utf-8") as fh:
+        text = fh.read()
+    assert text.endswith("\n")
+    lines = [json.loads(line) for line in text.splitlines()]
+    keys = [(line["round"], line["client"]) for line in lines]
+    assert len(keys) == len(set(keys))
+    assert sorted({r for r, _ in keys}) == [1, 2, 3]
+
+
 def _members(path):
     with zipfile.ZipFile(path) as zf:
         return sorted(zf.namelist())
@@ -1151,6 +1172,31 @@ def test_cli_malformed_config_exits_1_without_a_traceback(workspace, config, ove
                          env=dict(os.environ, PYTHONPATH=SRC), timeout=120)
     assert out.returncode == 1
     assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
+
+
+def test_cli_prepare_refuses_a_numeric_target(workspace, capsys):
+    cfg = _fast_config(workspace, out="numeric_target")
+    path = _write_cfg(workspace, cfg, "numeric_target.json")
+    setting = _schema_with(workspace, target="x")
+    assert cli.main(["prepare", "-c", path, "--set", setting]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'x' must be categorical" in err
+    assert not os.path.exists(cfg.resolved_output_dir())
+
+
+def test_cli_train_with_a_one_row_client_names_it_under_the_default_delta(workspace, capsys):
+    """With dp.delta unset each client's delta is 1/rows, which a one-row
+    client cannot have; the error names the client, not a delta of 1."""
+    real = workspace["tmp"] / "six_rows.csv"
+    write_csv(real, gaussian_mixture_table(6, seed=7))
+    cfg = _fast_config(workspace, out="one_row", partition="iid",
+                       **{"federation.n_clients": 6, "dp.epsilon": 5.0}).replace(
+        dataset=str(real))
+    path = _write_cfg(workspace, cfg, "one_row.json")
+    assert cli.main(["prepare", "-c", path]) == 0
+    assert cli.main(["train", "-c", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: client 0 holds 1 row") and "dp.delta" in err
 
 
 def _schema_with(ws, **edit):

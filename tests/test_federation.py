@@ -726,6 +726,34 @@ def test_local_update_feeds_the_benchmark_probes(monkeypatch):
         assert len(norms) == n and all(np.isfinite(norms))
 
 
+def test_local_update_records_its_pass_as_one_ledger_entry(monkeypatch):
+    """At q = 1/200 most Poisson batches are empty; the pass still records
+    all its local steps, in one account_step call and one ledger triple."""
+    datasets, params, schedule = _tiny_setup(n_clients=1, n_per=200)
+    fed_cfg = FedConfig(n_clients=1, rounds=1, local_steps=6, batch_size=1)
+    dp_cfg = DpConfig(epsilon=50.0, noise_multiplier=1.0)
+    state = init_state(params, datasets, fed_cfg, dp_cfg)
+    accountant = state.clients[0].accountant
+    batches, recorded = [], []
+
+    def counting_grads(p, batch):
+        batches.append(len(batch))
+        return per_sample_grads(p, batch)
+
+    def recording_step(*args):
+        recorded.append(args)
+        return type(accountant).account_step(accountant, *args)
+
+    monkeypatch.setattr(federation, "per_sample_grads", counting_grads)
+    monkeypatch.setattr(accountant, "account_step", recording_step)
+    client_local_update(state.global_flat, state.manifest, state.clients[0],
+                        datasets[0], schedule, fed_cfg, dp_cfg,
+                        np.random.default_rng([5, 1, 0]))
+    assert len(batches) < fed_cfg.local_steps  # some batches were empty
+    assert recorded == [(1 / 200, 1.0, 6)]
+    assert accountant.ledger() == [[1 / 200, 1.0, 6]]
+
+
 def test_local_update_uniform_batches_without_mechanism():
     datasets, params, schedule = _tiny_setup(n_clients=1, n_per=10)
     fed_cfg = FedConfig(n_clients=1, rounds=1, local_steps=2, batch_size=4)

@@ -63,6 +63,21 @@ def test_every_read_json_call_is_inside_a_reading_block():
     assert guarded and unguarded == []
 
 
+def test_every_file_written_outside_store_goes_through_replacing():
+    """Each ``open(...)`` under ``src/`` whose literal mode writes (contains
+    "w") is in ``store.py``, where ``replacing`` puts a file in place only
+    once it is whole. The audit log's "a" append is the only other write."""
+    modes = []
+    for path in sorted((ROOT / "src" / "fedsynth").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Call) and _called_name(node) == "open":
+                mode = node.args[1] if len(node.args) > 1 else next(
+                    (kw.value for kw in node.keywords if kw.arg == "mode"), None)
+                modes.append((path.name, mode.value if isinstance(mode, ast.Constant) else ""))
+    assert {name for name, mode in modes if "w" in mode} == {"store.py"}
+    assert [name for name, mode in modes if "a" in mode] == ["experiment.py"]
+
+
 def test_readme_run_files_table_is_the_run_files_table():
     """The README's "Run files" rows say what ``experiment.RUN_FILES`` says:
     each file's name, the command that writes it and whether it is released."""
