@@ -22,8 +22,25 @@ MLP_ITERS = 300
 MLP_LR = 1e-2
 
 
+def _row_max(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.max(a, axis=1, keepdims=True)``, one column at a time.
+
+    Over the few columns of a class table a pass per column is faster than
+    np.max's loop per row. A maximum rounds nothing, so each row's value is
+    np.max's, except that a row whose largest values are ±0 may get the
+    other zero; ``x - m`` then differs only in the sign of a zero, which
+    the softmax's ``exp`` maps to 1 either way.
+    """
+    if out is None:
+        out = np.empty((a.shape[0], 1), dtype=a.dtype)
+    out[...] = a[:, :1]
+    for j in range(1, a.shape[1]):
+        np.maximum(out, a[:, j:j + 1], out=out)
+    return out
+
+
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
+    z = logits - _row_max(logits)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
 
@@ -163,30 +180,33 @@ class MlpClassifierAdam:
         # Every (n, ·) array is allocated once and updated in place, in the
         # order of the textbook expressions, so results are bit-identical
         # to them; fresh pages each iteration cost more than the arithmetic.
-        z1, h1, d_h1 = (np.empty((n, MLP_HIDDEN)) for _ in range(3))
+        # One (n, H) buffer holds z1, then h1 = relu(z1), then d_h1: the
+        # mask h1 > 0 equals z1 > 0 (NaN and -0.0 included), and d_h1 is
+        # written only once h1.T @ d_logits has been read.
+        h = np.empty((n, MLP_HIDDEN))
         relu = np.empty((n, MLP_HIDDEN), dtype=bool)
         logits = np.empty((n, n_classes))
         row = np.empty((n, 1))
         for _ in range(MLP_ITERS):
-            np.matmul(X, w1, out=z1)
-            z1 += b1
-            np.maximum(z1, 0.0, out=h1)
-            np.matmul(h1, w2, out=logits)
+            np.matmul(X, w1, out=h)
+            h += b1
+            np.maximum(h, 0.0, out=h)
+            np.matmul(h, w2, out=logits)
             logits += b2
-            np.max(logits, axis=1, keepdims=True, out=row)  # softmax, in place
+            _row_max(logits, out=row)  # softmax, in place
             logits -= row
             np.exp(logits, out=logits)
             np.sum(logits, axis=1, keepdims=True, out=row)
             logits /= row
             logits -= onehot  # d_logits = (probs - onehot) / n
             logits /= n
-            np.matmul(h1.T, logits, out=g_w2)
+            np.matmul(h.T, logits, out=g_w2)
             np.sum(logits, axis=0, out=g_b2)
-            np.matmul(logits, w2.T, out=d_h1)
-            np.greater(z1, 0, out=relu)
-            d_h1 *= relu
-            np.matmul(X.T, d_h1, out=g_w1)
-            np.sum(d_h1, axis=0, out=g_b1)
+            np.greater(h, 0, out=relu)
+            np.matmul(logits, w2.T, out=h)
+            h *= relu
+            np.matmul(X.T, h, out=g_w1)
+            np.sum(h, axis=0, out=g_b1)
             adam_step(flat, state, grad, MLP_LR)
         self.params = (w1, b1, w2, b2)
         return self
@@ -198,7 +218,11 @@ class MlpClassifierAdam:
 
 
 def builtin_classifiers(seed: int = 0) -> list:
-    """(name, fresh model) pairs for the utility evaluator."""
+    """(name, fresh model) pairs for the utility evaluator.
+
+    The MLP, the longest fit, comes last: ``metrics.utility_score`` fits it
+    on a worker thread while it fits the others.
+    """
     return [
         ("logistic_regression", LogisticRegressionGD()),
         ("decision_tree", DecisionTreeGini()),

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -35,7 +34,7 @@ from .dp import DpConfig, RdpAccountant, calibrate_sigma, privatize
 from .errors import (DivergenceError, PrivacyBudgetError, ValidationError,
                      require_int, require_number)
 from .nn import (BLOCK, DEFAULT_LEARNING_RATE, AdamState, DenoiserParams, TrainingSample,
-                 adam_step, blocks, per_sample_grads)
+                 _usable_cpus, adam_step, blocks, per_sample_grads)
 
 STRATEGIES = ("fedavg", "fedadam", "fedprox", "fedyogi")
 # The strategies whose server keeps Adam-style moments across rounds
@@ -336,14 +335,6 @@ def _budget_allows(client: ClientState, fed_cfg: FedConfig, dp_cfg: DpConfig) ->
         client.delta, _sampling_rate(fed_cfg, client.n_samples), client.sigma,
         fed_cfg.local_steps)
     return projected <= dp_cfg.epsilon
-
-
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def run_round(state: FederatedState, datasets: list, schedule: NoiseSchedule,

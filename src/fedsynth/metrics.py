@@ -9,7 +9,9 @@ three attack risks. Everything is a pure function of (real, syn, seed).
 
 from __future__ import annotations
 
+import functools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +20,7 @@ from .attacks import inference_risk, linkability_risk, privacy_score, singling_o
 from .classifiers import accuracy, builtin_classifiers
 from .data import KIND_NUMERIC, RawTable, first_occurrence_codes, fit_quantile_map
 from .errors import ValidationError
+from .nn import _usable_cpus
 
 DEFAULT_N_ATTACKS = 500
 DEFAULT_TEST_FRACTION = 0.2
@@ -188,8 +191,17 @@ def _encode_features(schema, train: RawTable, test: RawTable) -> tuple:
     return np.hstack(blocks_train), np.hstack(blocks_test)
 
 
-def utility_score(syn_train: RawTable, real_test: RawTable, seed: int = 0) -> dict:
-    """Train-on-synthetic, test-on-real accuracy, averaged over classifiers."""
+def utility_score(syn_train: RawTable, real_test: RawTable, seed: int = 0,
+                  alongside=None) -> dict:
+    """Train-on-synthetic, test-on-real accuracy, averaged over classifiers.
+
+    With two usable CPUs or more, the MLP, the longest fit, trains on a
+    worker thread while this thread fits the other classifiers and then
+    calls ``alongside()``, if given; with one, all of it runs here in that
+    order. ``alongside`` runs once either way, also when the classifiers
+    are skipped. An error of the MLP's fit is raised once this thread's
+    work has finished, and no thread outlives the call.
+    """
     schema = syn_train.schema
     if schema.target_column is None:
         raise ValidationError("utility needs schema.target_column")
@@ -200,15 +212,32 @@ def utility_score(syn_train: RawTable, real_test: RawTable, seed: int = 0) -> di
         syn_train.column(schema.target_column),
         real_test.column(schema.target_column))
 
+    models = builtin_classifiers(seed)
     accuracies: dict = {}
     skipped: list = []
     if np.all(y_train == y_train[:1]):  # one class, or no rows
-        skipped = [name for name, _ in builtin_classifiers(seed)]
+        skipped = [name for name, _ in models]
+        if alongside is not None:
+            alongside()
     else:
         x_train, x_test = _encode_features(schema, syn_train, real_test)
-        for name, model in builtin_classifiers(seed):
-            model.fit(x_train, y_train, labels.size)
-            accuracies[name] = accuracy(y_test, model.predict(x_test))
+        *others, (mlp_name, mlp) = models
+        fit_mlp = functools.partial(mlp.fit, x_train, y_train, labels.size)
+        worker = (ThreadPoolExecutor(max_workers=1, thread_name_prefix="fedsynth-mlp")
+                  if _usable_cpus() > 1 else None)
+        try:
+            if worker is not None:
+                fit_mlp = worker.submit(fit_mlp).result
+            for name, model in others:
+                model.fit(x_train, y_train, labels.size)
+                accuracies[name] = accuracy(y_test, model.predict(x_test))
+            if alongside is not None:
+                alongside()
+            fit_mlp()
+        finally:
+            if worker is not None:
+                worker.shutdown()  # the MLP finishes before an error leaves
+        accuracies[mlp_name] = accuracy(y_test, mlp.predict(x_test))
     phi = float(np.mean(list(accuracies.values()))) if accuracies else None
     counts = np.bincount(y_test, minlength=labels.size)
     return {"phi": phi, "accuracies": accuracies, "skipped": skipped,
@@ -265,7 +294,9 @@ def evaluate_tables(real: RawTable, syn: RawTable, seed: int = 0,
     utility metric; the synthetic training slice is truncated to the size of
     the real training complement. Fidelity and the attacks always see the
     full tables. Seed streams are separated per evaluator so attack noise is
-    independent of the utility split.
+    independent of the utility split. Fidelity and the attacks run while
+    the utility MLP fits (see ``utility_score``); the report is the same
+    bytes whether or not that fit runs on a worker thread.
     """
     if syn.schema.columns != real.schema.columns:
         raise ValidationError("real and synthetic tables must share a schema")
@@ -278,14 +309,31 @@ def evaluate_tables(real: RawTable, syn: RawTable, seed: int = 0,
     if seed < 0:
         raise ValidationError("seed must be non-negative")
 
-    omega_col, per_column = column_fidelity(real, syn)
-    row = row_fidelity(real, syn)
-    omega_row = row["omega_row"]
-    omega = omega_col if omega_row is None else (omega_col + omega_row) / 2.0
-    fidelity = {"omega": omega, "omega_col": omega_col, "omega_row": omega_row,
-                "per_column": per_column,
-                "pairs_evaluated": row["pairs_evaluated"],
-                "pairs_skipped": row["pairs_skipped"]}
+    fidelity = privacy = None
+
+    def fidelity_and_privacy():
+        nonlocal fidelity, privacy
+        omega_col, per_column = column_fidelity(real, syn)
+        row = row_fidelity(real, syn)
+        omega_row = row["omega_row"]
+        omega = omega_col if omega_row is None else (omega_col + omega_row) / 2.0
+        fidelity = {"omega": omega, "omega_col": omega_col, "omega_row": omega_row,
+                    "per_column": per_column,
+                    "pairs_evaluated": row["pairs_evaluated"],
+                    "pairs_skipped": row["pairs_skipped"]}
+
+        sor = singling_out_risk(real, syn, n_attacks, np.random.default_rng([seed, 0]))
+        lr = linkability_risk(real, syn, n_attacks, np.random.default_rng([seed, 1]))
+        ir = inference_risk(real, syn, n_attacks, np.random.default_rng([seed, 2]))
+        pi = privacy_score(sor["risk"], lr["risk"], ir["risk"])
+        privacy = {
+            "pi": pi,
+            "protection": 1.0 - pi,
+            "n_attacks": n_attacks,
+            "singling_out": dict(sor, ci=list(sor["ci"])),
+            "linkability": lr,
+            "inference": ir,
+        }
 
     if real.schema.target_column is not None:
         split_rng = np.random.default_rng([seed, 3])
@@ -296,23 +344,11 @@ def evaluate_tables(real: RawTable, syn: RawTable, seed: int = 0,
         syn_perm = split_rng.permutation(syn.n_rows)
         syn_idx = np.sort(syn_perm[: min(n_train, syn.n_rows)])
         utility = utility_score(syn.select(syn_idx), real.select(test_idx),
-                                seed=seed)
+                                seed=seed, alongside=fidelity_and_privacy)
     else:
+        fidelity_and_privacy()
         utility = {"phi": None, "accuracies": {}, "skipped": [],
                    "majority_rate": None, "n_train": 0, "n_test": 0}
-
-    sor = singling_out_risk(real, syn, n_attacks, np.random.default_rng([seed, 0]))
-    lr = linkability_risk(real, syn, n_attacks, np.random.default_rng([seed, 1]))
-    ir = inference_risk(real, syn, n_attacks, np.random.default_rng([seed, 2]))
-    pi = privacy_score(sor["risk"], lr["risk"], ir["risk"])
-    privacy = {
-        "pi": pi,
-        "protection": 1.0 - pi,
-        "n_attacks": n_attacks,
-        "singling_out": dict(sor, ci=list(sor["ci"])),
-        "linkability": lr,
-        "inference": ir,
-    }
 
     meta = {"seed": seed, "n_real": real.n_rows, "n_syn": syn.n_rows}
     if metadata:

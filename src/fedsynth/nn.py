@@ -19,6 +19,7 @@ params they are given, so sampling runs the denoiser on a float32 copy
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,15 @@ ADAM_EPS = 1e-8
 # float64 elements per block of the elementwise P-sized passes (Adam, noise,
 # aggregation): a few operand blocks of 256 KiB stay in a core's L2 cache.
 BLOCK = 1 << 15
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on: how many worker threads
+    (a round's clients, the utility MLP) can compute at once."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def time_embed(t, dim: int = DEFAULT_TIME_DIM) -> np.ndarray:

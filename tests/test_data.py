@@ -1,4 +1,5 @@
 import csv
+import math
 import tracemalloc
 
 import numpy as np
@@ -6,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedsynth.data import (CSV_BLOCK_ROWS, EMBED_DIM, KIND_CATEGORICAL,
+from fedsynth.data import (CSV_BLOCK_ROWS, CSV_READ_ROWS, EMBED_DIM, KIND_CATEGORICAL,
                            KIND_NUMERIC, EncodingPipeline, QuantileMap,
                            RawTable, TabularSchema, encoded_rows,
                            first_occurrence_codes, fit_quantile_map, load_csv,
                            load_partitions, partition_iid, partition_noniid,
                            save_partitions, write_csv)
-from fedsynth.errors import CsvFormatError, SchemaError, ValidationError
+from fedsynth.errors import CsvFormatError, SchemaError, ValidationError, reading
 from fedsynth.fixtures import MIXTURE_SCHEMA, gaussian_mixture_table
 from fedsynth.store import read_json
 
@@ -148,6 +149,153 @@ def test_write_csv_memory_is_bounded_by_the_block(tmp_path):
             tracemalloc.stop()
         del table
     assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+def _row_loop_load_csv(path, schema):
+    """Reference reader: parses one row, then one cell, at a time."""
+    try:
+        with reading(f"CSV {path!r}", CsvFormatError), \
+                open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise CsvFormatError(f"CSV {path!r} is empty")
+            pos = {name: header.index(name) for name in schema.names}
+            raw_cols: dict = {name: [] for name in schema.names}
+            kinds = schema.kinds
+            for row_idx, row in enumerate(reader, start=1):
+                if len(row) != len(header):
+                    raise CsvFormatError(
+                        f"{path!r} row {row_idx}: expected {len(header)} cells, got {len(row)}")
+                for name in schema.names:
+                    cell = row[pos[name]]
+                    if cell == "":
+                        raise CsvFormatError(f"{path!r} row {row_idx}: empty cell in {name!r}")
+                    if kinds[name] == KIND_NUMERIC:
+                        try:
+                            value = float(cell)
+                        except ValueError:
+                            raise CsvFormatError(
+                                f"{path!r} row {row_idx}: cannot parse {cell!r} "
+                                f"as numeric in column {name!r}") from None
+                        if not math.isfinite(value):
+                            raise CsvFormatError(
+                                f"{path!r} row {row_idx}: non-finite value in {name!r}")
+                        raw_cols[name].append(value)
+                    else:
+                        raw_cols[name].append(cell)
+    except csv.Error as exc:
+        raise CsvFormatError(f"CSV {path!r} line {reader.line_num}: {exc}") from None
+    if not raw_cols[schema.names[0]]:
+        raise CsvFormatError(f"CSV {path!r} has a header but no data rows")
+    return RawTable(schema, {
+        name: np.asarray(raw_cols[name],
+                         dtype=np.float64 if kinds[name] == KIND_NUMERIC else object)
+        for name in schema.names})
+
+
+def _csv_rows(n_rows, seed=0):
+    """Header and cells of a _writer_table with no empty cell, its columns in
+    the reverse of schema order."""
+    table = _writer_table(n_rows, seed)
+    names = table.schema.names[::-1]
+    table.columns["note"] = table.columns["label"][::-1]
+    cols = [[repr(float(v)) for v in table.columns[n]] if table.schema.kinds[n] == KIND_NUMERIC
+            else [str(v) for v in table.columns[n]] for n in names]
+    return list(names), [list(row) for row in zip(*cols)]
+
+
+def _write_rows(path, header, rows, encoding="utf-8"):
+    with open(path, "w", encoding=encoding, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _outcome(load, path, schema=_WRITER_SCHEMA):
+    """The table ``load`` returns, or the type and message of its error."""
+    try:
+        return load(path, schema)
+    except CsvFormatError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_outcome(path, schema=_WRITER_SCHEMA):
+    got, want = _outcome(load_csv, path, schema), _outcome(_row_loop_load_csv, path, schema)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert isinstance(got, RawTable) and list(got.columns) == list(want.columns)
+    for name, col in want.columns.items():
+        assert got.columns[name].dtype == col.dtype and got.columns[name].shape == col.shape
+        if col.dtype == object:
+            assert got.columns[name].tolist() == col.tolist()
+            assert all(type(v) is str for v in got.columns[name])
+        else:
+            assert np.array_equal(got.columns[name].view(np.uint64), col.view(np.uint64))
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, CSV_READ_ROWS - 1, CSV_READ_ROWS,
+                                    CSV_READ_ROWS + 1, 3 * CSV_READ_ROWS + 7])
+@pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig"])
+def test_load_csv_blocks_equal_the_row_loop(tmp_path, n_rows, encoding):
+    path = tmp_path / "t.csv"
+    _write_rows(path, *_csv_rows(n_rows, seed=n_rows), encoding=encoding)
+    _assert_same_outcome(path)
+
+
+def _cell(name, text):
+    def edit(row):
+        row = list(row)
+        row[_WRITER_SCHEMA.names[::-1].index(name)] = text
+        return row
+    return edit
+
+
+_BAD_ROWS = {
+    "short row": lambda row: row[:-1], "long row": lambda row: row + ["extra"],
+    "blank line": lambda row: [],
+    "empty numeric": _cell("count", ""), "empty categorical": _cell("label", ""),
+    "unparseable": _cell("x", "oops"), "infinite": _cell("count", "-inf"),
+    "nan": _cell("x", "nan"),
+}
+
+
+@pytest.mark.parametrize("kind", _BAD_ROWS)
+@pytest.mark.parametrize("bad_row", [1, CSV_READ_ROWS, CSV_READ_ROWS + 20])
+def test_load_csv_errors_equal_the_row_loop(tmp_path, kind, bad_row):
+    """Each malformed row, in the first block and in a later one, raises the
+    row loop's error; so does a later bad row of the same block behind an
+    earlier one of another kind."""
+    header, rows = _csv_rows(2 * CSV_READ_ROWS + 3)
+    rows[bad_row - 1] = _BAD_ROWS[kind](rows[bad_row - 1])
+    path = tmp_path / "t.csv"
+    _write_rows(path, header, rows)
+    _assert_same_outcome(path)
+    rows[bad_row + 1] = _cell("x", "later")(rows[bad_row + 1])
+    _write_rows(path, header, rows)
+    _assert_same_outcome(path)
+    assert f"row {bad_row}:" in _outcome(load_csv, path)[1]
+
+
+@pytest.mark.parametrize("earlier_bad_row", [None, 3, CSV_READ_ROWS + 3])
+def test_load_csv_cell_over_the_field_limit_equals_the_row_loop(tmp_path, earlier_bad_row):
+    """A cell the csv module refuses, read in the middle of a block, is
+    reported as the row loop reports it: after a bad row earlier in the
+    same block, which comes first."""
+    header, rows = _csv_rows(2 * CSV_READ_ROWS + 3)
+    rows[CSV_READ_ROWS + 9] = _cell("label", "z" * 200)(rows[CSV_READ_ROWS + 9])
+    if earlier_bad_row is not None:
+        rows[earlier_bad_row - 1] = _cell("x", "oops")(rows[earlier_bad_row - 1])
+    path = tmp_path / "t.csv"
+    _write_rows(path, header, rows)
+    limit = csv.field_size_limit(100)
+    try:
+        _assert_same_outcome(path)
+        message = _outcome(load_csv, path)[1]
+    finally:
+        csv.field_size_limit(limit)
+    assert ("field larger than field limit" in message) == (earlier_bad_row is None)
 
 
 def test_load_csv_skips_a_byte_order_mark(tmp_path):

@@ -1,22 +1,29 @@
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
 
-from fedsynth import classifiers
-from fedsynth.classifiers import (MLP_HIDDEN, MLP_ITERS, MLP_LR, DecisionTreeGini,
-                                  LogisticRegressionGD, MlpClassifierAdam, _softmax,
-                                  accuracy, builtin_classifiers)
-from fedsynth.data import RawTable, TabularSchema
-from fedsynth.errors import ValidationError
+from fedsynth import classifiers, metrics
+from fedsynth.classifiers import (LOGISTIC_ITERS, LOGISTIC_L2, LOGISTIC_LR, MLP_HIDDEN,
+                                  MLP_ITERS, MLP_LR, DecisionTreeGini, LogisticRegressionGD,
+                                  MlpClassifierAdam, _row_max, _softmax, accuracy,
+                                  builtin_classifiers)
+from fedsynth.data import RawTable, TabularSchema, first_occurrence_codes, write_csv
+from fedsynth.errors import DivergenceError, ValidationError
+from fedsynth.experiment import cmd_evaluate
 from fedsynth.fixtures import (INDEPENDENT_SCHEMA, gaussian_mixture_table,
                                independent_table, separable_table,
                                shuffle_column)
 from fedsynth.metrics import (MetricsReport, _encode_features, column_fidelity,
                               evaluate_tables, js_similarity, row_fidelity, theil_u,
                               utility_score, wasserstein_similarity)
-from fedsynth.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, adam_step
+from fedsynth.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, _layout, adam_step
 from fedsynth.store import canonical_json
 
 # Frozen oracle: 1 - JS2((1/2, 1/2), (1, 0)) with base-2 logs.
@@ -167,7 +174,7 @@ def test_row_fidelity_none_when_no_pairs():
     table = separable_table(100, seed=0)
     # u, v numeric + label categorical -> one numeric pair, so drop a column
     sub_schema_cols = [c for c in table.schema.names if c != "v"]
-    from fedsynth.data import RawTable, TabularSchema
+    from fedsynth.data import RawTable, TabularSchema, first_occurrence_codes
     schema = TabularSchema(columns=(("u", "numeric"), ("label", "categorical")),
                            target_column="label")
     sub = RawTable(schema, {"u": table.column("u"),
@@ -306,6 +313,125 @@ def test_mlp_fit_runs_nn_adam_on_one_parameter_buffer(monkeypatch):
     assert len(params) == 4 and all(np.shares_memory(p, flats[0]) for p in params)
 
 
+def _softmax_np_max(logits):
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _logistic_fit_np_max(X, y, n_classes):
+    """LogisticRegressionGD.fit with np.max's row maximum: its oracle."""
+    Xb = np.hstack([X, np.ones((X.shape[0], 1))])
+    n, d = Xb.shape
+    onehot = np.zeros((n, n_classes))
+    onehot[np.arange(n), y] = 1.0
+    W = np.zeros((d, n_classes))
+    for _ in range(LOGISTIC_ITERS):
+        probs = _softmax_np_max(Xb @ W)
+        grad = Xb.T @ (probs - onehot) / n + LOGISTIC_L2 * W
+        W -= LOGISTIC_LR * grad
+    return W
+
+
+def _mlp_fit_three_buffers(X, y, n_classes, seed):
+    """MlpClassifierAdam.fit with separate z1, h1 and d_h1 buffers and
+    np.max's row maximum: the oracle for the one-buffer loop."""
+    rng = np.random.default_rng(seed)
+    n, d = X.shape
+    onehot = np.zeros((n, n_classes))
+    onehot[np.arange(n), y] = 1.0
+    manifest = {"weights": [(d, MLP_HIDDEN), (MLP_HIDDEN, n_classes)], "embeddings": []}
+    flat = np.zeros((d + 1) * MLP_HIDDEN + (MLP_HIDDEN + 1) * n_classes)
+    grad = np.empty_like(flat)
+    (w1, w2), (b1, b2), _ = _layout(flat, manifest)
+    (g_w1, g_w2), (g_b1, g_b2), _ = _layout(grad, manifest)
+    w1[...] = rng.uniform(-1.0, 1.0, size=(d, MLP_HIDDEN)) * np.sqrt(6.0 / d)
+    w2[...] = rng.uniform(-1.0, 1.0, size=(MLP_HIDDEN, n_classes)) * np.sqrt(6.0 / MLP_HIDDEN)
+    state = AdamState.zeros(flat.size)
+    z1, h1, d_h1 = (np.empty((n, MLP_HIDDEN)) for _ in range(3))
+    relu = np.empty((n, MLP_HIDDEN), dtype=bool)
+    logits = np.empty((n, n_classes))
+    row = np.empty((n, 1))
+    for _ in range(MLP_ITERS):
+        np.matmul(X, w1, out=z1)
+        z1 += b1
+        np.maximum(z1, 0.0, out=h1)
+        np.matmul(h1, w2, out=logits)
+        logits += b2
+        np.max(logits, axis=1, keepdims=True, out=row)
+        logits -= row
+        np.exp(logits, out=logits)
+        np.sum(logits, axis=1, keepdims=True, out=row)
+        logits /= row
+        logits -= onehot
+        logits /= n
+        np.matmul(h1.T, logits, out=g_w2)
+        np.sum(logits, axis=0, out=g_b2)
+        np.matmul(logits, w2.T, out=d_h1)
+        np.greater(z1, 0, out=relu)
+        d_h1 *= relu
+        np.matmul(X.T, d_h1, out=g_w1)
+        np.sum(d_h1, axis=0, out=g_b1)
+        adam_step(flat, state, grad, MLP_LR)
+    return w1, b1, w2, b2
+
+
+def _wide_xy(n_rows, seed):
+    table = RawTable(TabularSchema(INDEPENDENT_SCHEMA.columns, target_column="grade"),
+                     independent_table(n_rows, seed=seed).columns)
+    X = _encode_features(table.schema, table, table)[0]
+    y = first_occurrence_codes(table.column("grade"))[1][0]
+    return X, y, int(y.max()) + 1
+
+
+def _zeroed_rows(X):
+    """X with every third row all zeros, so that hidden pre-activations are
+    exactly b1 there, ±0 before b1 first moves."""
+    X = X.copy()
+    X[::3] = 0.0
+    X[1::6] = -0.0
+    return X
+
+
+@pytest.mark.parametrize("xy", [
+    _split_xy(gaussian_mixture_table(300, seed=3), "segment"),  # 2 features, 3 classes
+    _wide_xy(300, seed=4),  # 40-level one-hots, 12 classes
+    (_zeroed_rows(_wide_xy(240, seed=5)[0]),) + _wide_xy(240, seed=5)[1:],
+], ids=["narrow", "wide", "zero-rows"])
+def test_classifier_fits_bit_equal_their_np_max_and_three_buffer_oracles(xy):
+    X, y, k = xy
+    assert np.array_equal(LogisticRegressionGD().fit(X, y, k).coef,
+                          _logistic_fit_np_max(X, y, k))
+    got = MlpClassifierAdam(seed=3).fit(X, y, k).params
+    want = _mlp_fit_three_buffers(X, y, k, seed=3)
+    assert all(np.array_equal(g.view(np.uint64), w.view(np.uint64))
+               for g, w in zip(got, want))
+
+
+_EDGE_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.nan, np.inf, -np.inf, 5e-324])
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=40)
+                  .filter(lambda shape: shape[1] >= 1),
+                  elements=st.one_of(_EDGE_VALUES, st.floats(width=64))))
+def test_row_max_equals_np_max(a):
+    """Bit for bit, except that a row whose maximum is zero may get either
+    zero; after the softmax's subtraction and exp, not even that differs."""
+    got, want = _row_max(a), np.max(a, axis=1, keepdims=True)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    nonzero = ~nan & (want != 0)
+    assert np.array_equal(got[nonzero].view(np.uint64), want[nonzero].view(np.uint64))
+    assert np.all(got[want == 0] == 0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        e_got, e_want = np.exp(a - got), np.exp(a - want)
+    numbers = ~np.isnan(e_want)
+    assert np.array_equal(np.isnan(e_got), ~numbers)
+    assert np.array_equal(e_got[numbers].view(np.uint64), e_want[numbers].view(np.uint64))
+
+
 def test_builtin_classifiers_names():
     names = [name for name, _ in builtin_classifiers(0)]
     assert names == ["logistic_regression", "decision_tree", "mlp"]
@@ -350,7 +476,7 @@ def test_utility_single_class_train_skips():
 
 def test_utility_requires_categorical_target():
     table = gaussian_mixture_table(80, seed=15)
-    from fedsynth.data import RawTable, TabularSchema
+    from fedsynth.data import RawTable, TabularSchema, first_occurrence_codes
     no_target = TabularSchema(columns=table.schema.columns)
     stripped = RawTable(no_target, dict(table.columns))
     with pytest.raises(ValidationError):
@@ -407,3 +533,129 @@ def test_evaluate_rejects_schema_mismatch_and_bad_fraction():
         evaluate_tables(a, b)
     with pytest.raises(ValidationError):
         evaluate_tables(a, a, test_fraction=1.5)
+
+
+# ---------------------------------------------------------------------------
+# The utility MLP's worker thread
+
+
+def _mlp_threads() -> list:
+    return [t for t in threading.enumerate() if t.name.startswith("fedsynth-mlp")]
+
+
+def _scored_pair(n_rows=300):
+    schema = TabularSchema(INDEPENDENT_SCHEMA.columns, target_column="grade")
+    return (RawTable(schema, independent_table(n_rows, seed=31).columns),
+            RawTable(schema, independent_table(n_rows, seed=32).columns))
+
+
+def test_reports_are_byte_identical_with_and_without_the_mlp_worker(monkeypatch, tmp_path):
+    """With two usable CPUs the MLP fits on a worker thread, and is still
+    fitting when this thread starts the attacks; with one it fits here after
+    them and no thread starts. evaluate_tables and cmd_evaluate give the
+    same report bytes either way, and leave no worker thread."""
+    real, syn = _scored_pair()
+    paths = [str(tmp_path / name) for name in ("real.csv", "syn.csv", "schema.json")]
+    write_csv(paths[0], real)
+    write_csv(paths[1], syn)
+    real.schema.save(paths[2])
+    fit, singling_out = MlpClassifierAdam.fit, metrics.singling_out_risk
+    attacks_started = threading.Event()
+    fit_threads = []
+
+    def tracked_fit(self, *args):
+        fit_threads.append((threading.current_thread(), threading.active_count()))
+        assert attacks_started.wait(10)
+        return fit(self, *args)
+
+    def tracked_singling_out(*args):
+        attacks_started.set()
+        return singling_out(*args)
+
+    monkeypatch.setattr(MlpClassifierAdam, "fit", tracked_fit)
+    monkeypatch.setattr(metrics, "singling_out_risk", tracked_singling_out)
+    reports = {}
+    for n_cpus in (1, 2):
+        monkeypatch.setattr(metrics, "_usable_cpus", lambda: n_cpus)
+        fit_threads.clear()
+        threads_before = threading.active_count()
+        attacks_started.clear()
+        report = evaluate_tables(real, syn, seed=4, n_attacks=50)
+        out = tmp_path / f"report-{n_cpus}.json"
+        attacks_started.clear()
+        cmd_evaluate(*paths, seed=4, n_attacks=50, out_path=str(out))
+        reports[n_cpus] = (canonical_json(report.to_dict()), out.read_bytes())
+        if n_cpus == 1:
+            assert fit_threads == [(threading.main_thread(), threads_before)] * 2
+        else:
+            assert [t.name.startswith("fedsynth-mlp") for t, _ in fit_threads] == [True] * 2
+        assert _mlp_threads() == []
+    assert reports[1] == reports[2]
+    assert list(report.utility["accuracies"]) == ["logistic_regression", "decision_tree",
+                                                  "mlp"]
+
+
+def test_failing_mlp_fit_raises_its_error_after_this_threads_work(monkeypatch):
+    """The worker's DivergenceError reaches the caller of evaluate_tables only
+    once this thread has run its last attack, and no worker thread is left."""
+    monkeypatch.setattr(metrics, "_usable_cpus", lambda: 2)
+    error = DivergenceError("mlp fit diverged")
+    inference, finished = metrics.inference_risk, []
+
+    def failing_fit(self, *args):
+        raise error
+
+    def tracked_inference(*args):
+        out = inference(*args)
+        finished.append(threading.current_thread() is threading.main_thread())
+        return out
+
+    monkeypatch.setattr(MlpClassifierAdam, "fit", failing_fit)
+    monkeypatch.setattr(metrics, "inference_risk", tracked_inference)
+    with pytest.raises(DivergenceError) as info:
+        evaluate_tables(*_scored_pair(), seed=1, n_attacks=30)
+    assert info.value is error
+    assert finished == [True]
+    assert _mlp_threads() == []
+
+
+def test_callers_error_raises_after_the_mlp_fit_returns(monkeypatch):
+    """Column fidelity fails while the MLP is still fitting: evaluate_tables
+    raises fidelity's error only after the fit has returned."""
+    monkeypatch.setattr(metrics, "_usable_cpus", lambda: 2)
+    raised, returned = threading.Event(), threading.Event()
+    error = ValidationError("fidelity failed")
+    fit = MlpClassifierAdam.fit
+
+    def slow_fit(self, *args):
+        assert raised.wait(10)
+        time.sleep(0.05)
+        out = fit(self, *args)
+        returned.set()
+        return out
+
+    def failing_fidelity(real, syn):
+        raised.set()
+        raise error
+
+    monkeypatch.setattr(MlpClassifierAdam, "fit", slow_fit)
+    monkeypatch.setattr(metrics, "column_fidelity", failing_fidelity)
+    with pytest.raises(ValidationError) as info:
+        evaluate_tables(*_scored_pair(), seed=1, n_attacks=30)
+    assert info.value is error
+    assert returned.is_set()
+    assert _mlp_threads() == []
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+@pytest.mark.parametrize("one_class", [False, True], ids=["scored", "skipped"])
+def test_utility_score_calls_alongside_once_on_this_thread(monkeypatch, n_cpus, one_class):
+    monkeypatch.setattr(metrics, "_usable_cpus", lambda: n_cpus)
+    table = separable_table(200, seed=14)
+    labels = table.column("label")
+    train = table.select(np.flatnonzero(labels == labels[0])) if one_class else table
+    calls = []
+    out = utility_score(train, table, alongside=lambda: calls.append(threading.current_thread()))
+    assert calls == [threading.main_thread()]
+    assert out == utility_score(train, table)
+    assert (out["phi"] is None) == one_class
