@@ -41,10 +41,15 @@ class CalibrationError(PrivacyBudgetError):
     """No noise multiplier in the search bracket meets the epsilon target."""
 
 
+def is_number(value) -> bool:
+    """True for an int or a float. A bool is an int to Python, but JSON's
+    true and false are not numbers."""
+    return not isinstance(value, bool) and isinstance(value, (int, float))
+
+
 def require_number(value, name: str) -> None:
-    """Raise ValidationError unless ``value`` is an int or a float. A bool is
-    an int to Python, but JSON's true and false are not numbers."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """Raise ValidationError unless ``value`` is a number (``is_number``)."""
+    if not is_number(value):
         raise ValidationError(f"{name} must be a number, got {value!r}")
 
 

@@ -29,7 +29,7 @@ from .data import (EncodingPipeline, RawTable, TabularSchema, load_csv,
                    load_partitions, partition_iid, partition_noniid,
                    save_partitions, write_csv)
 from .dp import DpConfig, RdpAccountant
-from .errors import (CheckpointError, FedsynthError, ValidationError, reading,
+from .errors import (CheckpointError, FedsynthError, ValidationError, is_number, reading,
                      require_int, require_number)
 from .federation import FedConfig, FederatedState, make_client_datasets
 from .metrics import DEFAULT_N_ATTACKS, DEFAULT_TEST_FRACTION, MetricsReport, evaluate_tables
@@ -147,38 +147,27 @@ class ExperimentConfig:
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        if math.isinf(d["dp"]["epsilon"]):
-            d["dp"]["epsilon"] = "inf"
-        # cmd_sweep reads the string "inf" as +inf
-        d["sweep"] = {axis: ["inf" if v == math.inf else v for v in values]
-                      if isinstance(values, list) else values
-                      for axis, values in d["sweep"].items()}
-        return d
+        """The config's JSON form: what config files hold, the digest hashes
+        and the sweep names its cells by."""
+        return _json_form(dataclasses.asdict(self))
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         d = dict(_object(d, "config"))
-        subs = {name: _object(d.pop(name, {}), f"config {name!r}")
-                for name in ("seeds", "model", "diffusion", "federation", "dp")}
-        dp_dict = dict(subs["dp"])
-        if isinstance(dp_dict.get("epsilon"), str):
-            if dp_dict["epsilon"].lower() not in ("inf", "infinity"):
-                raise ValidationError(f"bad epsilon value {dp_dict['epsilon']!r}")
-            dp_dict["epsilon"] = math.inf
-        if dp_dict.get("epsilon") is None:
-            dp_dict["epsilon"] = math.inf
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
+        fields = dataclasses.fields(cls)
+        # a sub-config is a field whose default is a dataclass
+        subs = {f.name: dict(_object(d.pop(f.name, {}), f"config {f.name!r}"))
+                for f in fields if dataclasses.is_dataclass(f.default_factory)}
+        epsilon = subs["dp"].get("epsilon")  # any other string fails as a non-number
+        if epsilon is None or isinstance(epsilon, str) and epsilon.lower() in ("inf", "infinity"):
+            subs["dp"]["epsilon"] = math.inf
+        unknown = set(d) - {f.name for f in fields}
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
         # An unknown or mistyped key inside a sub-config surfaces as TypeError.
         with reading("config"):
-            return cls(**d, seeds=Seeds(**subs["seeds"]),
-                       model=ModelConfig(**subs["model"]),
-                       diffusion=DiffusionConfig(**subs["diffusion"]),
-                       federation=FedConfig(**subs["federation"]),
-                       dp=DpConfig(**dp_dict))
+            return cls(**d, **{f.name: f.default_factory(**subs[f.name])
+                               for f in fields if f.name in subs})
 
     @classmethod
     def from_file(cls, path, overrides: list | None = None) -> "ExperimentConfig":
@@ -210,6 +199,15 @@ class ExperimentConfig:
         for key, value in settings.items():
             raw = _set_dotted(raw, key, value)
         return ExperimentConfig.from_dict(raw)
+
+
+def _json_form(value):
+    """``value`` with every +inf float spelled "inf", as JSON cannot spell it."""
+    if isinstance(value, dict):
+        return {key: _json_form(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_json_form(item) for item in value]
+    return "inf" if isinstance(value, float) and value == math.inf else value
 
 
 def _object(value, what: str) -> dict:
@@ -314,6 +312,23 @@ def _read_checkpoint(path, names=None) -> tuple:
     return arrays, meta
 
 
+def _check_client(cm: dict) -> None:
+    """Raise ValueError unless checkpoint client entry ``cm`` holds an
+    n_samples, sigma and delta that training can use. A client with a
+    ledger is accounted for, so it needs a sigma and a delta."""
+    n, sigma, delta = cm["n_samples"], cm["sigma"], cm["delta"]
+    optional = cm["ledger"] is None
+    for name, ok, rule in [
+            ("n_samples", not isinstance(n, bool) and isinstance(n, int) and n >= 1,
+             "an integer >= 1"),
+            ("sigma", sigma is None and optional or is_number(sigma) and 0 <= sigma < math.inf,
+             "a finite number >= 0"),
+            ("delta", delta is None and optional or is_number(delta) and 0 < delta < 1,
+             "a number in (0, 1)")]:
+        if not ok:
+            raise ValueError(f"client {cm['client_id']}'s {name} is {cm[name]!r}, not {rule}")
+
+
 def _read_state(path) -> tuple:
     """The training state a checkpoint holds, and its meta.
 
@@ -326,6 +341,7 @@ def _read_state(path) -> tuple:
         clients = []
         for cm in meta["clients"]:
             cid = cm["client_id"]
+            _check_client(cm)
             adam = accountant = None
             if f"adam_m_{cid}" in arrays:
                 adam = AdamState(arrays[f"adam_m_{cid}"], arrays[f"adam_v_{cid}"],
@@ -334,7 +350,7 @@ def _read_state(path) -> tuple:
                 if cm["ledger"] is not None:
                     accountant = RdpAccountant.from_ledger(cm["ledger"])
             clients.append(fed.ClientState(cid, adam, accountant, cm["sigma"],
-                                           cm["delta"], int(cm["n_samples"])))
+                                           cm["delta"], cm["n_samples"]))
         server = None
         if "server_m" in arrays:
             server = AdamState(arrays["server_m"], arrays["server_v"],
@@ -475,6 +491,9 @@ def cmd_train(config: ExperimentConfig, resume: bool = False,
             return _finished_manifest(config, pipeline.digest, state)
         if (state.server is None) == (config.federation.strategy in fed.SERVER_OPTIMIZERS):
             raise CheckpointError("checkpoint's server moments do not match federation.strategy")
+        if config.dp.mechanism_active and any(c.sigma is None for c in state.clients):
+            raise CheckpointError(f"checkpoint {checkpoint!r} holds a client with no sigma, "
+                                  "but dp clips and noises every step")
     done = state.round if resume else 0
     if stop_after_round is not None and stop_after_round <= done:
         raise ValidationError(f"stop_after_round {stop_after_round} is not past round {done}")
@@ -596,31 +615,32 @@ _AXIS_ALIASES = {
 
 def _cell_config(config: ExperimentConfig, assignment: dict,
                  output_dir: str) -> ExperimentConfig:
+    """The config of the sweep cell that sets each axis of ``assignment``."""
     dotted = {}
     for key, value in assignment.items():
-        if key == "seed":
+        if key == "seed":  # the data and attack seeds are derived from it
+            require_int(value, "sweep axis 'seed' value", 0)
             dotted.update({"seeds.model": value, "seeds.data": value + 1,
                            "seeds.attack": value + 2})
+        elif key.split(".")[0] in ("output_dir", "sweep"):
+            raise ValidationError(f"sweep axis {key!r} cannot be swept: each cell sets it")
         else:
             dotted[_AXIS_ALIASES.get(key, key)] = value
     return config.replace(sweep={}, output_dir=output_dir, **dotted)
 
 
-def _axis_label(value):
-    """Sweep axis value as written to names and rows (infinity as "inf")."""
-    return "inf" if isinstance(value, float) and math.isinf(value) else value
-
-
-def _cell_name(assignment: dict) -> str:
-    return "__".join(f"{key.replace('.', '-')}={_axis_label(assignment[key])}"
-                     for key in sorted(assignment))
-
-
-def _cell_results(cell_dir: str) -> dict:
-    """The result fields of a finished sweep cell, read from its report and manifest."""
+def _cell_results(cell_dir: str, digest: str) -> dict | None:
+    """The result fields of a sweep cell finished under config ``digest``,
+    read from its report and manifest; None when it has no report, or one
+    written under another config."""
     report_path = os.path.join(cell_dir, REPORT_FILE)
+    if not os.path.exists(report_path):
+        return None
     with reading(f"report {report_path!r}"):
         report = MetricsReport.from_dict(read_json(report_path))
+        if not (isinstance(report.metadata, dict)
+                and report.metadata.get("config_digest") == digest):
+            return None
         omega, phi, pi = report.omega, report.phi, report.privacy_risk
     manifest_path = os.path.join(cell_dir, MANIFEST_FILE)
     with reading(f"manifest {manifest_path!r}"):
@@ -632,40 +652,38 @@ def _cell_results(cell_dir: str) -> dict:
 def cmd_sweep(config: ExperimentConfig) -> list:
     """Cartesian sweep over config.sweep axes; one row per cell.
 
-    Cells whose report already exists are skipped (resume); failures are
-    recorded and do not stop the sweep.
+    A cell is named by its axis values as the config's JSON form writes
+    them. A cell whose report was written under its config is not run again
+    (resume); failures are recorded and do not stop the sweep.
     """
-    if not config.sweep:
+    axes = config.to_dict()["sweep"]
+    if not axes:
         raise ValidationError("config.sweep is empty; nothing to sweep")
-    axes = []
-    for key in sorted(config.sweep):
-        values = config.sweep[key]
-        if not isinstance(values, list) or not values:
+    keys = sorted(axes)
+    for key in keys:
+        if not isinstance(axes[key], list) or not axes[key]:
             raise ValidationError(f"sweep axis {key!r} must be a non-empty list")
-        values = [math.inf if isinstance(v, str) and v.lower() == "inf" else v
-                  for v in values]
-        if key == "seed":  # _cell_config derives the data and attack seeds from it
-            for value in values:
-                require_int(value, "sweep axis 'seed' value", 0)
-        axes.append((key, values))
-    assignments = [dict(zip([k for k, _ in axes], combo))
-                   for combo in itertools.product(*[v for _, v in axes])]
 
     # every cell's config is checked before any cell runs;
     # FEDSYNTH_OUTPUT_ROOT applies once, when the cell's config resolves it
-    cells = [(assignment, _cell_config(config, assignment, os.path.join(
-        config.output_dir, "sweep", _cell_name(assignment)))) for assignment in assignments]
+    cells = []
+    for values in itertools.product(*(axes[key] for key in keys)):
+        assignment = dict(zip(keys, values))
+        name = "__".join(f"{key.replace('.', '-')}={value}" for key, value in assignment.items())
+        cells.append((name, assignment, _cell_config(
+            config, assignment, os.path.join(config.output_dir, "sweep", name))))
     out_dir = config.resolved_output_dir()
     os.makedirs(os.path.join(out_dir, "sweep"), exist_ok=True)
     rows = []
-    for assignment, cell_cfg in cells:
+    for name, assignment, cell_cfg in cells:
         cell_dir = cell_cfg.resolved_output_dir()
-        row = {"cell": _cell_name(assignment),
-               "assignment": {k: _axis_label(v) for k, v in assignment.items()}}
+        row = {"cell": name, "assignment": assignment}
         try:
-            if not os.path.exists(os.path.join(cell_dir, REPORT_FILE)):
+            results = _cell_results(cell_dir, cell_cfg.digest)
+            if results is None:
                 run_pipeline(cell_cfg)
-            row.update(_cell_results(cell_dir))
+                results = _cell_results(cell_dir, cell_cfg.digest)
+            row.update(results)
         except FedsynthError as exc:
             row.update(status="failed", error=f"{type(exc).__name__}: {exc}")
         rows.append(row)

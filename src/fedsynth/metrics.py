@@ -308,6 +308,10 @@ def evaluate_tables(real: RawTable, syn: RawTable, seed: int = 0,
         raise ValidationError("n_attacks must be >= 1")
     if seed < 0:
         raise ValidationError("seed must be non-negative")
+    for name in real.schema.numeric_names:  # fidelity normalizes by the joint range
+        values = np.concatenate([real.column(name), syn.column(name)])
+        if values.size and not math.isfinite(float(values.max()) - float(values.min())):
+            raise ValidationError(f"numeric column {name!r} spans a range that overflows float64")
 
     fidelity = privacy = None
 

@@ -19,7 +19,7 @@ from fedsynth.experiment import (OUTPUT_ROOT_ENV, ExperimentConfig, Seeds,
                                  cmd_evaluate, cmd_generate, cmd_prepare,
                                  cmd_sweep, cmd_train, desk_preset,
                                  run_pipeline)
-from fedsynth.fixtures import gaussian_mixture_table
+from fedsynth.fixtures import gaussian_mixture_table, independent_table
 from fedsynth.nn import DenoiserParams, forward, init_denoiser
 from fedsynth.store import json_digest, load_arrays, read_json, save_arrays, write_json
 
@@ -1487,6 +1487,101 @@ def test_sweep_reruns_a_cell_whose_directory_was_deleted(workspace):
     assert [row["status"] for row in cmd_sweep(cfg)] == ["failed"]
     shutil.rmtree(cell_dir)
     assert cmd_sweep(cfg) == rows
+
+
+def test_sweep_reruns_a_cell_that_another_config_trained(workspace, monkeypatch):
+    """A cell's report counts only under the cell config's digest: after a
+    config change the cell trains again, and then it is reused."""
+    cfg = _fast_config(workspace, out="sweep_changed", n_rows=30, n_attacks=8).replace(
+        sweep={"seed": [0]})
+    cell_dir = os.path.join(cfg.resolved_output_dir(), "sweep", "seed=0")
+    assert cmd_sweep(cfg.replace(**{"federation.rounds": 1}))[0]["status"] == "ok"
+    assert read_json(os.path.join(cell_dir, "manifest.json"))["rounds_completed"] == 1
+    longer = cfg.replace(**{"federation.rounds": 3})
+    rows = cmd_sweep(longer)
+    assert rows[0]["status"] == "ok"
+    assert read_json(os.path.join(cell_dir, "manifest.json"))["rounds_completed"] == 3
+    cell_digest = experiment._cell_config(longer, {"seed": 0}, os.path.join(
+        longer.output_dir, "sweep", "seed=0")).digest
+    report = read_json(os.path.join(cell_dir, "report.json"))
+    assert report["metadata"]["config_digest"] == cell_digest
+
+    def rerun(_config):
+        raise AssertionError("a cell reported under its own config must not run again")
+
+    monkeypatch.setattr(experiment, "run_pipeline", rerun)
+    assert cmd_sweep(longer) == rows
+
+
+def test_sweep_names_cells_by_the_config_files_spelling(workspace):
+    """A cell is named by its value as the config's JSON form writes it, so
+    "INF" and "inf" are two cells, each trained at ε = ∞ (no ε recorded)."""
+    cfg = _fast_config(workspace, out="sweep_spelling", n_rows=30, n_attacks=8).replace(
+        sweep={"epsilon": ["INF", "inf", 3.0]})
+    rows = cmd_sweep(cfg)
+    assert [row["cell"] for row in rows] == ["epsilon=3.0", "epsilon=INF", "epsilon=inf"]
+    assert [row["assignment"] for row in rows] == [
+        {"epsilon": 3.0}, {"epsilon": "INF"}, {"epsilon": "inf"}]
+    assert [row["status"] for row in rows] == ["ok"] * 3
+    assert [bool(row["epsilons"]) for row in rows] == [True, False, False]
+    assert sorted(os.listdir(os.path.join(cfg.resolved_output_dir(), "sweep"))) == [
+        "epsilon=3.0", "epsilon=INF", "epsilon=inf"]
+
+
+@pytest.mark.parametrize("axis", ["output_dir", "sweep", "sweep.epsilon"])
+def test_cli_sweep_over_a_key_each_cell_sets_exits_1_naming_it(workspace, capsys, axis):
+    cfg = _fast_config(workspace, out="sweep_own_key").replace(sweep={axis: ["x"]})
+    path = _write_cfg(workspace, cfg, "sweep_own_key.json")
+    assert cli.main(["sweep", "-c", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and repr(axis) in err
+    assert not os.path.exists(cfg.resolved_output_dir())
+
+
+@pytest.mark.parametrize("field, value, dp", [
+    ("sigma", "x", {}), ("delta", "x", {}), ("sigma", None, {}), ("n_samples", 0, {}),
+    ("sigma", -1.0, {}), ("delta", None, {}), ("n_samples", 2.5, {}),
+    ("sigma", None, {"dp.epsilon": "inf", "dp.noise_multiplier": 1.0})])
+def test_cli_resume_of_a_tampered_client_entry_exits_1_naming_the_checkpoint(
+        workspace, capsys, field, value, dp):
+    """Each client entry is checked as the checkpoint is read: an integer
+    n_samples >= 1, a sigma that is null or a finite number >= 0, a delta
+    that is null or in (0, 1), neither null for a client with a ledger, and
+    no null sigma where dp clips and noises (the last case has no ledger)."""
+    cfg = _fast_config(workspace, out="tampered", **{
+        "federation.rounds": 3, "dp.epsilon": 5.0, **dp})
+    path = _write_cfg(workspace, cfg, "tampered.json")
+    assert cli.main(["prepare", "-c", path]) == 0
+    assert cli.main(["train", "-c", path, "--stop-after", "1"]) == 0
+    checkpoint = _checkpoint(cfg)
+    arrays, meta = load_arrays(checkpoint)
+    assert (meta["clients"][0]["ledger"] is None) == ("dp.noise_multiplier" in dp)
+    meta["clients"][0][field] = value
+    save_arrays(checkpoint, arrays, meta)
+    capsys.readouterr()
+    assert cli.main(["train", "-c", path, "--resume"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "checkpoint.npz" in err and "Traceback" not in err
+
+
+def test_cli_evaluate_of_a_column_whose_range_overflows_exits_1_naming_it(
+        workspace, capsys):
+    """A numeric range max - min past float64's largest value would make Ω
+    NaN, which strict JSON cannot hold; evaluate refuses the column instead."""
+    real = independent_table(300, seed=1)
+    real.columns["amount"][:2] = [1.7e308, -1.7e308]
+    real_path, syn_path = workspace["tmp"] / "wide.csv", workspace["tmp"] / "wide_syn.csv"
+    schema_path, out = workspace["tmp"] / "wide.json", workspace["tmp"] / "r.json"
+    write_csv(real_path, real)
+    write_csv(syn_path, independent_table(200, seed=2))
+    real.schema.save(schema_path)
+    assert cli.main(["evaluate", "--real", str(real_path), "--syn", str(syn_path),
+                     "--schema", str(schema_path), "--n-attacks", "50",
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "'amount'" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("setting", ["schema", "dataset"])

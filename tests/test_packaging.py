@@ -1,4 +1,5 @@
 import ast
+import json
 import re
 import sys
 from pathlib import Path
@@ -91,3 +92,27 @@ def test_readme_run_files_table_is_the_run_files_table():
     assert {name.strip("`"): (command.strip("`"), kinds[kind])
             for name, command, kind, _ in rows} == RUN_FILES
     assert len(rows) == len(RUN_FILES)
+
+
+def test_readme_config_table_lists_every_key_and_its_default():
+    """The README's config table names each key of the config's JSON form
+    once (``sweep`` whole, sub-configs by dotted key), and the first code
+    span of each default, read as JSON, is that key's default."""
+    from fedsynth.experiment import ExperimentConfig
+    defaults = {}
+    for key, value in ExperimentConfig().to_dict().items():
+        if isinstance(value, dict) and key != "sweep":
+            defaults.update({f"{key}.{sub}": item for sub, item in value.items()})
+        else:
+            defaults[key] = value
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("These are all the config keys.", 1)[1]
+    table = next(block for block in section.split("\n\n") if block.startswith("| key |"))
+    documented = {}
+    for line in table.splitlines()[2:]:
+        keys, default, _ = (cell.strip() for cell in line.strip("|").split("|"))
+        value = json.loads(re.search(r"`([^`]*)`", default).group(1))
+        for key in re.findall(r"`([^`]*)`", keys):
+            assert key not in documented, key
+            documented[key] = value
+    assert documented == defaults
